@@ -6,18 +6,6 @@ type EvaluateRequest struct {
 	Platform PlatformSpec `json:"platform"`
 }
 
-// TieredRequest is the body of POST /v1/evaluate/tiered.
-type TieredRequest struct {
-	Params   ParamsSpec         `json:"params"`
-	Platform TieredPlatformSpec `json:"platform"`
-}
-
-// NUMARequest is the body of POST /v1/evaluate/numa.
-type NUMARequest struct {
-	Params   ParamsSpec       `json:"params"`
-	Platform NUMAPlatformSpec `json:"platform"`
-}
-
 // TopologyRequest is the body of POST /v1/evaluate/topology.
 type TopologyRequest struct {
 	Params   ParamsSpec   `json:"params"`

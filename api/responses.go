@@ -18,7 +18,6 @@ type OperatingPointBody struct {
 type SolverBody struct {
 	Solves           int64   `json:"solves"`
 	Iterations       int64   `json:"iterations"`
-	Fallbacks        int64   `json:"fallbacks"`
 	BandwidthLimited int64   `json:"bandwidth_limited"`
 	WorstResidual    float64 `json:"worst_residual"`
 }
@@ -30,43 +29,6 @@ type EvaluateResponse struct {
 	Point    OperatingPointBody `json:"point"`
 	Solver   SolverBody         `json:"solver"`
 	Cached   bool               `json:"cached"`
-}
-
-// TierPointBody is one tier's share of a tiered reply.
-type TierPointBody struct {
-	Name          string  `json:"name"`
-	MissPenaltyNS float64 `json:"miss_penalty_ns"`
-	DemandGBps    float64 `json:"demand_gbps"`
-	Utilization   float64 `json:"utilization"`
-	Saturated     bool    `json:"saturated"`
-}
-
-// TieredResponse is the body of a /v1/evaluate/tiered reply.
-type TieredResponse struct {
-	Workload       string          `json:"workload"`
-	Platform       string          `json:"platform"`
-	CPI            float64         `json:"cpi"`
-	BandwidthBound bool            `json:"bandwidth_bound"`
-	Tiers          []TierPointBody `json:"tiers"`
-	Solver         SolverBody      `json:"solver"`
-	Cached         bool            `json:"cached"`
-}
-
-// NUMAResponse is the body of a /v1/evaluate/numa reply.
-type NUMAResponse struct {
-	Workload       string     `json:"workload"`
-	Platform       string     `json:"platform"`
-	CPI            float64    `json:"cpi"`
-	LocalNS        float64    `json:"local_ns"`
-	RemoteNS       float64    `json:"remote_ns"`
-	EffectiveNS    float64    `json:"effective_ns"`
-	DRAMDemandGBps float64    `json:"dram_demand_gbps"`
-	LinkDemandGBps float64    `json:"link_demand_gbps"`
-	DRAMUtil       float64    `json:"dram_util"`
-	LinkUtil       float64    `json:"link_util"`
-	BandwidthBound bool       `json:"bandwidth_bound"`
-	Solver         SolverBody `json:"solver"`
-	Cached         bool       `json:"cached"`
 }
 
 // TopologyTierPointBody is one tier's share of a topology reply.

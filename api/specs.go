@@ -221,150 +221,6 @@ func (s PlatformSpec) Platform() (model.Platform, error) {
 	return pl, nil
 }
 
-// TierSpec is one level of a tiered memory system.
-type TierSpec struct {
-	Name         string    `json:"name,omitempty"`
-	HitFraction  float64   `json:"hit_fraction"`
-	CompulsoryNS float64   `json:"compulsory_ns"`
-	PeakGBps     float64   `json:"peak_gbps"`
-	Queue        CurveSpec `json:"queue,omitempty"`
-}
-
-// TieredPlatformSpec describes an Eq. 5 multi-tier platform; the core
-// side defaults like PlatformSpec, the tiers must be explicit.
-type TieredPlatformSpec struct {
-	Name     string     `json:"name,omitempty"`
-	Cores    int        `json:"cores,omitempty"`
-	Threads  int        `json:"threads,omitempty"`
-	GHz      float64    `json:"ghz,omitempty"`
-	LineSize float64    `json:"line_size,omitempty"`
-	Tiers    []TierSpec `json:"tiers"`
-}
-
-// Platform materializes the spec and validates it. Errors wrap
-// model.ErrInvalidPlatform.
-func (s TieredPlatformSpec) Platform() (model.TieredPlatform, error) {
-	b := params.Baseline()
-	tp := model.TieredPlatform{
-		Name:      s.Name,
-		Cores:     s.Cores,
-		Threads:   s.Threads,
-		CoreSpeed: units.GHzOf(s.GHz),
-		LineSize:  units.Bytes(s.LineSize),
-	}
-	if tp.Name == "" {
-		tp.Name = "serve-tiered"
-	}
-	if tp.Cores == 0 {
-		tp.Cores = b.Cores
-	}
-	if tp.Threads == 0 {
-		tp.Threads = tp.Cores * b.ThreadsPerCore
-	}
-	if tp.CoreSpeed == 0 {
-		tp.CoreSpeed = b.CoreSpeed
-	}
-	if tp.LineSize == 0 {
-		tp.LineSize = b.LineSize
-	}
-	for i, ts := range s.Tiers {
-		curve, err := ts.Queue.Curve()
-		if err != nil {
-			return model.TieredPlatform{}, err
-		}
-		name := ts.Name
-		if name == "" {
-			name = fmt.Sprintf("tier%d", i)
-		}
-		tp.Tiers = append(tp.Tiers, model.Tier{
-			Name:        name,
-			HitFraction: ts.HitFraction,
-			Compulsory:  units.Duration(ts.CompulsoryNS),
-			PeakBW:      units.GBpsOf(ts.PeakGBps),
-			Queue:       curve,
-		})
-	}
-	if err := tp.Validate(); err != nil {
-		return model.TieredPlatform{}, err
-	}
-	return tp, nil
-}
-
-// NUMAPlatformSpec describes a symmetric multi-socket platform. Zero
-// fields default to the dual-socket version of the paper's baseline
-// (two §VI.C.2 sockets, 60 ns remote adder, 25 GB/s link).
-type NUMAPlatformSpec struct {
-	Name             string    `json:"name,omitempty"`
-	Sockets          int       `json:"sockets,omitempty"`
-	ThreadsPerSocket int       `json:"threads_per_socket,omitempty"`
-	CoresPerSocket   int       `json:"cores_per_socket,omitempty"`
-	GHz              float64   `json:"ghz,omitempty"`
-	LineSize         float64   `json:"line_size,omitempty"`
-	LocalNS          float64   `json:"local_ns,omitempty"`
-	RemoteAdderNS    float64   `json:"remote_adder_ns,omitempty"`
-	SocketPeakGBps   float64   `json:"socket_peak_gbps,omitempty"`
-	LinkPeakGBps     float64   `json:"link_peak_gbps,omitempty"`
-	RemoteFraction   float64   `json:"remote_fraction,omitempty"`
-	Queue            CurveSpec `json:"queue,omitempty"`
-}
-
-// Platform materializes the spec and validates it. Errors wrap
-// model.ErrInvalidPlatform.
-func (s NUMAPlatformSpec) Platform() (model.NUMAPlatform, error) {
-	b := params.Baseline()
-	np := model.NUMAPlatform{
-		Name:             s.Name,
-		Sockets:          s.Sockets,
-		ThreadsPerSocket: s.ThreadsPerSocket,
-		CoresPerSocket:   s.CoresPerSocket,
-		CoreSpeed:        units.GHzOf(s.GHz),
-		LineSize:         units.Bytes(s.LineSize),
-		LocalCompulsory:  units.Duration(s.LocalNS),
-		RemoteAdder:      units.Duration(s.RemoteAdderNS),
-		SocketPeakBW:     units.GBpsOf(s.SocketPeakGBps),
-		LinkPeakBW:       units.GBpsOf(s.LinkPeakGBps),
-		RemoteFraction:   s.RemoteFraction,
-	}
-	if np.Name == "" {
-		np.Name = "serve-numa"
-	}
-	if np.Sockets == 0 {
-		np.Sockets = 2
-	}
-	if np.CoresPerSocket == 0 {
-		np.CoresPerSocket = b.Cores
-	}
-	if np.ThreadsPerSocket == 0 {
-		np.ThreadsPerSocket = np.CoresPerSocket * b.ThreadsPerCore
-	}
-	if np.CoreSpeed == 0 {
-		np.CoreSpeed = b.CoreSpeed
-	}
-	if np.LineSize == 0 {
-		np.LineSize = b.LineSize
-	}
-	if np.LocalCompulsory == 0 {
-		np.LocalCompulsory = b.Compulsory
-	}
-	if np.RemoteAdder == 0 {
-		np.RemoteAdder = 60 * units.Nanosecond
-	}
-	if np.SocketPeakBW == 0 {
-		np.SocketPeakBW = b.EffectiveBandwidth()
-	}
-	if np.LinkPeakBW == 0 {
-		np.LinkPeakBW = units.GBpsOf(25)
-	}
-	var err error
-	if np.Queue, err = s.Queue.Curve(); err != nil {
-		return model.NUMAPlatform{}, err
-	}
-	if err := np.Validate(); err != nil {
-		return model.NUMAPlatform{}, err
-	}
-	return np, nil
-}
-
 // TopologyTierSpec is one memory tier of an N-tier topology.
 type TopologyTierSpec struct {
 	Name string `json:"name,omitempty"`
@@ -381,8 +237,8 @@ type TopologyTierSpec struct {
 }
 
 // TopologySpec describes an N-tier memory topology — the unified form
-// behind the flat, tiered, and NUMA platforms. The core side defaults
-// like PlatformSpec; the tiers must be explicit.
+// of the flat, tiered, and NUMA platforms. The core side defaults like
+// PlatformSpec; the tiers must be explicit.
 type TopologySpec struct {
 	Name     string  `json:"name,omitempty"`
 	Cores    int     `json:"cores,omitempty"`

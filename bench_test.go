@@ -142,13 +142,36 @@ func BenchmarkTable7(b *testing.B) {
 	runArtifact(b, (*experiments.Suite).Table7)
 }
 
-func BenchmarkHierarchicalEq5(b *testing.B) {
-	runArtifact(b, (*experiments.Suite).TieredMemory)
+// benchTopology measures one EvaluateTopology solve of the Big Data
+// class on top.
+func benchTopology(b *testing.B, top model.Topology) {
+	p := model.Params{Name: "Big Data", CPICache: 0.91, BF: 0.21, MPKI: 5.5, WBR: 0.92}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.EvaluateTopology(context.Background(), p, top); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
-// BenchmarkNUMAStudy exercises the §VIII multi-socket extension.
+// BenchmarkHierarchicalEq5 solves the §VII two-tier hierarchy (Eq. 5):
+// 80% of misses to DRAM, 20% to a far tier at 3x the latency and 0.4x
+// the bandwidth.
+func BenchmarkHierarchicalEq5(b *testing.B) {
+	base := model.BaselinePlatform(queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95})
+	top := base.Topology()
+	top.Tiers = []model.MemTier{
+		{Name: "DRAM", Share: 0.8, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
+		{Name: "far", Share: 0.2, Compulsory: 3 * base.Compulsory, PeakBW: base.PeakBW * 0.4, Queue: base.Queue},
+	}
+	benchTopology(b, top)
+}
+
+// BenchmarkNUMAStudy solves the §VIII multi-socket extension: the
+// dual-socket baseline at a uniform two-socket interleave.
 func BenchmarkNUMAStudy(b *testing.B) {
-	runArtifact(b, (*experiments.Suite).NUMAStudy)
+	curve := queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95}
+	benchTopology(b, model.DualSocketBaseline(curve).WithRemoteFraction(model.UniformInterleave(2)))
 }
 
 // ---- Ablations (DESIGN.md §5) ----
@@ -169,32 +192,6 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 // (§VII: prefetch effectiveness read off the blocking factor).
 func BenchmarkAblationPrefetchDepth(b *testing.B) {
 	runArtifact(b, (*experiments.Suite).PrefetchDepthSweep)
-}
-
-// BenchmarkAblationSolver compares the bisection solver against the
-// paper's damped fixed-point iteration on the baseline evaluation.
-func BenchmarkAblationSolver(b *testing.B) {
-	curve := queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95}
-	sys := queueing.System{Compulsory: 75 * units.Nanosecond, PeakBW: units.GBpsOf(42), Curve: curve}
-	p := model.Params{Name: "Big Data", CPICache: 0.91, BF: 0.21, MPKI: 5.5, WBR: 0.92}
-	demand := func(mp units.Duration) units.BytesPerSecond {
-		cpi := p.CPIEffAt(mp, units.GHzOf(2.5))
-		return p.Demand(cpi, units.GHzOf(2.5), 64) * 16
-	}
-	b.Run("bisection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := queueing.Solve(context.Background(), sys, demand, queueing.SolveOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("damped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := queueing.SolveDamped(context.Background(), sys, demand, queueing.SolveOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationBlockingFactor compares the constant-BF Eq. 1 against

@@ -3,18 +3,20 @@ package client
 import (
 	"context"
 	"sync"
+
+	"repro/api"
 )
 
 // EvaluateResult pairs one batch entry's reply with its error; exactly
 // one of the two is set.
 type EvaluateResult struct {
-	Response *EvaluateResponse
+	Response *api.EvaluateResponse
 	Err      error
 }
 
 // SweepResult pairs one batch entry's sweep reply with its error.
 type SweepResult struct {
-	Response *SweepResponse
+	Response *api.SweepResponse
 	Err      error
 }
 
@@ -22,7 +24,7 @@ type SweepResult struct {
 // workers in flight, preserving input order in the results. Each entry
 // gets the full retry/budget treatment independently; one bad request
 // does not abort the rest. workers < 1 means 4.
-func (c *Client) EvaluateBatch(ctx context.Context, reqs []EvaluateRequest, workers int) []EvaluateResult {
+func (c *Client) EvaluateBatch(ctx context.Context, reqs []api.EvaluateRequest, workers int) []EvaluateResult {
 	out := make([]EvaluateResult, len(reqs))
 	c.fanOut(len(reqs), workers, func(i int) {
 		resp, err := c.Evaluate(ctx, reqs[i])
@@ -34,7 +36,7 @@ func (c *Client) EvaluateBatch(ctx context.Context, reqs []EvaluateRequest, work
 // SweepBatch runs several sweep grids concurrently — e.g. one latency
 // and one bandwidth grid per candidate platform — with at most workers
 // in flight, preserving input order.
-func (c *Client) SweepBatch(ctx context.Context, reqs []SweepRequest, workers int) []SweepResult {
+func (c *Client) SweepBatch(ctx context.Context, reqs []api.SweepRequest, workers int) []SweepResult {
 	out := make([]SweepResult, len(reqs))
 	c.fanOut(len(reqs), workers, func(i int) {
 		resp, err := c.Sweep(ctx, reqs[i])
@@ -45,11 +47,11 @@ func (c *Client) SweepBatch(ctx context.Context, reqs []SweepRequest, workers in
 
 // LatencyGrid builds one sweep request per workload class over a
 // latency grid — the Fig. 8/9 shape — ready for SweepBatch.
-func LatencyGrid(classes []ParamsSpec, platform PlatformSpec, steps int, stepNS float64) []SweepRequest {
-	reqs := make([]SweepRequest, 0, len(classes))
+func LatencyGrid(classes []api.ParamsSpec, platform api.PlatformSpec, steps int, stepNS float64) []api.SweepRequest {
+	reqs := make([]api.SweepRequest, 0, len(classes))
 	for _, cl := range classes {
-		reqs = append(reqs, SweepRequest{
-			Classes:  []ParamsSpec{cl},
+		reqs = append(reqs, api.SweepRequest{
+			Classes:  []api.ParamsSpec{cl},
 			Platform: platform,
 			Axis:     "latency",
 			Steps:    steps,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/serve"
 )
 
@@ -64,10 +65,10 @@ func TestChaosEventualSuccess(t *testing.T) {
 	classes := []string{"bigdata", "enterprise", "hpc"}
 	for i := 0; i < requests; i++ {
 		before := c.Stats().Attempts
-		resp, err := c.Evaluate(context.Background(), EvaluateRequest{
-			Params: ParamsSpec{Class: classes[i%len(classes)]},
+		resp, err := c.Evaluate(context.Background(), api.EvaluateRequest{
+			Params: api.ParamsSpec{Class: classes[i%len(classes)]},
 			// Vary the platform so the grid exercises cache misses too.
-			Platform: PlatformSpec{CompulsoryNS: float64(75 + i%5)},
+			Platform: api.PlatformSpec{CompulsoryNS: float64(75 + i%5)},
 		})
 		if err != nil {
 			t.Fatalf("request %d failed despite retries: %v", i, err)
@@ -105,8 +106,8 @@ func TestChaosSweepBatch(t *testing.T) {
 		WithBreaker(0, 0),
 	)
 	reqs := LatencyGrid(
-		[]ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}},
-		PlatformSpec{}, 5, 20,
+		[]api.ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}},
+		api.PlatformSpec{}, 5, 20,
 	)
 	results := c.SweepBatch(context.Background(), reqs, 2)
 	for i, res := range results {

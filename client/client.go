@@ -17,14 +17,14 @@
 // 504 replies; validation errors (4xx) and 422 no_convergence are
 // returned immediately. When the budget or attempt cap runs out the
 // call returns ErrBudgetExhausted wrapping the last attempt's error.
-// The wire types are shared with internal/serve, so a request literal
-// compiles against the same structs the daemon decodes.
+// The wire types live in repro/api, shared with internal/serve, so a
+// request literal compiles against the same structs the daemon decodes.
 //
 //	c := client.New("http://127.0.0.1:8080",
 //		client.WithBudget(10*time.Second),
 //		client.WithSeed(42))
-//	resp, err := c.Evaluate(ctx, client.EvaluateRequest{
-//		Params: client.ParamsSpec{Class: "bigdata"},
+//	resp, err := c.Evaluate(ctx, api.EvaluateRequest{
+//		Params: api.ParamsSpec{Class: "bigdata"},
 //	})
 package client
 
@@ -216,38 +216,19 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // Evaluate solves a single-tier operating point (POST /v1/evaluate).
-func (c *Client) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateResponse, error) {
-	var resp EvaluateResponse
+func (c *Client) Evaluate(ctx context.Context, req api.EvaluateRequest) (*api.EvaluateResponse, error) {
+	var resp api.EvaluateResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// EvaluateTiered solves an Eq. 5 tiered platform (POST
-// /v1/evaluate/tiered).
-func (c *Client) EvaluateTiered(ctx context.Context, req TieredRequest) (*TieredResponse, error) {
-	var resp TieredResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/evaluate/tiered", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// EvaluateNUMA solves a multi-socket platform (POST /v1/evaluate/numa).
-func (c *Client) EvaluateNUMA(ctx context.Context, req NUMARequest) (*NUMAResponse, error) {
-	var resp NUMAResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/evaluate/numa", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // EvaluateTopology solves an N-tier memory topology (POST
-// /v1/evaluate/topology) — the unified evaluator behind the flat,
-// tiered, and NUMA endpoints.
-func (c *Client) EvaluateTopology(ctx context.Context, req TopologyRequest) (*TopologyResponse, error) {
-	var resp TopologyResponse
+// /v1/evaluate/topology): flat, tiered (Eq. 5), NUMA local/remote
+// and interleaved shapes alike.
+func (c *Client) EvaluateTopology(ctx context.Context, req api.TopologyRequest) (*api.TopologyResponse, error) {
+	var resp api.TopologyResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/evaluate/topology", req, &resp); err != nil {
 		return nil, err
 	}
@@ -258,8 +239,8 @@ func (c *Client) EvaluateTopology(ctx context.Context, req TopologyRequest) (*To
 // memmodel hosts (POST /v1/cluster/simulate). An empty request runs
 // the reference 8-host DRAM/HBM/CXL fleet under the three Table 6
 // classes with all three policies.
-func (c *Client) ClusterSimulate(ctx context.Context, req ClusterRequest) (*ClusterResponse, error) {
-	var resp ClusterResponse
+func (c *Client) ClusterSimulate(ctx context.Context, req api.ClusterRequest) (*api.ClusterResponse, error) {
+	var resp api.ClusterResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/cluster/simulate", req, &resp); err != nil {
 		return nil, err
 	}
@@ -271,8 +252,8 @@ func (c *Client) ClusterSimulate(ctx context.Context, req ClusterRequest) (*Clus
 // (arrival count and hash), and predicts the KPIs the workload would
 // observe — without any traffic being generated. An empty spec validates
 // the reference three-client mix.
-func (c *Client) WorkloadValidate(ctx context.Context, req WorkloadValidateRequest) (*WorkloadValidateResponse, error) {
-	var resp WorkloadValidateResponse
+func (c *Client) WorkloadValidate(ctx context.Context, req api.WorkloadValidateRequest) (*api.WorkloadValidateResponse, error) {
+	var resp api.WorkloadValidateResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/workload/validate", req, &resp); err != nil {
 		return nil, err
 	}
@@ -280,8 +261,8 @@ func (c *Client) WorkloadValidate(ctx context.Context, req WorkloadValidateReque
 }
 
 // Sweep runs a latency or bandwidth grid (POST /v1/sweep).
-func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	var resp SweepResponse
+func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (*api.SweepResponse, error) {
+	var resp api.SweepResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/sweep", req, &resp); err != nil {
 		return nil, err
 	}

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 // fakeClock advances only when told to and records every backoff sleep.
@@ -77,8 +79,8 @@ func scriptServer(t *testing.T, retryAfter string, script ...int) (*httptest.Ser
 	return srv, &calls
 }
 
-func evalReq() EvaluateRequest {
-	return EvaluateRequest{Params: ParamsSpec{Class: "bigdata"}}
+func evalReq() api.EvaluateRequest {
+	return api.EvaluateRequest{Params: api.ParamsSpec{Class: "bigdata"}}
 }
 
 func TestRetriesUntilSuccess(t *testing.T) {
@@ -123,7 +125,7 @@ func TestRetryAfterOverridesBackoff(t *testing.T) {
 func TestPermanentErrorReturnsImmediately(t *testing.T) {
 	srv, calls := scriptServer(t, "", 400)
 	c := New(srv.URL, WithClock(newFakeClock()))
-	_, err := c.Evaluate(context.Background(), EvaluateRequest{Params: ParamsSpec{Class: "nope"}})
+	_, err := c.Evaluate(context.Background(), api.EvaluateRequest{Params: api.ParamsSpec{Class: "nope"}})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != 400 || ae.Code != "scripted_400" {
 		t.Fatalf("err = %v, want APIError 400/scripted_400", err)
@@ -273,7 +275,7 @@ func TestTransportErrorsAreRetryable(t *testing.T) {
 func TestEvaluateBatchOrderAndErrors(t *testing.T) {
 	srv, _ := scriptServer(t, "")
 	c := New(srv.URL, WithClock(newFakeClock()))
-	reqs := make([]EvaluateRequest, 9)
+	reqs := make([]api.EvaluateRequest, 9)
 	for i := range reqs {
 		reqs[i] = evalReq()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/serve"
 )
 
@@ -20,7 +21,7 @@ func TestClusterSimulateRoundTrip(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	req := ClusterRequest{DurationS: 1, Policies: []string{"weighted"}, Seed: 11}
+	req := api.ClusterRequest{DurationS: 1, Policies: []string{"weighted"}, Seed: 11}
 	resp, err := c.ClusterSimulate(context.Background(), req)
 	if err != nil {
 		t.Fatalf("ClusterSimulate: %v", err)
@@ -56,7 +57,7 @@ func TestClusterSimulateValidationError(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	_, err := c.ClusterSimulate(context.Background(), ClusterRequest{Policies: []string{"random"}})
+	_, err := c.ClusterSimulate(context.Background(), api.ClusterRequest{Policies: []string{"random"}})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("want APIError 400, got %v", err)
@@ -80,7 +81,7 @@ func TestTopologyErrorEnvelopeDecoded(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	_, err := c.EvaluateTopology(context.Background(), TopologyRequest{})
+	_, err := c.EvaluateTopology(context.Background(), api.TopologyRequest{})
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)
@@ -109,7 +110,7 @@ func TestTopologyGarbledEnvelopeFallsBack(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	_, err := c.EvaluateTopology(context.Background(), TopologyRequest{})
+	_, err := c.EvaluateTopology(context.Background(), api.TopologyRequest{})
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)
@@ -135,13 +136,13 @@ func TestTopologyServerStormTripsBreaker(t *testing.T) {
 		WithBreaker(3, time.Hour),
 	)
 
-	_, err := c.EvaluateTopology(context.Background(), TopologyRequest{})
+	_, err := c.EvaluateTopology(context.Background(), api.TopologyRequest{})
 	if !errors.Is(err, ErrBudgetExhausted) && !IsCircuitOpen(err) {
 		t.Fatalf("storm should exhaust or trip: %v", err)
 	}
 	before := hits.Load()
 
-	_, err = c.EvaluateTopology(context.Background(), TopologyRequest{})
+	_, err = c.EvaluateTopology(context.Background(), api.TopologyRequest{})
 	if !IsCircuitOpen(err) {
 		t.Fatalf("want circuit-open fast fail, got %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/api"
 	"repro/internal/serve"
 )
 
@@ -16,10 +17,10 @@ func TestEvaluateTopologyRoundTrip(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	req := TopologyRequest{
-		Params: ParamsSpec{Class: "bigdata"},
-		Topology: TopologySpec{
-			Tiers: []TopologyTierSpec{
+	req := api.TopologyRequest{
+		Params: api.ParamsSpec{Class: "bigdata"},
+		Topology: api.TopologySpec{
+			Tiers: []api.TopologyTierSpec{
 				{Name: "near", Share: 0.8, CompulsoryNS: 75, PeakGBps: 42},
 				{Name: "far", Share: 0.2, CompulsoryNS: 300, PeakGBps: 10},
 			},
@@ -52,9 +53,9 @@ func TestEvaluateTopologyValidationError(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	_, err := c.EvaluateTopology(context.Background(), TopologyRequest{
-		Params:   ParamsSpec{Class: "bigdata"},
-		Topology: TopologySpec{Policy: "striped"},
+	_, err := c.EvaluateTopology(context.Background(), api.TopologyRequest{
+		Params:   api.ParamsSpec{Class: "bigdata"},
+		Topology: api.TopologySpec{Policy: "striped"},
 	})
 	if err == nil {
 		t.Fatal("expected a validation error")

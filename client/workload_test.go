@@ -17,7 +17,7 @@ func TestWorkloadValidateRoundTrip(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	req := WorkloadValidateRequest{
+	req := api.WorkloadValidateRequest{
 		Spec: api.WorkloadSpec{TotalRPS: 50, DurationS: 1, Seed: 7},
 	}
 	resp, err := c.WorkloadValidate(context.Background(), req)
@@ -46,7 +46,7 @@ func TestWorkloadValidateRoundTrip(t *testing.T) {
 	}
 
 	// Server-side validation surfaces as a typed APIError.
-	_, err = c.WorkloadValidate(context.Background(), WorkloadValidateRequest{
+	_, err = c.WorkloadValidate(context.Background(), api.WorkloadValidateRequest{
 		Spec: api.WorkloadSpec{TotalRPS: -1},
 	})
 	var apiErr *APIError
@@ -60,8 +60,8 @@ func TestResetStats(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := New(srv.URL)
 
-	if _, err := c.Evaluate(context.Background(), EvaluateRequest{
-		Params: ParamsSpec{Class: "bigdata"},
+	if _, err := c.Evaluate(context.Background(), api.EvaluateRequest{
+		Params: api.ParamsSpec{Class: "bigdata"},
 	}); err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -74,8 +74,8 @@ func TestResetStats(t *testing.T) {
 	}
 
 	// The reset window counts fresh traffic from zero.
-	if _, err := c.Evaluate(context.Background(), EvaluateRequest{
-		Params: ParamsSpec{Class: "hpc"},
+	if _, err := c.Evaluate(context.Background(), api.EvaluateRequest{
+		Params: api.ParamsSpec{Class: "hpc"},
 	}); err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}

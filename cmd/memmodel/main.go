@@ -98,7 +98,7 @@ func main() {
 	check(engine.WriteArtifact(sink, "Analytic model query", art))
 	check(sink.Close())
 
-	st := metrics.SolveStats()
+	st := metrics.Stats()
 	fmt.Printf("solver: %d fixed points, %d iterations, %d bandwidth-limited, worst residual %.2g\n",
 		st.Solves, st.Iterations, st.BandwidthLimited, st.MaxResidual)
 }

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/client"
+	"repro/api"
 )
 
 // emit prints v as JSON on stdout: indented for humans, compact
@@ -43,9 +43,9 @@ func evalCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	compulsory := fs.Float64("compulsory-ns", 0, "compulsory latency override (0 = paper baseline)")
 	peak := fs.Float64("peak-gbps", 0, "peak bandwidth override (0 = paper baseline)")
 	return func(ctx context.Context, sh *shared) error {
-		resp, err := sh.client().Evaluate(ctx, client.EvaluateRequest{
-			Params:   client.ParamsSpec{Class: *class},
-			Platform: client.PlatformSpec{CompulsoryNS: *compulsory, PeakGBps: *peak},
+		resp, err := sh.client().Evaluate(ctx, api.EvaluateRequest{
+			Params:   api.ParamsSpec{Class: *class},
+			Platform: api.PlatformSpec{CompulsoryNS: *compulsory, PeakGBps: *peak},
 		})
 		if err != nil {
 			return fmt.Errorf("eval: %w", err)
@@ -62,7 +62,7 @@ func clusterCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	simSeed := fs.Uint64("sim-seed", 42, "arrival-stream seed (same seed, same fleet, same metrics)")
 	scale := fs.Float64("rate-scale", 1, "multiplier on every tenant's offered rate")
 	return func(ctx context.Context, sh *shared) error {
-		req := client.ClusterRequest{
+		req := api.ClusterRequest{
 			DurationS: *duration,
 			Seed:      *simSeed,
 			RateScale: *scale,
@@ -87,11 +87,11 @@ func soakCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	spread := fs.Int("spread", 8, "distinct compulsory-latency variants (cache-miss spread)")
 	return func(ctx context.Context, sh *shared) error {
 		classes := []string{"bigdata", "enterprise", "hpc"}
-		reqs := make([]client.EvaluateRequest, *n)
+		reqs := make([]api.EvaluateRequest, *n)
 		for i := range reqs {
-			reqs[i] = client.EvaluateRequest{
-				Params:   client.ParamsSpec{Class: classes[i%len(classes)]},
-				Platform: client.PlatformSpec{CompulsoryNS: float64(75 + i%*spread)},
+			reqs[i] = api.EvaluateRequest{
+				Params:   api.ParamsSpec{Class: classes[i%len(classes)]},
+				Platform: api.PlatformSpec{CompulsoryNS: float64(75 + i%*spread)},
 			}
 		}
 

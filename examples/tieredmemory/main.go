@@ -45,18 +45,13 @@ func main() {
 		}
 
 		tieredCPI := func(hit float64) float64 {
-			tp := model.TieredPlatform{
-				Name:      "tiered",
-				Threads:   base.Threads,
-				Cores:     base.Cores,
-				CoreSpeed: base.CoreSpeed,
-				LineSize:  base.LineSize,
-				Tiers: []model.Tier{
-					{Name: "DRAM", HitFraction: hit, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: curve},
-					{Name: "PMEM", HitFraction: 1 - hit, Compulsory: pmemLatency, PeakBW: pmemBW, Queue: curve},
-				},
+			tp := base.Topology()
+			tp.Name = "tiered"
+			tp.Tiers = []model.MemTier{
+				{Name: "DRAM", Share: hit, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: curve},
+				{Name: "PMEM", Share: 1 - hit, Compulsory: pmemLatency, PeakBW: pmemBW, Queue: curve},
 			}
-			op, err := model.EvaluateTiered(ctx, p, tp)
+			op, err := model.EvaluateTopology(ctx, p, tp)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -46,7 +46,6 @@ type ExperimentResult struct {
 	// plants in the experiment's context).
 	Solves          int64   // fixed points solved
 	SolveIterations int64   // total kernel iterations across them
-	SolveFallbacks  int64   // damped solves that fell back to bisection
 	SolveBWLimited  int64   // outcomes in the bandwidth-limited regime
 	SolveResidual   float64 // worst |F(x)−x| among converged solves
 }
@@ -89,30 +88,10 @@ type Metrics struct {
 
 	// The embedded Aggregate accumulates the solver telemetry and
 	// promotes RecordSolve, which is what makes Metrics a
-	// solve.Recorder. The serving daemon shares the same Aggregate
-	// implementation for its process-wide /metrics counters.
+	// solve.Recorder, and Stats, which snapshots it. The serving daemon
+	// shares the same Aggregate implementation for its process-wide
+	// /metrics counters.
 	solve.Aggregate
-}
-
-// SolveStats is a point-in-time copy of a Metrics' solver telemetry.
-type SolveStats struct {
-	Solves           int64   // fixed points solved
-	Iterations       int64   // total kernel iterations
-	Fallbacks        int64   // damped solves that fell back to bisection
-	BandwidthLimited int64   // outcomes in the bandwidth-limited regime
-	MaxResidual      float64 // worst |F(x)−x| among converged solves
-}
-
-// SolveStats snapshots the solver telemetry counters.
-func (m *Metrics) SolveStats() SolveStats {
-	st := m.Aggregate.Stats()
-	return SolveStats{
-		Solves:           st.Solves,
-		Iterations:       st.Iterations,
-		Fallbacks:        st.Fallbacks,
-		BandwidthLimited: st.BandwidthLimited,
-		MaxResidual:      st.MaxResidual,
-	}
 }
 
 type metricsKey struct{}
@@ -316,7 +295,6 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			st := m.Aggregate.Stats()
 			result.Solves = st.Solves
 			result.SolveIterations = st.Iterations
-			result.SolveFallbacks = st.Fallbacks
 			result.SolveBWLimited = st.BandwidthLimited
 			result.SolveResidual = st.MaxResidual
 		} else {

@@ -45,12 +45,11 @@ type ManifestEntry struct {
 	SimCacheHits   int64 `json:"sim_cache_hits,omitempty"`
 	SimCacheMisses int64 `json:"sim_cache_misses,omitempty"`
 	// Solver telemetry: how the experiment's fixed points converged
-	// (counts of solves, total kernel iterations, bisection fallbacks,
-	// bandwidth-limited outcomes, and the worst converged residual).
+	// (counts of solves, total kernel iterations, bandwidth-limited
+	// outcomes, and the worst converged residual).
 	// Absent for experiments that solve no fixed points.
 	Solves          int64          `json:"solves,omitempty"`
 	SolveIterations int64          `json:"solve_iterations,omitempty"`
-	SolveFallbacks  int64          `json:"solve_fallbacks,omitempty"`
 	SolveBWLimited  int64          `json:"solve_bw_limited,omitempty"`
 	SolveResidual   float64        `json:"solve_residual,omitempty"`
 	Files           []ManifestFile `json:"files,omitempty"`
@@ -125,7 +124,6 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		SimCacheMisses:  res.SimCacheMisses,
 		Solves:          res.Solves,
 		SolveIterations: res.SolveIterations,
-		SolveFallbacks:  res.SolveFallbacks,
 		SolveBWLimited:  res.SolveBWLimited,
 		SolveResidual:   res.SolveResidual,
 		index:           res.Index,

@@ -47,21 +47,16 @@ func (s *Suite) TieredMemory(ctx context.Context) (Artifact, error) {
 	series := map[string][]float64{}
 	var xs []float64
 	for _, hit := range []float64{1.0, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.0} {
-		tp := model.TieredPlatform{
-			Name:      fmt.Sprintf("tiered-%.0f%%", hit*100),
-			Threads:   base.Threads,
-			Cores:     base.Cores,
-			CoreSpeed: base.CoreSpeed,
-			LineSize:  base.LineSize,
-			Tiers: []model.Tier{
-				{Name: "DRAM", HitFraction: hit, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
-				{Name: "PMEM", HitFraction: 1 - hit, Compulsory: farCompulsory, PeakBW: farBW, Queue: base.Queue},
-			},
+		tp := base.Topology()
+		tp.Name = fmt.Sprintf("tiered-%.0f%%", hit*100)
+		tp.Tiers = []model.MemTier{
+			{Name: "DRAM", Share: hit, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
+			{Name: "PMEM", Share: 1 - hit, Compulsory: farCompulsory, PeakBW: farBW, Queue: base.Queue},
 		}
 		row := []interface{}{fmtPct(hit)}
 		cpis := map[string]float64{}
 		for _, c := range classes {
-			op, err := model.EvaluateTiered(ctx, c, tp)
+			op, err := model.EvaluateTopology(ctx, c, tp)
 			if err != nil {
 				return Artifact{}, err
 			}

@@ -32,7 +32,7 @@ func (s *Suite) NUMAStudy(ctx context.Context) (Artifact, error) {
 
 	local := map[string]float64{}
 	for _, c := range classes {
-		op, err := model.EvaluateNUMA(ctx, c, np)
+		op, err := model.EvaluateTopology(ctx, c, np)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -45,7 +45,7 @@ func (s *Suite) NUMAStudy(ctx context.Context) (Artifact, error) {
 		cpis := map[string]float64{}
 		var bdMP float64
 		for _, c := range classes {
-			op, err := model.EvaluateNUMA(ctx, c, np.WithRemoteFraction(rf))
+			op, err := model.EvaluateTopology(ctx, c, np.WithRemoteFraction(rf))
 			if err != nil {
 				return Artifact{}, err
 			}

@@ -79,19 +79,14 @@ func (s *Suite) FutureMemory(ctx context.Context) (Artifact, error) {
 		return Artifact{}, err
 	}
 
-	tiered := model.TieredPlatform{
-		Name:      "emerging + DRAM cache (90% hit)",
-		Threads:   base.Threads,
-		Cores:     base.Cores,
-		CoreSpeed: base.CoreSpeed,
-		LineSize:  base.LineSize,
-		Tiers: []model.Tier{
-			{Name: "DRAM", HitFraction: 0.9, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
-			{Name: "EM", HitFraction: 0.1, Compulsory: emergingLat, PeakBW: emergingBW, Queue: base.Queue},
-		},
+	tiered := base.Topology()
+	tiered.Name = "emerging + DRAM cache (90% hit)"
+	tiered.Tiers = []model.MemTier{
+		{Name: "DRAM", Share: 0.9, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
+		{Name: "EM", Share: 0.1, Compulsory: emergingLat, PeakBW: emergingBW, Queue: base.Queue},
 	}
 	if err := addRow(tiered.Name, func(p model.Params) (float64, error) {
-		op, err := model.EvaluateTiered(ctx, p, tiered)
+		op, err := model.EvaluateTopology(ctx, p, tiered)
 		if err != nil {
 			return 0, err
 		}

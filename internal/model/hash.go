@@ -76,34 +76,6 @@ func CanonicalPlatform(pl Platform) string {
 		hexf(float64(pl.Compulsory)), hexf(float64(pl.PeakBW)), CanonicalCurve(pl.Queue))
 }
 
-// CanonicalTiered serializes a tiered platform; tier order is
-// significant (it is the order the bandwidth-limit clamps chain in).
-func CanonicalTiered(tp TieredPlatform) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tiered{threads=%d,cores=%d,cps=%s,ls=%s,tiers=[",
-		tp.Threads, tp.Cores, hexf(float64(tp.CoreSpeed)), hexf(float64(tp.LineSize)))
-	for i, t := range tp.Tiers {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "hf=%s,comp=%s,peak=%s,%s",
-			hexf(t.HitFraction), hexf(float64(t.Compulsory)), hexf(float64(t.PeakBW)),
-			CanonicalCurve(t.Queue))
-	}
-	b.WriteString("]}")
-	return b.String()
-}
-
-// CanonicalNUMA serializes a NUMA platform, excluding its name.
-func CanonicalNUMA(np NUMAPlatform) string {
-	return fmt.Sprintf("numa{sockets=%d,tps=%d,cps_count=%d,cps=%s,ls=%s,local=%s,adder=%s,sockbw=%s,linkbw=%s,rf=%s,%s}",
-		np.Sockets, np.ThreadsPerSocket, np.CoresPerSocket,
-		hexf(float64(np.CoreSpeed)), hexf(float64(np.LineSize)),
-		hexf(float64(np.LocalCompulsory)), hexf(float64(np.RemoteAdder)),
-		hexf(float64(np.SocketPeakBW)), hexf(float64(np.LinkPeakBW)),
-		hexf(np.RemoteFraction), CanonicalCurve(np.Queue))
-}
-
 // CanonicalTopology serializes an N-tier topology, excluding tier and
 // topology names. Tier order is significant (it is the order the
 // bandwidth-limit clamps chain in), and the policy is part of the

@@ -28,6 +28,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -45,10 +46,13 @@ type Params struct {
 	IOSZ     float64 // bytes of memory traffic per I/O event
 }
 
-// Validate reports nonsensical parameters. Failures wrap
-// ErrInvalidParams for errors.Is classification.
+// Validate reports nonsensical parameters, including NaN or infinite
+// components. Failures wrap ErrInvalidParams for errors.Is
+// classification.
 func (p Params) Validate() error {
 	switch {
+	case !finite(p.CPICache, p.BF, p.MPKI, p.WBR, p.IOPI, p.IOSZ):
+		return fmt.Errorf("%w: %s: components must be finite", ErrInvalidParams, p.Name)
 	case p.CPICache <= 0:
 		return fmt.Errorf("%w: %s: CPICache must be positive", ErrInvalidParams, p.Name)
 	case p.BF < 0 || p.BF > 1:
@@ -61,6 +65,16 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: %s: I/O terms must be non-negative", ErrInvalidParams, p.Name)
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // MPI returns misses per instruction.
@@ -133,4 +147,18 @@ func BlockingFactorFromMLP(cpiCache, overlap, mpi float64, mp units.Cycles, mlp 
 		return 0, errors.New("model: MPI and MP must be positive")
 	}
 	return 1/mlp - cpiCache*overlap/(mpi*float64(mp)), nil
+}
+
+// PrefetchBFImprovement estimates the §VII observation that a better
+// prefetcher lowers the blocking factor: given a fraction of misses
+// converted from demand to timely prefetch, the exposed fraction of the
+// miss penalty scales down proportionally.
+func PrefetchBFImprovement(p Params, coverage float64) (Params, error) {
+	if coverage < 0 || coverage > 1 {
+		return Params{}, errors.New("model: prefetch coverage must be in [0,1]")
+	}
+	q := p
+	q.Name = fmt.Sprintf("%s+pf%.0f%%", p.Name, coverage*100)
+	q.BF = p.BF * (1 - coverage)
+	return q, nil
 }

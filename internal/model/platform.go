@@ -32,10 +32,13 @@ type Platform struct {
 	Queue queueing.Curve
 }
 
-// Validate reports configuration errors. Failures wrap
-// ErrInvalidPlatform for errors.Is classification.
+// Validate reports configuration errors, including NaN or infinite
+// fields. Failures wrap ErrInvalidPlatform for errors.Is
+// classification.
 func (pl Platform) Validate() error {
 	switch {
+	case !finite(float64(pl.CoreSpeed), float64(pl.LineSize), float64(pl.Compulsory), float64(pl.PeakBW)):
+		return fmt.Errorf("%w: Platform fields must be finite", ErrInvalidPlatform)
 	case pl.Threads <= 0:
 		return fmt.Errorf("%w: Platform.Threads must be positive", ErrInvalidPlatform)
 	case pl.Cores <= 0:
@@ -132,8 +135,7 @@ func opFromTopology(pl Platform, pt TopologyPoint) OperatingPoint {
 // platform pl, per §VI.C.1: an iterative fixed-point between miss penalty
 // and bandwidth demand, switching to the bandwidth-limited CPI when the
 // channel saturates. It is the one-tier adapter over EvaluateTopology
-// (which in turn drives the shared kernel in internal/solve), and is
-// bit-identical to the pre-topology evaluator.
+// (which in turn drives the shared kernel in internal/solve).
 //
 // A solve.Recorder planted in ctx (the engine's scheduler and the serve
 // layer do this) observes the solver telemetry, and cancellation is

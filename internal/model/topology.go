@@ -15,19 +15,12 @@ import (
 // same mathematical object seen through different traffic splits: a set
 // of memory tiers, each with its own unloaded latency, deliverable
 // bandwidth, and queuing curve, loaded by some share of the workload's
-// miss traffic. A Topology captures that object once; Evaluate,
-// EvaluateTiered, and EvaluateNUMA are thin adapters over
-// EvaluateTopology, and every new memory-tier scenario (die-stacked
-// HBM, CXL-style far memory, sustained-vs-peak bandwidth derating) is a
-// Topology value rather than a fourth evaluator.
-//
-// Each legacy shape keeps its historical numerics bit-for-bit: the
-// degenerate one-tier topology solves in loaded-latency space exactly
-// as the old single-platform evaluator did, fraction splits solve the
-// Eq. 5 coupling in CPI space with per-tier terms, and the local/remote
-// split applies Eq. 1 once to the traffic-weighted effective latency,
-// matching the §VIII construction. The equivalence suite in
-// topology_test.go pins all three to pre-refactor golden values.
+// miss traffic. A Topology captures that object once and
+// EvaluateTopology solves it with one scenario builder: the flat
+// platform is the one-tier topology (Evaluate is its adapter), and
+// every other memory-tier scenario (a tiered hierarchy, a NUMA
+// local/remote split, die-stacked HBM, CXL-style far memory,
+// sustained-vs-peak bandwidth derating) is a Topology value.
 
 // SplitPolicy selects how LLC miss traffic is distributed across the
 // tiers of a Topology.
@@ -83,7 +76,7 @@ type MemTier struct {
 	// sustains — real channels deliver ~70–90% of peak under realistic
 	// access streams, and modeling against peak understates queuing
 	// delay and saturates too late. In (0,1]; 0 means 1.0 (no
-	// derating, the legacy evaluators' behaviour).
+	// derating).
 	Efficiency float64
 	// Queue maps the tier's bandwidth utilization (normalized to
 	// sustained bandwidth) to queuing delay.
@@ -115,9 +108,13 @@ type Topology struct {
 	Tiers          []MemTier
 }
 
-// Validate reports configuration errors. Failures wrap
-// ErrInvalidPlatform for errors.Is classification.
+// Validate reports configuration errors, including NaN or infinite
+// fields. Failures wrap ErrInvalidPlatform for errors.Is
+// classification.
 func (top Topology) Validate() error {
+	if !finite(float64(top.CoreSpeed), float64(top.LineSize), top.RemoteFraction) {
+		return fmt.Errorf("%w: Topology fields must be finite", ErrInvalidPlatform)
+	}
 	if top.Threads <= 0 || top.Cores <= 0 || top.CoreSpeed <= 0 || top.LineSize <= 0 {
 		return fmt.Errorf("%w: Topology core parameters must be positive", ErrInvalidPlatform)
 	}
@@ -125,6 +122,9 @@ func (top Topology) Validate() error {
 		return fmt.Errorf("%w: Topology needs at least one tier", ErrInvalidPlatform)
 	}
 	for i, t := range top.Tiers {
+		if !finite(t.Share, float64(t.Compulsory), float64(t.PeakBW), t.Efficiency) {
+			return fmt.Errorf("%w: tier %d (%s): fields must be finite", ErrInvalidPlatform, i, t.Name)
+		}
 		if t.PeakBW <= 0 || t.Queue == nil {
 			return fmt.Errorf("%w: tier %d (%s): incomplete configuration", ErrInvalidPlatform, i, t.Name)
 		}
@@ -181,26 +181,31 @@ func (top Topology) Validate() error {
 	return nil
 }
 
-// shares returns each tier's fraction of the miss population under the
-// fraction policies. SplitFractions passes Share through untouched (so
-// legacy tiered hit fractions keep their exact bits); SplitInterleave
-// normalizes the weights.
-func (top Topology) shares() []float64 {
-	sh := make([]float64, len(top.Tiers))
-	if top.Policy == SplitInterleave {
+// visits returns the fraction of misses that visit each tier: Share
+// under SplitFractions (passed through untouched), the normalized
+// weights under SplitInterleave, and (1, RemoteFraction) under
+// SplitLocalRemote — every miss queues at the local tier, by symmetry a
+// socket's channels carry its local traffic plus its peers' inbound
+// remote traffic, and the remote share also crosses the link.
+func (top Topology) visits() []float64 {
+	v := make([]float64, len(top.Tiers))
+	switch top.Policy {
+	case SplitLocalRemote:
+		v[0], v[1] = 1, top.RemoteFraction
+	case SplitInterleave:
 		sum := 0.0
 		for _, t := range top.Tiers {
 			sum += t.Share
 		}
 		for i, t := range top.Tiers {
-			sh[i] = t.Share / sum
+			v[i] = t.Share / sum
 		}
-		return sh
+	default:
+		for i, t := range top.Tiers {
+			v[i] = t.Share
+		}
 	}
-	for i, t := range top.Tiers {
-		sh[i] = t.Share
-	}
-	return sh
+	return v
 }
 
 // WithTierEfficiency returns a copy with every tier's efficiency set to
@@ -235,44 +240,43 @@ func (pl Platform) Topology() Topology {
 	}
 }
 
-// Topology converts the tiered platform to its fraction-split topology.
-func (tp TieredPlatform) Topology() Topology {
-	top := Topology{
-		Name:      tp.Name,
-		Threads:   tp.Threads,
-		Cores:     tp.Cores,
-		CoreSpeed: tp.CoreSpeed,
-		LineSize:  tp.LineSize,
-		Policy:    SplitFractions,
+// DualSocketBaseline builds the two-socket version of the paper's
+// baseline as a local/remote topology: each socket is the §VI.C.2
+// single-socket platform (one socket describes the symmetric machine),
+// behind a QPI-era interconnect with a 60 ns hop and 25 GB/s per
+// direction per socket. The remote fraction starts at 0 (perfect
+// locality); see WithRemoteFraction.
+func DualSocketBaseline(curve queueing.Curve) Topology {
+	single := BaselinePlatform(curve)
+	return Topology{
+		Name:      "dual-socket-baseline",
+		Threads:   single.Threads,
+		Cores:     single.Cores,
+		CoreSpeed: single.CoreSpeed,
+		LineSize:  single.LineSize,
+		Policy:    SplitLocalRemote,
+		Tiers: []MemTier{
+			{Name: "dram", Compulsory: single.Compulsory, PeakBW: single.PeakBW, Queue: curve},
+			{Name: "link", Compulsory: 60 * units.Nanosecond, PeakBW: units.GBpsOf(25), Queue: curve},
+		},
 	}
-	for _, t := range tp.Tiers {
-		top.Tiers = append(top.Tiers, MemTier{
-			Name:       t.Name,
-			Share:      t.HitFraction,
-			Compulsory: t.Compulsory,
-			PeakBW:     t.PeakBW,
-			Queue:      t.Queue,
-		})
-	}
+}
+
+// WithRemoteFraction returns a copy with a different locality mix: the
+// share of misses that traverse the interconnect under SplitLocalRemote.
+func (top Topology) WithRemoteFraction(f float64) Topology {
+	top.RemoteFraction = f
+	top.Name = fmt.Sprintf("%s@remote=%.0f%%", top.Name, f*100)
 	return top
 }
 
-// Topology converts the NUMA platform to its local/remote topology (one
-// socket describes the symmetric machine, as in EvaluateNUMA).
-func (np NUMAPlatform) Topology() Topology {
-	return Topology{
-		Name:           np.Name,
-		Threads:        np.ThreadsPerSocket,
-		Cores:          np.CoresPerSocket,
-		CoreSpeed:      np.CoreSpeed,
-		LineSize:       np.LineSize,
-		Policy:         SplitLocalRemote,
-		RemoteFraction: np.RemoteFraction,
-		Tiers: []MemTier{
-			{Name: "dram", Compulsory: np.LocalCompulsory, PeakBW: np.SocketPeakBW, Queue: np.Queue},
-			{Name: "link", Compulsory: np.RemoteAdder, PeakBW: np.LinkPeakBW, Queue: np.Queue},
-		},
+// UniformInterleave returns the remote fraction of an address space
+// interleaved evenly across sockets: (sockets−1)/sockets.
+func UniformInterleave(sockets int) float64 {
+	if sockets <= 1 {
+		return 0
 	}
+	return float64(sockets-1) / float64(sockets)
 }
 
 // TopologyTierPoint is one tier's share of a solved topology point.
@@ -308,20 +312,24 @@ type TopologyPoint struct {
 	Iterations int
 }
 
-// topoCase is the solve-kernel adapter for one (workload, topology)
-// pair: policy-specific scenario construction over shared tier systems,
-// plus the conversion from a kernel Outcome back to a TopologyPoint.
+// topoCase is one compiled evaluation: the kernel scenario plus the
+// conversion from its Outcome back to a TopologyPoint.
 type topoCase struct {
-	solver solve.Solver
-	sc     solve.Scenario
-	point  func(solve.Outcome) (TopologyPoint, error)
+	sc    solve.Scenario
+	point func(solve.Outcome) TopologyPoint
 }
 
-// newTopoCase validates and compiles one evaluation. The unknown
-// follows the shape: a one-tier fraction topology solves in
-// loaded-latency space (the flat model's natural coordinate), multi-tier
-// fraction splits and the local/remote split solve the Eq. 5 coupling
-// in CPI space.
+// newTopoCase validates and compiles one evaluation — the one scenario
+// builder behind every topology shape. Each tier i is visited by a
+// fraction v_i of the misses (see Topology.visits) and queues on its
+// v_i share of the demand, and the solve runs in CPI space on Eq. 5:
+//
+//	CPI = CPI_cache + MPI × BF × Σ v_i × MP_i(v_i × demand(CPI))
+//
+// Each tier then applies its Eq. 4 clamp when its share of the demand
+// reaches 0.999 × its sustained bandwidth. The clamps run in tier
+// order on the running CPI, so a clamp applied by one tier raises the
+// CPI — and so lowers the demand — the next tier's check sees.
 func newTopoCase(p Params, top Topology) (*topoCase, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -329,191 +337,77 @@ func newTopoCase(p Params, top Topology) (*topoCase, error) {
 	if err := top.Validate(); err != nil {
 		return nil, err
 	}
-	c := &topoCase{}
-	switch {
-	case top.Policy == SplitLocalRemote:
-		c.buildLocalRemote(p, top)
-	case len(top.Tiers) == 1:
-		c.buildFlat(p, top)
-	default:
-		c.buildFractions(p, top)
-	}
-	return c, nil
-}
-
-// buildFlat compiles the degenerate one-tier topology: the classic
-// Eq. 1 + Eq. 4 fixed point in loaded-latency space, with the §VI.C.1
-// saturation handoff. Bit-identical to the historical single-platform
-// evaluator (tier efficiency 1).
-func (c *topoCase) buildFlat(p Params, top Topology) {
-	t := top.Tiers[0]
-	sust := t.SustainedBW()
-	sys := queueing.System{Compulsory: t.Compulsory, PeakBW: sust, Curve: t.Queue}
-	demand := func(mp units.Duration) units.BytesPerSecond {
-		cpi := p.CPIEffAt(mp, top.CoreSpeed)
-		return p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-	}
-
-	var bwErr error // deferred BandwidthLimitedCPI failure from a LimitFunc
-	sc := sys.Scenario(p.Name+"@"+top.Name, demand)
-	sc.CPIOf = func(mp float64) float64 {
-		return p.CPIEffAt(units.Duration(mp), top.CoreSpeed)
-	}
-	sc.Limits = []solve.LimitFunc{
-		// Saturation clamp: active when the converged utilization reaches
-		// the curve's stability limit. Bound is false — saturation alone
-		// does not mark the point bandwidth bound unless the Eq. 4 CPI
-		// actually wins the comparison.
-		func(mp, _ float64) (solve.Limit, bool) {
-			u := sys.Utilization(demand(units.Duration(mp)))
-			if !sys.Saturated(u) {
-				return solve.Limit{}, false
-			}
-			availPerThread := sust / units.BytesPerSecond(top.Threads)
-			bwCPI, err := p.BandwidthLimitedCPI(availPerThread, top.CoreSpeed, top.LineSize)
-			if err != nil {
-				bwErr = err
-				return solve.Limit{}, false
-			}
-			return solve.Limit{Resource: "memory", CPI: bwCPI}, true
-		},
-		// Demand-exceeds-peak check at the (possibly clamped) final CPI:
-		// marks the regime bandwidth limited without changing the CPI.
-		func(_, cpi float64) (solve.Limit, bool) {
-			d := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-			if d <= sust {
-				return solve.Limit{}, false
-			}
-			return solve.Limit{Resource: "memory", Bound: true}, true
-		},
-	}
-	c.sc = sc
-	c.solver = solve.Solver{}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
-		if bwErr != nil {
-			return TopologyPoint{Iterations: out.Iterations}, bwErr
-		}
-		mp := units.Duration(out.X)
-		tpt := TopologyTierPoint{Name: t.Name, MissPenalty: mp}
-		op := TopologyPoint{
-			CPI:         out.CPI,
-			EffectiveMP: mp,
-			Limiter:     out.Limiter,
-			Iterations:  out.Iterations,
-			// BandwidthBound: either the Eq. 4 clamp raised the CPI above
-			// the latency-limited value, or demand at the final CPI
-			// exceeds the sustained bandwidth.
-			BandwidthBound: out.CPI > p.CPIEffAt(mp, top.CoreSpeed),
-		}
-		// Demand, delivered bandwidth, and utilization reported at the
-		// final CPI.
-		tpt.Demand = p.Demand(op.CPI, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		if tpt.Demand > sust {
-			op.BandwidthBound = true
-			tpt.Delivered = sust
-		} else {
-			tpt.Delivered = tpt.Demand
-		}
-		tpt.Utilization = sys.Utilization(tpt.Demand)
-		tpt.Saturated = sys.Saturated(tpt.Utilization)
-		op.Tiers = []TopologyTierPoint{tpt}
-		return op, nil
-	}
-}
-
-// buildFractions compiles a multi-tier fraction (or interleave) split:
-// the Eq. 5 fixed point in CPI space, each tier's loaded latency implied
-// by its share of the traffic. Bit-identical to the historical tiered
-// evaluator when shares are the tier hit fractions (efficiency 1).
-func (c *topoCase) buildFractions(p Params, top Topology) {
-	sh := top.shares()
-	systems := make([]queueing.System, len(top.Tiers))
-	susts := make([]units.BytesPerSecond, len(top.Tiers))
+	v := top.visits()
+	n := len(top.Tiers)
+	systems := make([]queueing.System, n)
+	susts := make([]units.BytesPerSecond, n)
 	for i, t := range top.Tiers {
 		susts[i] = t.SustainedBW()
 		systems[i] = queueing.System{Compulsory: t.Compulsory, PeakBW: susts[i], Curve: t.Queue}
 	}
+	tiers := make([]TopologyTierPoint, n)
 
-	// eq5At evaluates Eq. 5 with each tier's loaded latency implied by
-	// the demand at candidate CPI c, and reports the per-tier state.
-	eq5At := func(cpi0 float64) (float64, []TopologyTierPoint) {
+	// eq5 evaluates Eq. 5 with each tier's loaded latency implied by the
+	// demand at candidate CPI cpi0; with keep set it also records the
+	// per-tier state the limits and the reported point read.
+	eq5 := func(cpi0 float64, keep bool) float64 {
 		demandTotal := p.Demand(cpi0, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
 		cpi := p.CPICache
-		tiers := make([]TopologyTierPoint, len(top.Tiers))
-		for i, t := range top.Tiers {
-			d := demandTotal * units.BytesPerSecond(sh[i])
+		for i := range systems {
+			d := demandTotal * units.BytesPerSecond(v[i])
 			mp := systems[i].LoadedLatency(d)
-			cpi += p.MPI() * sh[i] * float64(mp.Cycles(top.CoreSpeed)) * p.BF
-			tiers[i] = TopologyTierPoint{
-				Name:        t.Name,
-				MissPenalty: mp,
-				Demand:      d,
-				Utilization: systems[i].Utilization(d),
+			cpi += p.MPI() * v[i] * float64(mp.Cycles(top.CoreSpeed)) * p.BF
+			if keep {
+				tiers[i] = TopologyTierPoint{
+					Name:        top.Tiers[i].Name,
+					MissPenalty: mp,
+					Demand:      d,
+					Utilization: systems[i].Utilization(d),
+				}
 			}
 		}
-		return cpi, tiers
+		return cpi
 	}
 
 	// Bracket: CPI at zero queuing ≤ fixed point ≤ CPI at max stable
 	// queuing on every tier.
-	lo := p.CPICache
+	lo, hi := p.CPICache, p.CPICache
 	for i, t := range top.Tiers {
-		lo += p.MPI() * sh[i] * float64(t.Compulsory.Cycles(top.CoreSpeed)) * p.BF
-	}
-	hi := p.CPICache
-	for i, t := range top.Tiers {
-		maxMP := t.Compulsory + systems[i].Curve.MaxStableDelay()
-		hi += p.MPI() * sh[i] * float64(maxMP.Cycles(top.CoreSpeed)) * p.BF
+		lo += p.MPI() * v[i] * float64(t.Compulsory.Cycles(top.CoreSpeed)) * p.BF
+		maxMP := t.Compulsory + t.Queue.MaxStableDelay()
+		hi += p.MPI() * v[i] * float64(maxMP.Cycles(top.CoreSpeed)) * p.BF
 	}
 
-	// The scenario solves in CPI space; the converged CPI is Eq. 5
-	// re-evaluated at the final midpoint, which also yields the per-tier
-	// state the limits then annotate.
-	var tiers []TopologyTierPoint
-	sc := solve.Scenario{
-		Name:    p.Name + "@" + top.Name,
-		Unknown: "cpi",
-		Lo:      lo,
-		Hi:      hi,
-		F: func(cpi0 float64) float64 {
-			got, _ := eq5At(cpi0)
-			return got
-		},
-		CPIOf: func(cpi0 float64) float64 {
-			got, ts := eq5At(cpi0)
-			tiers = ts
-			return got
-		},
-	}
-	// Bandwidth-limit check per tier: a tier whose share of the traffic
-	// saturates its channels bounds the whole pipeline. As in the flat
-	// model, the final CPI is the worse of the latency-limited CPI and
-	// each tier's bandwidth-limited CPI (Eq. 4 with BW set to the tier's
-	// sustained bandwidth for its share). The checks chain: a clamp
-	// applied by one tier raises the CPI — and so lowers the demand —
-	// the next tier's saturation test sees.
+	c := &topoCase{sc: solve.Scenario{
+		Name:  p.Name + "@" + top.Name,
+		Lo:    lo,
+		Hi:    hi,
+		F:     func(cpi0 float64) float64 { return eq5(cpi0, false) },
+		CPIOf: func(cpi0 float64) float64 { return eq5(cpi0, true) },
+	}}
 	for i, t := range top.Tiers {
-		i, t := i, t
-		sc.Limits = append(sc.Limits, func(_, cpi float64) (solve.Limit, bool) {
+		c.sc.Limits = append(c.sc.Limits, func(_, cpi float64) (solve.Limit, bool) {
 			demandTotal := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-			d := demandTotal * units.BytesPerSecond(sh[i])
+			d := demandTotal * units.BytesPerSecond(v[i])
 			if float64(d) < float64(susts[i])*0.999 {
 				return solve.Limit{}, false
 			}
 			tiers[i].Saturated = true
-			share := p.BytesPerInstruction(top.LineSize) * sh[i]
+			share := p.BytesPerInstruction(top.LineSize) * v[i]
 			bwCPI := share * float64(top.CoreSpeed) / (float64(susts[i]) / float64(top.Threads))
 			return solve.Limit{Resource: t.Name, CPI: bwCPI, Bound: true}, true
 		})
 	}
-
-	c.sc = sc
-	c.solver = solve.Solver{Options: solve.Options{Tol: 1e-9, MaxIter: 200}}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
+	c.point = func(out solve.Outcome) TopologyPoint {
 		eff := 0.0
 		for i := range tiers {
 			tiers[i].Delivered = minBW(tiers[i].Demand, susts[i])
-			eff += sh[i] * float64(tiers[i].MissPenalty)
+			eff += v[i] * float64(tiers[i].MissPenalty)
+		}
+		if top.Policy == SplitLocalRemote {
+			// A remote miss traverses the local tier and the link
+			// serially; report the whole remote path.
+			tiers[1].MissPenalty += tiers[0].MissPenalty
 		}
 		return TopologyPoint{
 			CPI:            out.CPI,
@@ -522,105 +416,9 @@ func (c *topoCase) buildFractions(p Params, top Topology) {
 			BandwidthBound: out.Regime == solve.BandwidthLimited,
 			Limiter:        out.Limiter,
 			Iterations:     out.Iterations,
-		}, nil
+		}
 	}
-}
-
-// buildLocalRemote compiles the NUMA-style split: tier 0 (local memory)
-// serves the full per-socket demand — by symmetry a socket's channels
-// carry its local traffic plus its peers' inbound remote traffic —
-// while the RemoteFraction share additionally traverses tier 1 (the
-// interconnect). Eq. 1 applies once to the traffic-weighted effective
-// latency, matching the §VIII construction bit-for-bit (efficiency 1).
-func (c *topoCase) buildLocalRemote(p Params, top Topology) {
-	t0, t1 := top.Tiers[0], top.Tiers[1]
-	sust0, sust1 := t0.SustainedBW(), t1.SustainedBW()
-	local := queueing.System{Compulsory: t0.Compulsory, PeakBW: sust0, Curve: t0.Queue}
-	link := queueing.System{Compulsory: t1.Compulsory, PeakBW: sust1, Curve: t1.Queue}
-	rf := top.RemoteFraction
-
-	at := func(cpi float64) (float64, [2]TopologyTierPoint, units.Duration) {
-		perSocket := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		localDemand := perSocket // local (1−rf) + inbound remote rf
-		linkDemand := perSocket * units.BytesPerSecond(rf)
-
-		localMP := local.LoadedLatency(localDemand)
-		// A remote miss pays the remote tier's loaded latency plus the
-		// interconnect hop (with the link's own queuing).
-		remoteMP := localMP + link.LoadedLatency(linkDemand)
-
-		eff := units.Duration((1-rf)*float64(localMP) + rf*float64(remoteMP))
-		got := p.CPIEffAt(eff, top.CoreSpeed)
-		return got, [2]TopologyTierPoint{
-			{Name: t0.Name, MissPenalty: localMP, Demand: localDemand, Utilization: local.Utilization(localDemand)},
-			{Name: t1.Name, MissPenalty: remoteMP, Demand: linkDemand, Utilization: link.Utilization(linkDemand)},
-		}, eff
-	}
-
-	// Bracket the fixed point between the zero-queue and max-queue CPIs.
-	minMP := units.Duration((1-rf)*float64(t0.Compulsory) + rf*float64(t0.Compulsory+t1.Compulsory))
-	maxMP := minMP + t0.Queue.MaxStableDelay() + units.Duration(rf*float64(t1.Queue.MaxStableDelay()))
-	lo, hi := p.CPIEffAt(minMP, top.CoreSpeed), p.CPIEffAt(maxMP, top.CoreSpeed)
-
-	// The scenario solves in CPI space; the per-tier state at the
-	// converged CPI feeds the bandwidth limits, which use the demands
-	// the solver saw (not recomputed at a clamped CPI — the checks ask
-	// whether the operating point itself saturates).
-	var state [2]TopologyTierPoint
-	var effMP units.Duration
-	sc := solve.Scenario{
-		Name:    p.Name + "@" + top.Name,
-		Unknown: "cpi",
-		Lo:      lo,
-		Hi:      hi,
-		F: func(cpi float64) float64 {
-			got, _, _ := at(cpi)
-			return got
-		},
-		CPIOf: func(cpi float64) float64 {
-			got, st, eff := at(cpi)
-			state = st
-			effMP = eff
-			return got
-		},
-		Limits: []solve.LimitFunc{
-			// Bandwidth limits: local memory first, then the link for the
-			// remote share.
-			func(_, _ float64) (solve.Limit, bool) {
-				if float64(state[0].Demand) < float64(sust0)*0.999 {
-					return solve.Limit{}, false
-				}
-				state[0].Saturated = true
-				bwCPI := p.BytesPerInstruction(top.LineSize) * float64(top.CoreSpeed) /
-					(float64(sust0) / float64(top.Threads))
-				return solve.Limit{Resource: t0.Name, CPI: bwCPI, Bound: true}, true
-			},
-			func(_, _ float64) (solve.Limit, bool) {
-				if rf <= 0 || float64(state[1].Demand) < float64(sust1)*0.999 {
-					return solve.Limit{}, false
-				}
-				state[1].Saturated = true
-				bwCPI := p.BytesPerInstruction(top.LineSize) * rf * float64(top.CoreSpeed) /
-					(float64(sust1) / float64(top.Threads))
-				return solve.Limit{Resource: t1.Name, CPI: bwCPI, Bound: true}, true
-			},
-		},
-	}
-
-	c.sc = sc
-	c.solver = solve.Solver{Options: solve.Options{Tol: 1e-9, MaxIter: 200}}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
-		state[0].Delivered = minBW(state[0].Demand, sust0)
-		state[1].Delivered = minBW(state[1].Demand, sust1)
-		return TopologyPoint{
-			CPI:            out.CPI,
-			EffectiveMP:    effMP,
-			Tiers:          state[:],
-			BandwidthBound: out.Regime == solve.BandwidthLimited,
-			Limiter:        out.Limiter,
-			Iterations:     out.Iterations,
-		}, nil
-	}
+	return c, nil
 }
 
 func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
@@ -631,20 +429,20 @@ func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
 }
 
 // EvaluateTopology finds the stable operating point of workload class p
-// on an N-tier memory topology — the single evaluator behind Evaluate,
-// EvaluateTiered, and EvaluateNUMA. As with those adapters, a
-// solve.Recorder planted in ctx observes the solver telemetry and
-// cancellation is honored before any model evaluation.
+// on an N-tier memory topology — the single evaluator behind Evaluate
+// and every tiered, NUMA and die-stacked study. A solve.Recorder
+// planted in ctx observes the solver telemetry, and cancellation is
+// honored before any model evaluation.
 func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoint, error) {
 	c, err := newTopoCase(p, top)
 	if err != nil {
 		return TopologyPoint{}, err
 	}
-	out, err := c.solver.Solve(ctx, c.sc)
+	out, err := solve.Solve(ctx, c.sc)
 	if err != nil {
 		return TopologyPoint{Iterations: out.Iterations}, err
 	}
-	return c.point(out)
+	return c.point(out), nil
 }
 
 // EvaluateTopologyAll evaluates the full cross product of classes ×
@@ -672,7 +470,7 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 			scs = append(scs, c.sc)
 		}
 	}
-	outs, errs := solveEach(ctx, cases, scs)
+	outs, errs := solve.SolveEach(ctx, scs)
 	grid := make([][]TopologyPoint, len(classes))
 	for i, p := range classes {
 		grid[i] = make([]TopologyPoint, len(tops))
@@ -681,11 +479,7 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 			if errs[k] != nil {
 				return nil, gridErr(i, p, j, top.Name, errs[k])
 			}
-			pt, err := cases[k].point(outs[k])
-			if err != nil {
-				return nil, gridErr(i, p, j, top.Name, err)
-			}
-			grid[i][j] = pt
+			grid[i][j] = cases[k].point(outs[k])
 		}
 	}
 	return grid, nil
@@ -695,31 +489,4 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 // cell that produced it, so wire-level batch errors are actionable.
 func gridErr(i int, p Params, j int, platform string, err error) error {
 	return fmt.Errorf("class %d (%s) × platform %d (%s): %w", i, p.Name, j, platform, err)
-}
-
-// solveEach runs the per-case solvers over the kernel's shared worker
-// pool, preserving per-scenario errors. Cases may carry different
-// solver options; the batch is grouped by options so each group runs
-// through one SolveEach call.
-func solveEach(ctx context.Context, cases []*topoCase, scs []solve.Scenario) ([]solve.Outcome, []error) {
-	outs := make([]solve.Outcome, len(scs))
-	errs := make([]error, len(scs))
-	// Group indices by solver options (flat cases use defaults, CPI-space
-	// cases the tight tolerance) to keep each group one batch call.
-	groups := map[solve.Options][]int{}
-	for k, c := range cases {
-		groups[c.solver.Options] = append(groups[c.solver.Options], k)
-	}
-	for opts, idx := range groups {
-		sub := make([]solve.Scenario, len(idx))
-		for n, k := range idx {
-			sub[n] = scs[k]
-		}
-		subOuts, subErrs := solve.Solver{Options: opts}.SolveEach(ctx, sub)
-		for n, k := range idx {
-			outs[k] = subOuts[n]
-			errs[k] = subErrs[n]
-		}
-	}
-	return outs, errs
 }

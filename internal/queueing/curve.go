@@ -9,8 +9,9 @@
 // speeds and read/write mixes into a single composite curve. This package
 // provides that representation (a piecewise-linear measured Curve), an
 // analytic M/M/1-shaped alternative for ablation, composite averaging,
-// and the fixed-point solver that finds a self-consistent
-// (miss penalty, bandwidth demand) pair.
+// and the System that turns a bandwidth demand into a loaded latency.
+// The fixed point that makes demand and latency self-consistent is
+// solved by internal/model over the internal/solve kernel.
 package queueing
 
 import (
@@ -19,15 +20,8 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/solve"
 	"repro/internal/units"
 )
-
-// ErrNoSolution is returned by the fixed-point solver when it cannot find
-// a stable loaded latency (should not occur for utilization < 1 inputs).
-// It is the solve kernel's ErrNoConvergence, so errors.Is matches across
-// both layers regardless of which one a caller imported.
-var ErrNoSolution = solve.ErrNoConvergence
 
 // Curve maps bandwidth utilization in [0,1] to queuing delay.
 type Curve interface {

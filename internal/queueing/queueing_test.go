@@ -1,7 +1,6 @@
 package queueing
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -156,159 +155,6 @@ func TestSystemUtilization(t *testing.T) {
 	zero := System{Compulsory: 75, PeakBW: 0, Curve: MM1{Service: 6}}
 	if got := zero.Utilization(1); got != 1 {
 		t.Fatalf("zero peak must read as saturated, got %v", got)
-	}
-}
-
-func TestSolveConstantDemand(t *testing.T) {
-	// With demand independent of MP the answer is closed-form.
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(40),
-		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
-	}
-	demand := func(units.Duration) units.BytesPerSecond { return units.GBpsOf(20) }
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantQueue := 6.0 * 0.5 / 0.5 // u = 0.5
-	if math.Abs(float64(sol.Queue)-wantQueue) > 1e-3 {
-		t.Fatalf("queue = %v, want %v", sol.Queue, wantQueue)
-	}
-	if math.Abs(float64(sol.MissPenalty)-(75+wantQueue)) > 1e-3 {
-		t.Fatalf("MP = %v, want %v", sol.MissPenalty, 75+wantQueue)
-	}
-	if sol.Saturated {
-		t.Fatal("50%% utilization must not be saturated")
-	}
-}
-
-func TestSolveSaturated(t *testing.T) {
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(40),
-		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
-	}
-	demand := func(units.Duration) units.BytesPerSecond { return units.GBpsOf(400) }
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Saturated {
-		t.Fatal("10x overload must be saturated")
-	}
-	maxMP := 75 + float64(sys.Curve.MaxStableDelay())
-	if math.Abs(float64(sol.MissPenalty)-maxMP) > 0.01 {
-		t.Fatalf("MP = %v, want ≈%v (max stable)", sol.MissPenalty, maxMP)
-	}
-}
-
-// eq1Demand builds the real coupling: CPI from Eq. 1, demand from Eq. 4.
-func eq1Demand(cpiCache, bf, mpi float64, bpi float64, cpsGHz float64, threads int) DemandFunc {
-	return func(mp units.Duration) units.BytesPerSecond {
-		cpi := cpiCache + mpi*float64(mp)*cpsGHz*bf
-		return units.BytesPerSecond(bpi * cpsGHz * 1e9 / cpi * float64(threads))
-	}
-}
-
-func TestSolveMatchesDampedOnShallowCurve(t *testing.T) {
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(42),
-		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
-	}
-	demand := eq1Demand(1.47, 0.41, 0.0067, 0.545, 2.5, 16)
-	bis, err := Solve(context.Background(), sys, demand, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	damp, err := SolveDamped(context.Background(), sys, demand, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(bis.MissPenalty)-float64(damp.MissPenalty)) > 0.01 {
-		t.Fatalf("bisection %v vs damped %v", bis.MissPenalty, damp.MissPenalty)
-	}
-}
-
-func TestSolveConvergesNearSaturation(t *testing.T) {
-	// The HPC-class operating point that makes naive damped iteration
-	// oscillate: demand within a few percent of peak.
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(42),
-		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
-	}
-	demand := eq1Demand(0.75, 0.07, 0.0267, 2.17, 2.5, 16)
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
-	if err != nil {
-		t.Fatalf("bisection must converge near saturation: %v", err)
-	}
-	if !sol.Saturated {
-		t.Fatalf("HPC-class demand should saturate; util = %v", sol.Utilization)
-	}
-}
-
-// Property: the solution is a true fixed point — the loaded latency at
-// the solved demand equals the solved miss penalty.
-func TestSolveFixedPointProperty(t *testing.T) {
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(42),
-		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
-	}
-	f := func(bfRaw, mpkiRaw float64) bool {
-		bf := math.Abs(math.Mod(bfRaw, 1))
-		mpki := math.Abs(math.Mod(mpkiRaw, 30))
-		if mpki < 0.1 {
-			mpki = 0.1
-		}
-		bpi := mpki / 1000 * 1.3 * 64
-		demand := eq1Demand(1.0, bf, mpki/1000, bpi, 2.5, 16)
-		sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
-		if err != nil {
-			return false
-		}
-		if sol.Saturated {
-			return true // fixed point replaced by the stability cap
-		}
-		implied := sys.LoadedLatency(demand(sol.MissPenalty))
-		return math.Abs(float64(implied)-float64(sol.MissPenalty)) < 0.01
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSolveDegenerateCurve(t *testing.T) {
-	// A curve with no queuing at all: the answer is the compulsory
-	// latency immediately.
-	sys := System{
-		Compulsory: 75 * units.Nanosecond,
-		PeakBW:     units.GBpsOf(42),
-		Curve:      MM1{Service: 0, ULimit: 0.95},
-	}
-	sol, err := Solve(context.Background(), sys, func(units.Duration) units.BytesPerSecond { return units.GBpsOf(10) }, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.MissPenalty != sys.Compulsory {
-		t.Fatalf("MP = %v, want compulsory", sol.MissPenalty)
-	}
-}
-
-func TestSolveOptionsDefaults(t *testing.T) {
-	// Defaulting lives in the solve kernel now; verify behaviorally that
-	// zero and out-of-range options are replaced, not used literally — a
-	// literal MaxIter of -1 would run zero iterations and always fail,
-	// and a literal damping of 2 overshoots instead of converging.
-	sys := System{Compulsory: 75, PeakBW: 40e9, Curve: MM1{Service: 6}}
-	demand := func(units.Duration) units.BytesPerSecond { return 20e9 }
-	if _, err := Solve(context.Background(), sys, demand, SolveOptions{TolNS: -1, MaxIter: -1, Damping: -1}); err != nil {
-		t.Fatalf("zero/out-of-range options must default: %v", err)
-	}
-	if _, err := SolveDamped(context.Background(), sys, demand, SolveOptions{Damping: 2}); err != nil {
-		t.Fatalf("out-of-range damping must default: %v", err)
 	}
 }
 

@@ -77,9 +77,8 @@ type Metrics struct {
 	endpoints map[string]*endpointMetrics
 
 	// Solver aggregates the fixed-point telemetry of every solve the
-	// daemon ran (iterations, fallbacks, bandwidth-limited regime
-	// counts, worst residual) via the solve.Recorder each request
-	// context carries.
+	// daemon ran (iterations, bandwidth-limited regime counts, worst
+	// residual) via the solve.Recorder each request context carries.
 	Solver solve.Aggregate
 }
 
@@ -147,7 +146,6 @@ func (m *Metrics) render(w io.Writer, cache CacheStats, adm AdmissionStats, faul
 	st := m.Solver.Stats()
 	fmt.Fprintf(w, "memmodeld_solver_solves_total %d\n", st.Solves)
 	fmt.Fprintf(w, "memmodeld_solver_iterations_total %d\n", st.Iterations)
-	fmt.Fprintf(w, "memmodeld_solver_fallbacks_total %d\n", st.Fallbacks)
 	fmt.Fprintf(w, "memmodeld_solver_bandwidth_limited_total %d\n", st.BandwidthLimited)
 	fmt.Fprintf(w, "memmodeld_solver_worst_residual %g\n", st.MaxResidual)
 }
@@ -167,7 +165,6 @@ func solverBody(st solve.Stats) SolverBody {
 	return SolverBody{
 		Solves:           st.Solves,
 		Iterations:       st.Iterations,
-		Fallbacks:        st.Fallbacks,
 		BandwidthLimited: st.BandwidthLimited,
 		WorstResidual:    st.MaxResidual,
 	}

@@ -42,10 +42,7 @@ func TestEndpointsBasic(t *testing.T) {
 		path, body, want string
 	}{
 		{"/v1/evaluate", `{"params":{"class":"bigdata"},"platform":{}}`, `"cpi"`},
-		{"/v1/evaluate/tiered", `{"params":{"class":"bigdata"},"platform":{"tiers":[
-			{"name":"near","hit_fraction":0.8,"compulsory_ns":75,"peak_gbps":42},
-			{"name":"far","hit_fraction":0.2,"compulsory_ns":300,"peak_gbps":10}]}}`, `"tiers"`},
-		{"/v1/evaluate/numa", `{"params":{"class":"bigdata"},"platform":{"remote_fraction":0.3}}`, `"effective_ns"`},
+		{"/v1/evaluate/topology", topoBody, `"tiers"`},
 		{"/v1/sweep", `{"axis":"latency","steps":3,"step_ns":25,"platform":{},"classes":[{"class":"bigdata"}]}`, `"points"`},
 	}
 	for _, tc := range cases {
@@ -145,7 +142,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", http.MethodPost, "/v1/evaluate", `{"params":{"class":"bigdata"},"platfrom":{}}`, http.StatusBadRequest},
 		{"unknown class", http.MethodPost, "/v1/evaluate", `{"params":{"class":"nope"},"platform":{}}`, http.StatusBadRequest},
 		{"negative mpki", http.MethodPost, "/v1/evaluate", `{"params":{"cpi_cache":1,"bf":0.3,"mpki":-1},"platform":{}}`, http.StatusBadRequest},
-		{"no tiers", http.MethodPost, "/v1/evaluate/tiered", `{"params":{"class":"bigdata"},"platform":{}}`, http.StatusBadRequest},
+		{"no tiers", http.MethodPost, "/v1/evaluate/topology", `{"params":{"class":"bigdata"},"topology":{}}`, http.StatusBadRequest},
 		{"bad axis", http.MethodPost, "/v1/sweep", `{"axis":"sideways","platform":{}}`, http.StatusBadRequest},
 		{"oversized sweep", http.MethodPost, "/v1/sweep", `{"axis":"latency","steps":999999,"platform":{}}`, http.StatusBadRequest},
 		{"GET on evaluate", http.MethodGet, "/v1/evaluate", "", http.StatusMethodNotAllowed},

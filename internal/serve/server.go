@@ -16,8 +16,6 @@ import (
 // endpoint names, also the /metrics labels.
 const (
 	epEvaluate = "evaluate"
-	epTiered   = "tiered"
-	epNUMA     = "numa"
 	epTopology = "topology"
 	epSweep    = "sweep"
 	epCluster  = "cluster"
@@ -35,9 +33,10 @@ const (
 	maxSweepVariants = 1024
 )
 
-// Server is the model-evaluation service: four JSON evaluation
-// endpoints over the unified solve kernel, fronted by the scenario
-// cache and the admission controller, plus /healthz and /metrics. An
+// Server is the model-evaluation service: the JSON evaluation, sweep,
+// fleet and workload endpoints over the unified solve kernel, fronted
+// by the scenario cache and the admission controller, plus /healthz
+// and /metrics. An
 // optional fault-injection middleware (WithFaults) manufactures
 // deterministic chaos on the /v1 endpoints.
 type Server struct {
@@ -67,7 +66,7 @@ func New(opts ...Option) *Server {
 		cfg:     cfg,
 		cache:   NewCache(cfg.cacheSize),
 		adm:     NewAdmission(cfg.maxConcurrent, cfg.maxQueue),
-		metrics: newMetrics([]string{epEvaluate, epTiered, epNUMA, epTopology, epSweep, epCluster, epWorkload}),
+		metrics: newMetrics([]string{epEvaluate, epTopology, epSweep, epCluster, epWorkload}),
 		faults:  newFaultInjector(cfg.faults),
 		clock:   cfg.clock,
 	}
@@ -77,8 +76,6 @@ func New(opts ...Option) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/evaluate", s.post(epEvaluate, s.prepareEvaluate))
-	mux.HandleFunc("/v1/evaluate/tiered", s.post(epTiered, s.prepareTiered))
-	mux.HandleFunc("/v1/evaluate/numa", s.post(epNUMA, s.prepareNUMA))
 	mux.HandleFunc("/v1/evaluate/topology", s.post(epTopology, s.prepareTopology))
 	mux.HandleFunc("/v1/sweep", s.post(epSweep, s.prepareSweep))
 	mux.HandleFunc("/v1/cluster/simulate", s.post(epCluster, s.prepareCluster))
@@ -130,12 +127,6 @@ type prepareFunc func(dec *json.Decoder) (preparation, error)
 func markCached(v any) any {
 	switch r := v.(type) {
 	case EvaluateResponse:
-		r.Cached = true
-		return r
-	case TieredResponse:
-		r.Cached = true
-		return r
-	case NUMAResponse:
 		r.Cached = true
 		return r
 	case TopologyResponse:
@@ -272,87 +263,6 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 				Platform: pl.Name,
 				Point:    pointBody(op, pl),
 				Solver:   solverBody(agg.Stats()),
-			}, nil
-		},
-	}, nil
-}
-
-func (s *Server) prepareTiered(dec *json.Decoder) (preparation, error) {
-	var req TieredRequest
-	if err := dec.Decode(&req); err != nil {
-		return preparation{}, fmt.Errorf("decode: %w", err)
-	}
-	p, err := req.Params.Params()
-	if err != nil {
-		return preparation{}, err
-	}
-	tp, err := req.Platform.Platform()
-	if err != nil {
-		return preparation{}, err
-	}
-	return preparation{
-		key: model.ScenarioKey("tiered", model.CanonicalParams(p), model.CanonicalTiered(tp)),
-		run: func(ctx context.Context) (any, error) {
-			ctx, agg := s.record(ctx)
-			op, err := model.EvaluateTiered(ctx, p, tp)
-			if err != nil {
-				return nil, err
-			}
-			resp := TieredResponse{
-				Workload:       p.Name,
-				Platform:       tp.Name,
-				CPI:            op.CPI,
-				BandwidthBound: op.BandwidthBound,
-				Solver:         solverBody(agg.Stats()),
-			}
-			for _, t := range op.Tiers {
-				resp.Tiers = append(resp.Tiers, TierPointBody{
-					Name:          t.Name,
-					MissPenaltyNS: t.MissPenalty.Nanoseconds(),
-					DemandGBps:    t.Demand.GBps(),
-					Utilization:   t.Utilization,
-					Saturated:     t.Saturated,
-				})
-			}
-			return resp, nil
-		},
-	}, nil
-}
-
-func (s *Server) prepareNUMA(dec *json.Decoder) (preparation, error) {
-	var req NUMARequest
-	if err := dec.Decode(&req); err != nil {
-		return preparation{}, fmt.Errorf("decode: %w", err)
-	}
-	p, err := req.Params.Params()
-	if err != nil {
-		return preparation{}, err
-	}
-	np, err := req.Platform.Platform()
-	if err != nil {
-		return preparation{}, err
-	}
-	return preparation{
-		key: model.ScenarioKey("numa", model.CanonicalParams(p), model.CanonicalNUMA(np)),
-		run: func(ctx context.Context) (any, error) {
-			ctx, agg := s.record(ctx)
-			op, err := model.EvaluateNUMA(ctx, p, np)
-			if err != nil {
-				return nil, err
-			}
-			return NUMAResponse{
-				Workload:       p.Name,
-				Platform:       np.Name,
-				CPI:            op.CPI,
-				LocalNS:        op.LocalMP.Nanoseconds(),
-				RemoteNS:       op.RemoteMP.Nanoseconds(),
-				EffectiveNS:    op.EffectiveMP.Nanoseconds(),
-				DRAMDemandGBps: op.DRAMDemand.GBps(),
-				LinkDemandGBps: op.LinkDemand.GBps(),
-				DRAMUtil:       op.DRAMUtil,
-				LinkUtil:       op.LinkUtil,
-				BandwidthBound: op.BandwidthBound,
-				Solver:         solverBody(agg.Stats()),
 			}, nil
 		},
 	}, nil

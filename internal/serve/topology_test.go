@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -48,27 +47,24 @@ func TestTopologyEndpointBasic(t *testing.T) {
 	}
 }
 
-// TestTopologyMatchesTieredEndpoint: the same hierarchy through the
-// legacy tiered endpoint and the topology endpoint solves to the same
-// CPI — the wire-level face of the adapter equivalence.
-func TestTopologyMatchesTieredEndpoint(t *testing.T) {
+// TestRemovedEndpointsReturn404: the tiered and NUMA shapes are served
+// by /v1/evaluate/topology alone, so their old endpoints are unknown
+// paths, while the topology endpoint still accepts the NUMA shape under
+// its "numa" policy alias.
+func TestRemovedEndpointsReturn404(t *testing.T) {
 	h := New().Handler()
-	tieredBody := `{"params":{"class":"bigdata"},"platform":{"tiers":[
-		{"name":"near","hit_fraction":0.8,"compulsory_ns":75,"peak_gbps":42},
-		{"name":"far","hit_fraction":0.2,"compulsory_ns":300,"peak_gbps":10}]}}`
-
-	_, tb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/tiered", tieredBody)
-	_, pb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", topoBody)
-	var tr TieredResponse
-	var pr TopologyResponse
-	if err := json.Unmarshal(tb, &tr); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/v1/evaluate/tiered", "/v1/evaluate/numa"} {
+		if status, blob, _ := doJSON(t, h, http.MethodPost, path, `{"params":{"class":"bigdata"},"platform":{}}`); status != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404: %s", path, status, blob)
+		}
 	}
-	if err := json.Unmarshal(pb, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(tr.CPI) != math.Float64bits(pr.CPI) {
-		t.Errorf("tiered CPI %v != topology CPI %v (must be bit-identical)", tr.CPI, pr.CPI)
+	body := `{"params":{"class":"bigdata"},"topology":{"policy":"numa","remote_fraction":0.3,"tiers":[
+		{"name":"dram","compulsory_ns":75,"peak_gbps":42},
+		{"name":"link","compulsory_ns":60,"peak_gbps":25}]}}`
+	status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", body)
+	var resp TopologyResponse
+	if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil || resp.Policy != "local-remote" {
+		t.Errorf("numa alias = %d (%v): %s", status, err, blob)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package serve is the transport-agnostic service layer over the
-// analytic model: HTTP handlers for every evaluator (single-tier
-// Eq. 1/4, tiered Eq. 5, NUMA, and the Fig. 8–11 style sweeps), a
+// analytic model: HTTP handlers for the single-tier Eq. 1/4 evaluator,
+// the N-tier topology evaluator (tiered Eq. 5, NUMA, die-stacked and
+// far-memory tiers), and the Fig. 8–11 style sweeps, a
 // sharded scenario cache with singleflight collapsing, a semaphore
 // admission controller with load shedding, and live telemetry. The
 // cmd/memmodeld daemon is a thin HTTP shell around this package.
@@ -23,25 +24,17 @@ type (
 	CurvePoint           = api.CurvePoint
 	ParamsSpec           = api.ParamsSpec
 	PlatformSpec         = api.PlatformSpec
-	TierSpec             = api.TierSpec
-	TieredPlatformSpec   = api.TieredPlatformSpec
-	NUMAPlatformSpec     = api.NUMAPlatformSpec
 	TopologyTierSpec     = api.TopologyTierSpec
 	TopologySpec         = api.TopologySpec
 	BandwidthVariantSpec = api.BandwidthVariantSpec
 
 	EvaluateRequest = api.EvaluateRequest
-	TieredRequest   = api.TieredRequest
-	NUMARequest     = api.NUMARequest
 	TopologyRequest = api.TopologyRequest
 	SweepRequest    = api.SweepRequest
 
 	OperatingPointBody    = api.OperatingPointBody
 	SolverBody            = api.SolverBody
 	EvaluateResponse      = api.EvaluateResponse
-	TierPointBody         = api.TierPointBody
-	TieredResponse        = api.TieredResponse
-	NUMAResponse          = api.NUMAResponse
 	TopologyTierPointBody = api.TopologyTierPointBody
 	TopologyResponse      = api.TopologyResponse
 	SweepPointBody        = api.SweepPointBody

@@ -18,17 +18,20 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			Params:   ParamsSpec{Class: "bigdata", MPKI: 7.5},
 			Platform: PlatformSpec{Cores: 16, GHz: 3.0, CompulsoryNS: 90, PeakGBps: 60},
 		},
-		TieredRequest{
+		TopologyRequest{
 			Params: ParamsSpec{CPICache: 1.0, BF: 0.3, MPKI: 5},
-			Platform: TieredPlatformSpec{Tiers: []TierSpec{
-				{Name: "near", HitFraction: 0.8, CompulsoryNS: 75, PeakGBps: 42},
-				{Name: "far", HitFraction: 0.2, CompulsoryNS: 300, PeakGBps: 10,
+			Topology: TopologySpec{Tiers: []TopologyTierSpec{
+				{Name: "near", Share: 0.8, CompulsoryNS: 75, PeakGBps: 42},
+				{Name: "far", Share: 0.2, CompulsoryNS: 300, PeakGBps: 10, Efficiency: 0.8,
 					Queue: CurveSpec{Type: "md1", ServiceNS: 12}},
 			}},
 		},
-		NUMARequest{
-			Params:   ParamsSpec{Class: "enterprise"},
-			Platform: NUMAPlatformSpec{Sockets: 2, RemoteFraction: 0.5},
+		TopologyRequest{
+			Params: ParamsSpec{Class: "enterprise"},
+			Topology: TopologySpec{Policy: "local-remote", RemoteFraction: 0.5, Tiers: []TopologyTierSpec{
+				{Name: "dram", CompulsoryNS: 75, PeakGBps: 42},
+				{Name: "link", CompulsoryNS: 60, PeakGBps: 25},
+			}},
 		},
 		SweepRequest{
 			Classes:  []ParamsSpec{{Class: "hpc"}},
@@ -102,10 +105,12 @@ func TestSpecValidationSentinels(t *testing.T) {
 	if _, err := (PlatformSpec{Cores: -4}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("negative cores: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (TieredPlatformSpec{}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (TopologySpec{}).Topology(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("no tiers: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (NUMAPlatformSpec{RemoteFraction: 2}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	numa := TopologySpec{Policy: "numa", RemoteFraction: 2, Tiers: []TopologyTierSpec{
+		{CompulsoryNS: 75, PeakGBps: 42}, {CompulsoryNS: 60, PeakGBps: 25}}}
+	if _, err := numa.Topology(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("remote fraction 2: err = %v, want ErrInvalidPlatform", err)
 	}
 }
@@ -135,7 +140,7 @@ func TestMeasuredCurveSpec(t *testing.T) {
 func FuzzDecodeRequests(f *testing.F) {
 	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{}}`))
 	f.Add([]byte(`{"params":{"cpi_cache":1.2,"bf":0.4,"mpki":8},"platform":{"cores":16,"peak_gbps":60}}`))
-	f.Add([]byte(`{"params":{},"platform":{"tiers":[{"hit_fraction":1,"compulsory_ns":75,"peak_gbps":42}]}}`))
+	f.Add([]byte(`{"params":{},"topology":{"tiers":[{"share":1,"compulsory_ns":75,"peak_gbps":42}]}}`))
 	f.Add([]byte(`{"axis":"latency","steps":3,"step_ns":10,"platform":{}}`))
 	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{"queue":{"type":"measured","points":[{"utilization":0,"delay_ns":0},{"utilization":1,"delay_ns":90}]}}}`))
 	f.Add([]byte(`{"params":{"mpki":-1}}`))
@@ -144,7 +149,7 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{"ghz":-3}}`))
 
 	s := New()
-	preps := []prepareFunc{s.prepareEvaluate, s.prepareTiered, s.prepareNUMA, s.prepareSweep}
+	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, prepare := range preps {
 			prep, err := prepare(jsonDecoder(body))

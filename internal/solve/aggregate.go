@@ -14,9 +14,8 @@ import (
 // serving layer exposes one per process on /metrics, so every consumer
 // of solver telemetry shares this single implementation.
 type Aggregate struct {
-	solves, iterations   atomic.Int64
-	fallbacks, bwLimited atomic.Int64
-	maxResidual          atomic.Uint64 // float64 bits; residuals are non-negative
+	solves, iterations, bwLimited atomic.Int64
+	maxResidual                   atomic.Uint64 // float64 bits; residuals are non-negative
 }
 
 // RecordSolve implements Recorder: it folds one fixed-point outcome
@@ -24,9 +23,6 @@ type Aggregate struct {
 func (a *Aggregate) RecordSolve(out Outcome) {
 	a.solves.Add(1)
 	a.iterations.Add(int64(out.Iterations))
-	if out.FellBack {
-		a.fallbacks.Add(1)
-	}
 	if out.Regime == BandwidthLimited {
 		a.bwLimited.Add(1)
 	}
@@ -47,7 +43,6 @@ func (a *Aggregate) RecordSolve(out Outcome) {
 type Stats struct {
 	Solves           int64   // fixed points solved
 	Iterations       int64   // total kernel iterations across them
-	Fallbacks        int64   // damped solves that fell back to bisection
 	BandwidthLimited int64   // outcomes in the bandwidth-limited regime
 	MaxResidual      float64 // worst |F(x)−x| among converged solves
 }
@@ -58,7 +53,6 @@ func (a *Aggregate) Stats() Stats {
 	return Stats{
 		Solves:           a.solves.Load(),
 		Iterations:       a.iterations.Load(),
-		Fallbacks:        a.fallbacks.Load(),
 		BandwidthLimited: a.bwLimited.Load(),
 		MaxResidual:      math.Float64frombits(a.maxResidual.Load()),
 	}

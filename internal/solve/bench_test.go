@@ -17,10 +17,9 @@ func mm1Scenario(compulsory, peakBW, mpi, bpi, cpiCache, threads float64) Scenar
 		return threads * bpi / cpi // bytes per ns per-core clock ~ GB/s
 	}
 	return Scenario{
-		Name:    "bench-mm1",
-		Unknown: "miss-penalty-ns",
-		Lo:      compulsory,
-		Hi:      compulsory + maxDelay,
+		Name: "bench-mm1",
+		Lo:   compulsory,
+		Hi:   compulsory + maxDelay,
 		F: func(mp float64) float64 {
 			u := demand(mp) / peakBW
 			if u > 0.95 {
@@ -37,26 +36,10 @@ func mm1Scenario(compulsory, peakBW, mpi, bpi, cpiCache, threads float64) Scenar
 // a realistic queuing fixed point.
 func BenchmarkSolveBisect(b *testing.B) {
 	sc := mm1Scenario(80, 60, 0.005, 0.3, 0.6, 16)
-	s := Solver{}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Solve(ctx, sc)
-		if err != nil || math.IsNaN(out.X) {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveDamped measures the paper's damped iteration on the
-// same fixed point, for the ablation comparison.
-func BenchmarkSolveDamped(b *testing.B) {
-	sc := mm1Scenario(80, 60, 0.005, 0.3, 0.6, 16)
-	s := Solver{Options: Options{Method: Damped}}
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := s.Solve(ctx, sc)
+		out, err := Solve(ctx, sc)
 		if err != nil || math.IsNaN(out.X) {
 			b.Fatal(err)
 		}
@@ -72,11 +55,10 @@ func BenchmarkSolveAll(b *testing.B) {
 			scs = append(scs, mm1Scenario(60+float64(10*c), 30+float64(5*p), 0.004, 0.3, 0.6, 16))
 		}
 	}
-	s := Solver{}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveAll(ctx, scs); err != nil {
+		if _, err := SolveAll(ctx, scs); err != nil {
 			b.Fatal(err)
 		}
 	}

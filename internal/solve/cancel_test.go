@@ -14,10 +14,10 @@ func TestSolveCancelledContext(t *testing.T) {
 	cancel()
 	var calls atomic.Int64
 	sc := Scenario{
-		Name: "cancelled", Unknown: "x", Lo: 0, Hi: 1,
+		Name: "cancelled", Lo: 0, Hi: 1,
 		F: func(x float64) float64 { calls.Add(1); return x / 2 },
 	}
-	out, err := Solver{}.Solve(ctx, sc)
+	out, err := Solve(ctx, sc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -41,7 +41,7 @@ func TestSolveAllCancelMidFlight(t *testing.T) {
 	scs := make([]Scenario, n)
 	for i := range scs {
 		scs[i] = Scenario{
-			Name: "gated", Unknown: "x", Lo: 0, Hi: 1,
+			Name: "gated", Lo: 0, Hi: 1,
 			F: func(x float64) float64 {
 				select {
 				case started <- struct{}{}:
@@ -58,7 +58,7 @@ func TestSolveAllCancelMidFlight(t *testing.T) {
 	var outs []Outcome
 	go func() {
 		var err error
-		outs, err = Solver{}.SolveAll(ctx, scs)
+		outs, err = SolveAll(ctx, scs)
 		done <- err
 	}()
 

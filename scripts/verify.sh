@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: vet, build, the tier-1 test suite, and the race
-# detector over the concurrency-bearing packages (the simulator's event
+# Full verification: vet, build, the tier-1 test suite, the benchmark
+# module's own vet and tests, and the race detector over the
+# concurrency-bearing packages (the simulator's event
 # loop under the parallel fit grids, the engine scheduler, the
 # experiment suite's shared caches and measurement cache, the fleet
 # simulator, the memmodeld service layer, and the resilient client SDK).
@@ -19,6 +20,12 @@ go build ./...
 
 echo "== go test (tier 1)"
 go test ./...
+
+# perfbench/ is a separate module (replace repro => ../), outside the
+# root ./... pattern, so an API change that breaks the benchmark only
+# shows up here.
+echo "== perfbench: go vet + go test"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (sim + cluster + engine + experiments + simcache + serve + client + workgen)"
 go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/simcache/ ./internal/serve/ ./client/ ./internal/workgen/
