@@ -8,12 +8,12 @@
 // at a time; this package asks the fleet-level question the ROADMAP's
 // north star poses: once traffic, routing, and admission are real, which
 // tenants should land on which memory tiers? Each (tenant, host) pair is
-// priced once through model.EvaluateTopology — the predicted CPI sets the
-// base service time, the predicted bandwidth demand sets the request's
-// footprint against the host's sustained bandwidth — and a single-clock
-// event loop (the indexed min-heap pattern of internal/sim, keyed by
-// (timestamp, push sequence)) plays the traffic through routing policies,
-// token-bucket admission, and FCFS multi-slot hosts.
+// priced once per spec through model.EvaluateTopology — the predicted
+// CPI sets the base service time, the predicted bandwidth demand sets
+// the request's footprint against the host's sustained bandwidth — and
+// a single-clock event loop (a 4-ary min-heap keyed by (timestamp, push
+// sequence)) plays the traffic through routing policies, token-bucket
+// admission, and FCFS multi-slot hosts.
 //
 // The determinism contract matches internal/sim: the same Spec and seed
 // produce a bit-identical event order (asserted by folding every popped

@@ -18,10 +18,14 @@ import (
 func hexf(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 
 // CanonicalSpec serializes everything Simulate's outcome depends on.
-func CanonicalSpec(s Spec) string {
+func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})[0] }
+
+// CanonicalSpecs returns CanonicalSpec(s) with s.Policy set to each of
+// policies in turn, rendering the policy-independent rest once.
+func CanonicalSpecs(s Spec, policies []Policy) []string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cluster{policy=%s,dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[",
-		s.Policy, hexf(float64(s.Duration)), hexf(float64(s.Warmup)), s.Seed, s.MaxEvents)
+	fmt.Fprintf(&b, ",dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[",
+		hexf(float64(s.Duration)), hexf(float64(s.Warmup)), s.Seed, s.MaxEvents)
 	for i, h := range s.Hosts {
 		if i > 0 {
 			b.WriteByte(';')
@@ -38,7 +42,12 @@ func CanonicalSpec(s Spec) string {
 			hexf(t.Rate), hexf(t.Work), model.CanonicalParams(t.Params))
 	}
 	b.WriteString("]}")
-	return b.String()
+	rest := b.String()
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = "cluster{policy=" + p.String() + rest
+	}
+	return out
 }
 
 // Key folds the canonical spec into a compact cache key.

@@ -92,7 +92,7 @@ func (f *fleet) result() Result {
 			Offered:    ts.offered,
 			Completed:  int64(len(ts.samples)),
 			Shed:       ts.shed,
-			MinService: ts.minServe,
+			MinService: f.pr.minServe[t],
 		}
 		if window > 0 {
 			tm.OfferedRPS = float64(tm.Offered) / window
@@ -102,14 +102,12 @@ func (f *fleet) result() Result {
 			tm.ShedRate = float64(tm.Shed) / float64(tm.Offered)
 		}
 		if len(ts.samples) > 0 {
-			p50, _ := stats.Percentile(ts.samples, 50)
-			p95, _ := stats.Percentile(ts.samples, 95)
-			p99, _ := stats.Percentile(ts.samples, 99)
+			ps, _ := stats.Percentiles(ts.samples, 50, 95, 99) // samples is non-empty
 			var sum float64
 			for _, s := range ts.samples {
 				sum += s
 			}
-			tm.P50, tm.P95, tm.P99 = units.Duration(p50), units.Duration(p95), units.Duration(p99)
+			tm.P50, tm.P95, tm.P99 = units.Duration(ps[0]), units.Duration(ps[1]), units.Duration(ps[2])
 			tm.Mean = units.Duration(sum / float64(len(ts.samples)))
 		}
 		// Delivered-performance share: the completion ratio discounted by

@@ -68,7 +68,7 @@ func (f *fleet) route(t int) int {
 	case LeastLoaded:
 		best, bestLoad := 0, -1
 		for h := range f.hosts {
-			load := f.hosts[h].inflight + len(f.hosts[h].queue)
+			load := f.hosts[h].inflight + f.hosts[h].queued()
 			if bestLoad < 0 || load < bestLoad {
 				best, bestLoad = h, load
 			}
@@ -78,13 +78,13 @@ func (f *fleet) route(t int) int {
 		best, bestScore := 0, -1.0
 		for h := range f.hosts {
 			hs := &f.hosts[h]
-			price := f.price(t, h)
-			occupancy := 1 + float64(hs.inflight+len(hs.queue))/float64(hs.slots)
-			headroom := (hs.demand + price.demand) / hs.capacity
+			pr := f.price(t, h)
+			occupancy := 1 + float64(hs.inflight+hs.queued())/float64(hs.slots)
+			headroom := (hs.demand + pr.demand) / hs.capacity
 			if headroom < 1 {
 				headroom = 1
 			}
-			score := price.service.Nanoseconds() * occupancy * headroom
+			score := pr.service.Nanoseconds() * occupancy * headroom
 			if bestScore < 0 || score < bestScore {
 				best, bestScore = h, score
 			}

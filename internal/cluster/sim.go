@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/model"
@@ -15,88 +14,23 @@ import (
 // cadence internal/sim uses per simulation step.
 const ctxCheckEvents = 1024
 
-// evKind orders event processing; arrivals and completions at the same
-// timestamp resolve by push sequence, never by kind.
-type evKind uint8
-
-const (
-	evArrival evKind = iota
-	evCompletion
-)
-
-// event is one heap entry. seq is the monotone push counter that makes
-// the (at, seq) order a deterministic total order, exactly like the
-// (timestamp, thread index) key of internal/sim's machine heap.
-type event struct {
-	at      units.Duration
-	seq     uint64
-	kind    evKind
-	tenant  int
-	host    int            // completion only
-	arrived units.Duration // completion only: the request's arrival time
-}
-
-// eventHeap is a slice-backed binary min-heap over (at, seq).
-type eventHeap []event
-
-func (h eventHeap) before(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	h.siftDown(0)
-	return top
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		left, smallest := 2*i+1, i
-		if left < n && h.before(h[left], h[smallest]) {
-			smallest = left
-		}
-		if right := left + 1; right < n && h.before(h[right], h[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
 // price is the model's prediction for one (tenant, host) pair: the
 // unloaded service time of one request and its bandwidth footprint.
 type price struct {
-	service units.Duration      // Work × CPI / CoreSpeed at the solved operating point
-	demand  float64             // B/s one in-service request adds to the host
-	point   model.TopologyPoint // the underlying operating point
+	service units.Duration // Work × CPI / CoreSpeed at the solved operating point
+	demand  float64        // B/s one in-service request adds to the host
+}
+
+// pricing is the model pass of one Spec, shared by every policy run
+// over it: routing never feeds back into the prices.
+type pricing struct {
+	prices   [][]price        // [tenant][host]
+	minServe []units.Duration // per tenant: the best host's service time
 }
 
 // pending is one admitted request waiting for a service slot.
 type pending struct {
-	tenant  int
+	tenant  int32
 	arrived units.Duration
 }
 
@@ -107,7 +41,8 @@ type hostState struct {
 	capacity float64 // Σ tier sustained bandwidth, B/s
 
 	inflight int
-	queue    []pending
+	queue    []pending // FIFO; queue[head:] is waiting
+	head     int
 	demand   float64 // B/s of in-service requests
 
 	tokens     float64
@@ -119,100 +54,126 @@ type hostState struct {
 	peakQueue   int
 }
 
-// tenantState accumulates one tenant's observations.
-type tenantState struct {
-	rng      *trace.RNG
-	meanIA   float64 // mean interarrival, ns
-	offered  int64
-	shed     int64
-	samples  []float64 // latency ns, post-warmup arrivals only
-	minServe units.Duration
+// queued is the wait-queue length.
+func (hs *hostState) queued() int { return len(hs.queue) - hs.head }
+
+// enqueue appends req, first sliding the waiting requests down to the
+// front when the backing array is full, so memory tracks the live
+// queue rather than every request the host ever queued.
+func (hs *hostState) enqueue(req pending) {
+	if hs.head > 0 && len(hs.queue) == cap(hs.queue) {
+		n := copy(hs.queue, hs.queue[hs.head:])
+		hs.queue, hs.head = hs.queue[:n], 0
+	}
+	hs.queue = append(hs.queue, req)
 }
 
-// fleet is the running simulation.
+// dequeue pops the oldest waiting request; a drained queue rewinds to
+// reuse its backing array.
+func (hs *hostState) dequeue() pending {
+	req := hs.queue[hs.head]
+	hs.head++
+	if hs.head == len(hs.queue) {
+		hs.queue, hs.head = hs.queue[:0], 0
+	}
+	return req
+}
+
+// tenantState accumulates one tenant's observations.
+type tenantState struct {
+	rng     *trace.RNG
+	meanIA  float64 // mean interarrival, ns
+	offered int64
+	shed    int64
+	samples []float64 // latency ns, post-warmup arrivals only
+}
+
+// fleet is one policy's running simulation.
 type fleet struct {
 	spec   Spec
 	hosts  []hostState
 	tens   []tenantState
-	prices [][]price // [tenant][host]
-	rr     []int     // per-tenant round-robin cursor
+	pr     *pricing
+	rr     []int // per-tenant round-robin cursor
 	heap   eventHeap
 	seq    uint64
 	hash   hash64
 	events int64
 	last   units.Duration // latest completion timestamp seen
-}
 
-// hash64 is a tiny FNV-64a fold of the popped event stream — the
-// bit-identical-event-order witness of the determinism contract.
-type hash64 struct{ sum uint64 }
-
-func newHash64() hash64 {
-	h := fnv.New64a()
-	return hash64{sum: h.Sum64()}
-}
-
-func (h *hash64) fold(words ...uint64) {
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h.sum ^= (w >> (8 * i)) & 0xFF
-			h.sum *= 1099511628211
-		}
-	}
+	// rootDone is set while the handler of heap[0] runs: the root is
+	// consumed, so the first event the handler schedules overwrites it
+	// with one sift-down instead of a pop plus a push.
+	rootDone bool
 }
 
 // Simulate runs the fleet to completion: arrivals over [0, Duration),
 // then a full drain of every queue. ctx cancellation is honored both in
 // the per-pair model evaluations and inside the event loop.
 func Simulate(ctx context.Context, spec Spec) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
-	f, err := newFleet(ctx, spec)
+	res, err := SimulatePolicies(ctx, spec, []Policy{spec.Policy})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := f.run(ctx); err != nil {
-		return Result{}, err
-	}
-	return f.result(), nil
+	return res[0], nil
 }
 
-// newFleet prices every (tenant, host) pair through the analytic model
-// and seeds the first arrival of every tenant. Hosts sharing a topology
-// share the solve through a canonical-key memo.
-func newFleet(ctx context.Context, spec Spec) (*fleet, error) {
-	f := &fleet{
-		spec:   spec,
-		hosts:  make([]hostState, len(spec.Hosts)),
-		tens:   make([]tenantState, len(spec.Tenants)),
-		prices: make([][]price, len(spec.Tenants)),
-		rr:     make([]int, len(spec.Tenants)),
-		hash:   newHash64(),
+// SimulatePolicies runs spec once under each policy (spec.Policy is
+// ignored) and returns the results in policy order. The model pricing
+// pass runs once and is shared; each policy starts from fresh traffic
+// and host state, so results[i] is exactly Simulate with
+// Policy = policies[i].
+func SimulatePolicies(ctx context.Context, spec Spec, policies []Policy) ([]Result, error) {
+	for _, p := range policies {
+		s := spec
+		s.Policy = p
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 	}
+	pr, err := newPricing(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(policies))
+	for i, p := range policies {
+		s := spec
+		s.Policy = p
+		f := newFleet(s, pr)
+		if err := f.run(ctx); err != nil {
+			return nil, err
+		}
+		out[i] = f.result()
+	}
+	return out, nil
+}
+
+// newPricing prices every (tenant, host) pair through the analytic
+// model. Each host topology and each tenant's params are canonicalized
+// once; pairs with equal canonical forms share one solve.
+func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
+	pr := &pricing{
+		prices:   make([][]price, len(spec.Tenants)),
+		minServe: make([]units.Duration, len(spec.Tenants)),
+	}
+	topClass := make([]int, len(spec.Hosts))
+	topIndex := map[string]int{}
 	for h := range spec.Hosts {
-		hs := &f.hosts[h]
-		hs.spec = &spec.Hosts[h]
-		hs.slots = hs.spec.slots()
-		for _, tier := range hs.spec.Topology.Tiers {
-			hs.capacity += float64(tier.SustainedBW())
-		}
-		if hs.spec.AdmitRate > 0 {
-			hs.tokens = hs.spec.burst()
-		}
+		topClass[h] = classOf(topIndex, model.CanonicalTopology(spec.Hosts[h].Topology))
 	}
-	memo := map[string]model.TopologyPoint{}
+	paramIndex := map[string]int{}
+	memo := map[[2]int]model.TopologyPoint{}
 	for t := range spec.Tenants {
 		ten := &spec.Tenants[t]
-		f.prices[t] = make([]price, len(spec.Hosts))
-		ts := &f.tens[t]
+		pc := classOf(paramIndex, model.CanonicalParams(ten.Params))
+		pr.prices[t] = make([]price, len(spec.Hosts))
 		for h := range spec.Hosts {
-			top := spec.Hosts[h].Topology
-			key := model.ScenarioKey(model.CanonicalParams(ten.Params), model.CanonicalTopology(top))
+			top := &spec.Hosts[h].Topology
+			key := [2]int{pc, topClass[h]}
 			pt, ok := memo[key]
 			if !ok {
 				var err error
-				pt, err = model.EvaluateTopology(ctx, ten.Params, top)
+				pt, err = model.EvaluateTopology(ctx, ten.Params, *top)
 				if err != nil {
 					return nil, fmt.Errorf("cluster: tenant %s on host %s: %w", ten.Name, spec.Hosts[h].Name, err)
 				}
@@ -223,28 +184,79 @@ func newFleet(ctx context.Context, spec Spec) (*fleet, error) {
 			for _, tier := range pt.Tiers {
 				total += float64(tier.Demand)
 			}
-			f.prices[t][h] = price{
-				service: service,
-				demand:  total / float64(top.Threads),
-				point:   pt,
-			}
-			if ts.minServe == 0 || service < ts.minServe {
-				ts.minServe = service
+			pr.prices[t][h] = price{service: service, demand: total / float64(top.Threads)}
+			if pr.minServe[t] == 0 || service < pr.minServe[t] {
+				pr.minServe[t] = service
 			}
 		}
+	}
+	return pr, nil
+}
+
+// classOf numbers distinct canonical strings in first-seen order.
+func classOf(index map[string]int, key string) int {
+	c, ok := index[key]
+	if !ok {
+		c = len(index)
+		index[key] = c
+	}
+	return c
+}
+
+// newFleet builds fresh host and tenant state for one policy run and
+// seeds the first arrival of every tenant.
+func newFleet(spec Spec, pr *pricing) *fleet {
+	f := &fleet{
+		spec:  spec,
+		hosts: make([]hostState, len(spec.Hosts)),
+		tens:  make([]tenantState, len(spec.Tenants)),
+		pr:    pr,
+		rr:    make([]int, len(spec.Tenants)),
+		hash:  newHash64(),
+	}
+	// At most one pending arrival per tenant and one completion per slot.
+	depth := len(spec.Tenants)
+	for h := range spec.Hosts {
+		hs := &f.hosts[h]
+		hs.spec = &spec.Hosts[h]
+		hs.slots = hs.spec.slots()
+		depth += hs.slots
+		for _, tier := range hs.spec.Topology.Tiers {
+			hs.capacity += float64(tier.SustainedBW())
+		}
+		if hs.spec.AdmitRate > 0 {
+			hs.tokens = hs.spec.burst()
+		}
+	}
+	f.heap = make(eventHeap, 0, depth)
+	window := (spec.Duration - spec.Warmup).Seconds()
+	maxSamples := f.maxEvents() / 2
+	for t := range spec.Tenants {
+		ten := &spec.Tenants[t]
+		ts := &f.tens[t]
+		// The expected measured arrivals plus four standard deviations
+		// of the Poisson count, so the sample slice rarely regrows.
+		n := ten.Rate * window
+		ts.samples = make([]float64, 0, int64(math.Min(n+4*math.Sqrt(n)+16, float64(maxSamples))))
 		// Seed mixing in the splitmix64 style: distinct tenants draw from
 		// unrelated xorshift streams even with adjacent seeds.
 		ts.rng = trace.NewRNG((spec.Seed + uint64(t) + 1) * 0x9E3779B97F4A7C15)
 		ts.meanIA = 1e9 / ten.Rate
-		f.schedule(event{kind: evArrival, tenant: t,
-			at: units.Duration(ts.rng.Exp(ts.meanIA))})
+		f.schedule(event{at: units.Duration(ts.rng.Exp(ts.meanIA)), tenant: int32(t), host: -1})
 	}
-	return f, nil
+	return f
 }
 
+// schedule stamps e with the next sequence number and inserts it, into
+// the consumed root's place if the event being handled left it free.
 func (f *fleet) schedule(e event) {
 	e.seq = f.seq
 	f.seq++
+	if f.rootDone {
+		f.rootDone = false
+		f.heap.replaceTop(e)
+		return
+	}
 	f.heap.push(e)
 }
 
@@ -255,6 +267,10 @@ func (f *fleet) maxEvents() int64 {
 	return defaultMaxEvents
 }
 
+// run handles events in (at, seq) order until the heap drains. The
+// root stays in place while its handler runs; it is popped only if the
+// handler scheduled nothing to overwrite it with. Keys are unique, so
+// the handled order is the same as popping first.
 func (f *fleet) run(ctx context.Context) error {
 	limit := f.maxEvents()
 	for len(f.heap) > 0 {
@@ -267,15 +283,24 @@ func (f *fleet) run(ctx context.Context) error {
 			return fmt.Errorf("%w: cluster event budget exceeded (%d events; shrink duration or rates)",
 				model.ErrInvalidPlatform, limit)
 		}
-		e := f.heap.pop()
+		e := f.heap[0]
+		f.rootDone = true
 		f.events++
-		switch e.kind {
-		case evArrival:
-			f.hash.fold(0, uint64(e.tenant), math.Float64bits(float64(e.at)))
-			f.arrive(e)
-		case evCompletion:
-			f.hash.fold(1, uint64(e.tenant), uint64(e.host), math.Float64bits(float64(e.at)))
-			f.complete(e)
+		if e.host < 0 { // arrival
+			f.hash.fold(0)
+			f.hash.fold(uint64(e.tenant))
+			f.hash.fold(math.Float64bits(float64(e.at)))
+			f.arrive(&e)
+		} else {
+			f.hash.fold(1)
+			f.hash.fold(uint64(e.tenant))
+			f.hash.fold(uint64(e.host))
+			f.hash.fold(math.Float64bits(float64(e.at)))
+			f.complete(&e)
+		}
+		if f.rootDone {
+			f.rootDone = false
+			f.heap.pop()
 		}
 	}
 	return nil
@@ -283,17 +308,17 @@ func (f *fleet) run(ctx context.Context) error {
 
 // arrive routes, admits, and either starts or queues one request, then
 // schedules the tenant's next arrival inside the horizon.
-func (f *fleet) arrive(e event) {
+func (f *fleet) arrive(e *event) {
 	ts := &f.tens[e.tenant]
 	if next := e.at + units.Duration(ts.rng.Exp(ts.meanIA)); next < f.spec.Duration {
-		f.schedule(event{kind: evArrival, tenant: e.tenant, at: next})
+		f.schedule(event{at: next, tenant: e.tenant, host: -1})
 	}
 	measured := e.at >= f.spec.Warmup
 	if measured {
 		ts.offered++
 	}
 
-	h := f.route(e.tenant)
+	h := f.route(int(e.tenant))
 	hs := &f.hosts[h]
 	if hs.spec.AdmitRate > 0 && !hs.admit(e.at) {
 		hs.shed++
@@ -302,13 +327,14 @@ func (f *fleet) arrive(e event) {
 		}
 		return
 	}
+	req := pending{tenant: e.tenant, arrived: e.at}
 	if hs.inflight < hs.slots {
-		f.startService(h, pending{tenant: e.tenant, arrived: e.at}, e.at)
+		f.startService(h, req, e.at)
 		return
 	}
-	hs.queue = append(hs.queue, pending{tenant: e.tenant, arrived: e.at})
-	if len(hs.queue) > hs.peakQueue {
-		hs.peakQueue = len(hs.queue)
+	hs.enqueue(req)
+	if q := hs.queued(); q > hs.peakQueue {
+		hs.peakQueue = q
 	}
 }
 
@@ -336,7 +362,7 @@ func (hs *hostState) admit(now units.Duration) bool {
 // for re-solving the operating point as the mix changes.
 func (f *fleet) startService(h int, req pending, now units.Duration) {
 	hs := &f.hosts[h]
-	pr := f.price(req.tenant, h)
+	pr := f.price(int(req.tenant), h)
 	hs.inflight++
 	hs.demand += pr.demand
 	stretch := 1.0
@@ -345,16 +371,16 @@ func (f *fleet) startService(h int, req pending, now units.Duration) {
 	}
 	dur := units.Duration(pr.service.Nanoseconds() * stretch)
 	hs.busy += dur
-	f.schedule(event{kind: evCompletion, tenant: req.tenant, host: h,
-		at: now + dur, arrived: req.arrived})
+	f.schedule(event{at: now + dur, arrived: req.arrived, tenant: req.tenant, host: int32(h)})
 }
 
 // complete frees the slot, records the request, and dispatches the next
 // queued request if any.
-func (f *fleet) complete(e event) {
-	hs := &f.hosts[e.host]
+func (f *fleet) complete(e *event) {
+	h := int(e.host)
+	hs := &f.hosts[h]
 	hs.inflight--
-	hs.demand -= f.price(e.tenant, e.host).demand
+	hs.demand -= f.price(int(e.tenant), h).demand
 	if hs.demand < 0 {
 		hs.demand = 0 // guard float drift
 	}
@@ -363,14 +389,12 @@ func (f *fleet) complete(e event) {
 		f.last = e.at
 	}
 	if e.arrived >= f.spec.Warmup {
-		f.tens[e.tenant].samples = append(f.tens[e.tenant].samples,
-			(e.at - e.arrived).Nanoseconds())
+		ts := &f.tens[e.tenant]
+		ts.samples = append(ts.samples, (e.at - e.arrived).Nanoseconds())
 	}
-	if len(hs.queue) > 0 {
-		req := hs.queue[0]
-		hs.queue = hs.queue[1:]
-		f.startService(e.host, req, e.at)
+	if hs.queued() > 0 {
+		f.startService(h, hs.dequeue(), e.at)
 	}
 }
 
-func (f *fleet) price(t, h int) price { return f.prices[t][h] }
+func (f *fleet) price(t, h int) *price { return &f.pr.prices[t][h] }

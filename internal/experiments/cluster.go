@@ -40,13 +40,14 @@ func (s *Suite) ClusterRouting(ctx context.Context) (Artifact, error) {
 
 	series := map[string][]float64{}
 	var xs []float64
-	for i, policy := range cluster.Policies() {
-		res, err := cluster.Simulate(ctx, clusterSpec(policy))
-		if err != nil {
-			return Artifact{}, err
-		}
+	spec := clusterSpec(cluster.RoundRobin)
+	results, err := cluster.SimulatePolicies(ctx, spec, cluster.Policies())
+	if err != nil {
+		return Artifact{}, err
+	}
+	for i, res := range results {
 		for _, tm := range res.Tenants {
-			table.AddRow(policy.String(), tm.Name,
+			table.AddRow(res.Policy.String(), tm.Name,
 				fmtMS(tm.P50), fmtMS(tm.P95), fmtMS(tm.P99),
 				fmt.Sprintf("%.0f", tm.GoodputRPS), fmtPct(tm.ShedRate),
 				fmt.Sprintf("%.4f", res.Fairness))
@@ -54,7 +55,7 @@ func (s *Suite) ClusterRouting(ctx context.Context) (Artifact, error) {
 		}
 		xs = append(xs, float64(i))
 	}
-	for _, ten := range clusterSpec(cluster.RoundRobin).Tenants {
+	for _, ten := range spec.Tenants {
 		if err := chart.AddSeries(ten.Name, xs, series[ten.Name]); err != nil {
 			return Artifact{}, err
 		}

@@ -52,3 +52,23 @@ func BenchmarkEvaluateColdSolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClusterSimulateHandler measures one default
+// /v1/cluster/simulate request through the full handler: the default
+// fleet and tenants under all three policies, a distinct seed per
+// iteration so every request misses the cache and runs the simulator.
+func BenchmarkClusterSimulateHandler(b *testing.B) {
+	h := New().Handler()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Sprintf(`{"seed":%d}`, i+1)
+		req := httptest.NewRequest(http.MethodPost, "/v1/cluster/simulate", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+	}
+}

@@ -158,12 +158,7 @@ func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
 	if err != nil {
 		return preparation{}, err
 	}
-	keyParts := []string{"cluster"}
-	for _, p := range policies {
-		sp := spec
-		sp.Policy = p
-		keyParts = append(keyParts, cluster.CanonicalSpec(sp))
-	}
+	keyParts := append([]string{"cluster"}, cluster.CanonicalSpecs(spec, policies)...)
 	return preparation{
 		key: model.ScenarioKey(keyParts...),
 		run: func(ctx context.Context) (any, error) {
@@ -173,13 +168,11 @@ func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
 				WarmupS:   spec.Warmup.Seconds(),
 				Seed:      spec.Seed,
 			}
-			for _, p := range policies {
-				sp := spec
-				sp.Policy = p
-				res, err := cluster.Simulate(ctx, sp)
-				if err != nil {
-					return nil, err
-				}
+			results, err := cluster.SimulatePolicies(ctx, spec, policies)
+			if err != nil {
+				return nil, err
+			}
+			for _, res := range results {
 				resp.Policies = append(resp.Policies, policyBody(res))
 			}
 			resp.Solver = solverBody(agg.Stats())

@@ -97,25 +97,39 @@ func Max(xs []float64) float64 {
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
+	ps, err := Percentiles(xs, p)
+	if err != nil {
+		return 0, err
 	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
+	return ps[0], nil
+}
+
+// Percentiles returns Percentile(xs, p) for each of ps, sorting one
+// copy of xs for all of them.
+func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, ErrEmpty
+	}
+	for _, p := range ps {
+		if p < 0 || p > 100 {
+			return nil, errors.New("stats: percentile out of range")
+		}
 	}
 	ys := append([]float64(nil), xs...)
 	sort.Float64s(ys)
-	if len(ys) == 1 {
-		return ys[0], nil
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		rank := p / 100 * float64(len(ys)-1)
+		lo := int(math.Floor(rank))
+		hi := int(math.Ceil(rank))
+		if lo == hi {
+			out[i] = ys[lo]
+			continue
+		}
+		frac := rank - float64(lo)
+		out[i] = ys[lo]*(1-frac) + ys[hi]*frac
 	}
-	rank := p / 100 * float64(len(ys)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return ys[lo], nil
-	}
-	frac := rank - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac, nil
+	return out, nil
 }
 
 // Running accumulates a stream of observations with O(1) memory using

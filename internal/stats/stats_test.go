@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +105,57 @@ func TestPercentileSingle(t *testing.T) {
 	got, err := Percentile([]float64{7}, 90)
 	if err != nil || got != 7 {
 		t.Fatalf("Percentile single = %v, %v", got, err)
+	}
+}
+
+// refPercentile is the copy-sort-interpolate oracle Percentiles must
+// reproduce bit for bit, one independent sort per call.
+func refPercentile(xs []float64, p float64) float64 {
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	if len(ys) == 1 {
+		return ys[0]
+	}
+	rank := p / 100 * float64(len(ys)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return ys[lo]
+	}
+	frac := rank - float64(lo)
+	return ys[lo]*(1-frac) + ys[hi]*frac
+}
+
+// TestPercentilesMatchesPercentile: one sort for many ps gives exactly
+// what a Percentile call per p gives, on n = 1 and on random samples.
+func TestPercentilesMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ps := []float64{0, 1, 25, 50, 95, 99, 99.9, 100}
+	for _, n := range []int{1, 2, 3, 10, 1000} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.ExpFloat64() * 1e7
+		}
+		got, err := Percentiles(xs, ps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range ps {
+			one, err := Percentile(xs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refPercentile(xs, p); got[i] != want || one != want {
+				t.Errorf("n=%d p=%v: Percentiles %v, Percentile %v, oracle %v", n, p, got[i], one, want)
+			}
+		}
+	}
+	if _, err := Percentiles(nil, 50); err != ErrEmpty {
+		t.Errorf("empty: err = %v, want ErrEmpty", err)
+	}
+	for _, p := range []float64{-1, 101} {
+		if got, err := Percentiles([]float64{1, 2}, 50, p); err == nil {
+			t.Errorf("p=%v: got %v, want out-of-range error", p, got)
+		}
 	}
 }
 

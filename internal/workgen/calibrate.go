@@ -52,11 +52,10 @@ func observedKPI(name string, obs []Observation, window float64) KPI {
 	k.ThroughputRPS = float64(ok) / window
 	k.ShedRate = float64(shed) / float64(len(obs))
 	if len(lat) > 0 {
-		p95, _ := stats.Percentile(lat, 95)
-		p99, _ := stats.Percentile(lat, 99)
+		ps, _ := stats.Percentiles(lat, 95, 99) // lat is non-empty
 		k.MeanMS = robustMean(lat) * 1e3
-		k.P95MS = p95 * 1e3
-		k.P99MS = p99 * 1e3
+		k.P95MS = ps[0] * 1e3
+		k.P99MS = ps[1] * 1e3
 	}
 	return k
 }

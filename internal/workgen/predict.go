@@ -153,11 +153,10 @@ func Predict(ctx context.Context, spec *Spec, tr *Trace, cal Calibration) (*Pred
 		for _, sc := range c.Scenarios {
 			xs := serviceFor(sc.Key)
 			m := robustMean(xs)
-			p95, _ := stats.Percentile(xs, 95)
-			p99, _ := stats.Percentile(xs, 99)
+			ps, _ := stats.Percentiles(xs, 95, 99) // serviceFor is never empty
 			clientMean[i] += sc.Weight * m
-			clientP95[i] += sc.Weight * p95
-			clientP99[i] += sc.Weight * p99
+			clientP95[i] += sc.Weight * ps[0]
+			clientP99[i] += sc.Weight * ps[1]
 		}
 		mixMean += rates[i] / total * clientMean[i]
 	}

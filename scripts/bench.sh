@@ -22,8 +22,9 @@
 #
 # The smoke mode also gates allocation regressions: the steady-state
 # hot paths (CacheAccess, MemsysAccess) must stay at zero allocs/op and
-# MachineSimulation under a fixed ceiling, so an accidental allocation
-# on the measurement path fails CI instead of landing silently.
+# MachineSimulation and ClusterSimulate under fixed ceilings, so an
+# accidental allocation on the measurement path or in the fleet
+# simulator fails CI instead of landing silently.
 #
 # Output: BENCH_repro.json (override with BENCH_OUT). No jq dependency:
 # the JSON is assembled from `go test -bench` output with awk/printf.
@@ -109,9 +110,14 @@ check_allocs() {
 # (per-Reset workload generators dominate; runtime thread allocations
 # add ~50 at -cpu 8 on small boxes); 220 is ~1.5x headroom over the
 # worst observed.
+# ClusterSimulate measures 977-983 allocs/op with the 4-ary event heap,
+# presized sample slices and per-host canonicalization (2972 before
+# them; the pricing pass's canonical strings and solves dominate the
+# rest); 1500 is ~1.5x headroom.
 check_allocs CacheAccess 0
 check_allocs MemsysAccess 0
 check_allocs MachineSimulation 220
+check_allocs ClusterSimulate 1500
 
 {
 	printf '{\n'
