@@ -265,6 +265,37 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessStream interleaves the streams the prefetcher
+// trains on: ascending and descending line-by-line scans and a 16-byte
+// stride scan, each over a footprint far beyond the LLC. Trained
+// accesses run prefetchFill's window of lookups and fills, which the
+// random traffic of BenchmarkCacheAccess never reaches.
+func BenchmarkCacheAccessStream(b *testing.B) {
+	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := cache.New(cache.DefaultConfig(), mem)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const span = 1 << 26 // bytes per stream
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := uint64(i / 3)
+		var addr uint64
+		switch i % 3 {
+		case 0:
+			addr = k * 64 % span
+		case 1:
+			addr = 2*span - 64 - k*64%span
+		default:
+			addr = 2*span + k*16%span
+		}
+		h.Access(units.Duration(i), trace.Ref{Addr: addr}, units.GHzOf(2.5))
+	}
+}
+
 func BenchmarkMemsysAccess(b *testing.B) {
 	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
 	if err != nil {

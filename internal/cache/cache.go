@@ -14,6 +14,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memsys"
 	"repro/internal/units"
@@ -86,6 +87,9 @@ func (c Config) Validate() error {
 	for i, l := range c.Levels {
 		if l.Size <= 0 || l.Assoc <= 0 {
 			return fmt.Errorf("cache: level %d (%s): Size and Assoc must be positive", i, l.Name)
+		}
+		if l.Assoc > maxAssoc {
+			return fmt.Errorf("cache: level %d (%s): Assoc %d exceeds the %d-way limit", i, l.Name, l.Assoc, maxAssoc)
 		}
 		sets := uint64(l.Size) / (uint64(c.LineSize) * uint64(l.Assoc))
 		if sets == 0 {
@@ -160,126 +164,176 @@ func (c Counters) WBR() float64 {
 	return float64(c.MemWritebacks+c.MemNTWrites) / float64(reads)
 }
 
-// Per-way metadata bits, packed into one byte per way so the find and
-// victim scans touch dense arrays.
+// maxAssoc is the widest set a level supports: a set's recency order
+// packs one 4-bit way index per position into a single 64-bit word.
+const maxAssoc = 16
+
+// Per-way state bits, one flag byte per way in the set header. Validity
+// lives in the header's valid mask.
 const (
-	flagValid uint8 = 1 << iota
-	flagDirty
-	flagPref // line was brought in by the prefetcher and not yet demanded
+	flagDirty uint8 = 1 << iota
+	flagPref        // line was brought in by the prefetcher and not yet demanded
 )
 
-// invalidTag marks an invalid way in the tags array, so the find scan is
-// a pure tag compare with no second flags load. It can never collide
-// with a live tag: tags are addr/LineSize, and with LineSize ≥ 2 (every
-// real geometry; DefaultConfig uses 64) no uint64 address divides to
-// ^uint64(0). The flags valid bit is kept in lockstep (invalidate is the
-// only clear path) for the dirty/prefetch state machine and invariants.
+// invalidTag marks an invalid way in the tags array. It can never
+// collide with a live tag: tags are addr/LineSize, and with LineSize ≥ 2
+// (every real geometry; DefaultConfig uses 64) no uint64 address divides
+// to ^uint64(0). The header's valid bit is kept in lockstep.
 const invalidTag = ^uint64(0)
 
-// level stores its ways struct-of-arrays: the find/victim scans that
-// dominate simulation time walk a dense tags slice (a whole 8-way set of
-// tags is a single cache line) with the cold per-way state (readyAt)
-// split off, instead of striding over 48-byte per-way structs.
+// setHeader is one set's metadata in a single 64-byte cache line, so
+// matching, replacement and flag updates touch one line per set.
+type setHeader struct {
+	fp    [2]uint64       // way w's tag fingerprint is byte w%8 of word w/8
+	order uint64          // recency order: nibble p holds the way at position p, LRU at nibble 0
+	valid uint16          // bit w set when way w holds a line
+	flags [maxAssoc]uint8 // per-way flagDirty | flagPref
+	_     [22]byte        // pad to 64 bytes
+}
+
+// level is one cache level: a set header per set, plus the full tags and
+// the cold in-flight arrival times, both indexed set*assoc+way. Ways are
+// named by (set, way) pairs, so no path divides to recover a set.
 type level struct {
-	cfg   LevelConfig
-	sets  uint64
-	mask  uint64 // sets-1 when sets is a power of two
-	pow2  bool
-	assoc int
-	// Parallel arrays of sets × assoc ways, indexed set*assoc+way.
+	cfg      LevelConfig
+	sets     uint64
+	mask     uint64 // sets-1 when sets is a power of two
+	pow2     bool
+	assoc    uint64
+	full     uint16 // valid mask of a full set
+	mruShift uint   // bit offset of the MRU nibble, 4*(assoc-1)
+	order0   uint64 // recency order of an empty set: way p at position p
+	hdr      []setHeader
 	tags     []uint64
-	flags    []uint8 // flagValid | flagDirty | flagPref
-	lru      []uint64
 	readyAt  []units.Duration // in-flight prefetch arrival time
-	lruClock uint64
 }
 
 func newLevel(cfg LevelConfig, lineSize units.Bytes) *level {
 	sets := uint64(cfg.Size) / (uint64(lineSize) * uint64(cfg.Assoc))
 	n := sets * uint64(cfg.Assoc)
 	l := &level{
-		cfg:     cfg,
-		sets:    sets,
-		assoc:   cfg.Assoc,
-		tags:    make([]uint64, n),
-		flags:   make([]uint8, n),
-		lru:     make([]uint64, n),
-		readyAt: make([]units.Duration, n),
+		cfg:      cfg,
+		sets:     sets,
+		assoc:    uint64(cfg.Assoc),
+		full:     uint16(1<<cfg.Assoc - 1),
+		mruShift: uint(4 * (cfg.Assoc - 1)),
+		hdr:      make([]setHeader, sets),
+		tags:     make([]uint64, n),
+		readyAt:  make([]units.Duration, n),
 	}
-	for i := range l.tags {
-		l.tags[i] = invalidTag
+	for p := 0; p < cfg.Assoc; p++ {
+		l.order0 |= uint64(p) << (4 * p)
 	}
 	if sets&(sets-1) == 0 {
 		l.pow2 = true
 		l.mask = sets - 1
 	}
+	l.reset()
 	return l
 }
 
 // reset restores the level to its just-built state, reusing its arrays.
 func (l *level) reset() {
+	for i := range l.hdr {
+		l.hdr[i] = setHeader{order: l.order0}
+	}
 	for i := range l.tags {
 		l.tags[i] = invalidTag
 	}
-	clear(l.flags)
-	clear(l.lru)
 	clear(l.readyAt)
-	l.lruClock = 0
 }
 
-// invalidate clears way i: valid bit off, tag swapped for the sentinel
-// so the find scan skips it without consulting flags.
-func (l *level) invalidate(i int) {
-	l.flags[i] &^= flagValid
-	l.tags[i] = invalidTag
-}
-
-// setBase returns the index of line's set's first way. Every default
-// geometry has a power-of-two set count, masking away the division.
-func (l *level) setBase(line uint64) uint64 {
+// set returns line's set. Every default geometry has a power-of-two set
+// count, masking away the division.
+func (l *level) set(line uint64) uint64 {
 	if l.pow2 {
-		return (line & l.mask) * uint64(l.assoc)
+		return line & l.mask
 	}
-	return (line % l.sets) * uint64(l.assoc)
+	return line % l.sets
 }
 
-// find returns the way index holding line, or -1. Way order and the
-// first-match rule are what the pre-SoA []entry scan used, so replacement
-// behaviour is bit-identical (cache/refhier_test.go witnesses this).
-// Invalid ways hold invalidTag, so the scan needs no validity load.
-func (l *level) find(line uint64) int {
-	base := l.setBase(line)
-	tags := l.tags[base : base+uint64(l.assoc)]
-	for i := range tags {
-		if tags[i] == line {
-			return int(base) + i
+// slot returns the tags/readyAt index of way w of set s.
+func (l *level) slot(s uint64, w int) uint64 { return s*l.assoc + uint64(w) }
+
+// fingerprint hashes line to the byte find compares before the full tag.
+// The multiply folds every tag bit, including those above the set index
+// that all ways of a set differ in, into the top byte.
+func fingerprint(line uint64) uint64 { return line * 0x9E3779B97F4A7C15 >> 56 }
+
+const (
+	lsb8 = 0x0101010101010101
+	lo7  = 0x7f7f7f7f7f7f7f7f
+	nib  = 0x1111111111111111
+)
+
+// matchBytes returns one bit per byte of word equal to the byte
+// broadcast in b: an exact SWAR zero-byte test on word^b (no borrow
+// between bytes), gathered to bits 0..7 by a multiply.
+func matchBytes(word, b uint64) uint64 {
+	x := word ^ b
+	z := ^(x&lo7 + lo7 | x) & (lsb8 << 7)
+	return (z >> 7) * 0x0102040810204080 >> 56
+}
+
+// find returns the way of set s holding line, or -1. Valid ways whose
+// fingerprint matches are confirmed against the full tag in ascending
+// way order; a line occupies at most one way per level, so the result is
+// the way a first-match scan of the tags returns.
+func (l *level) find(s, line uint64) int {
+	h := &l.hdr[s]
+	b := fingerprint(line) * lsb8
+	m := uint16(matchBytes(h.fp[0], b)|matchBytes(h.fp[1], b)<<8) & h.valid
+	for ; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros16(m)
+		if l.tags[l.slot(s, w)] == line {
+			return w
 		}
 	}
 	return -1
 }
 
-// victim returns the way index to fill for line: the first invalid way if
-// any, otherwise the first way with the strictly smallest LRU stamp. The
-// way still holds the victim's state; the caller handles its writeback
-// before overwriting. Invalidity is read off the tag sentinel, keeping
-// the scan on the same two arrays the hit path already pulled in.
-func (l *level) victim(line uint64) int {
-	base := l.setBase(line)
-	tags := l.tags[base : base+uint64(l.assoc)]
-	lru := l.lru[base : base+uint64(l.assoc)]
-	vi := 0
-	for i := range tags {
-		if tags[i] == invalidTag {
-			return int(base) + i
-		}
-		if lru[i] < lru[vi] {
-			vi = i
-		}
+// victim returns the way of set s to fill: the lowest invalid way if any,
+// otherwise the LRU way. touch orders ways by last touch, and every valid
+// way was touched when filled, so the LRU nibble is exactly the way a
+// scan for the smallest last-touch stamp returns. The way still holds the
+// victim's state; the caller handles its writeback before refilling.
+func (l *level) victim(s uint64) int {
+	h := &l.hdr[s]
+	if free := l.full &^ h.valid; free != 0 {
+		return bits.TrailingZeros16(free)
 	}
-	return int(base) + vi
+	return int(h.order & 0xf)
 }
 
-func (l *level) touch(i int) {
-	l.lruClock++
-	l.lru[i] = l.lruClock
+// touch moves way w to the MRU position of set s: an exact SWAR
+// zero-nibble test finds w's position p, the nibbles above p shift down
+// one, and w goes on top. Nibbles at positions ≥ assoc stay zero, so the
+// lowest match is always w's real position.
+func (l *level) touch(s uint64, w int) {
+	h := &l.hdr[s]
+	x := h.order ^ uint64(w)*nib
+	z := ^(x&(7*nib) + 7*nib | x) & (8 * nib)
+	p := uint(bits.TrailingZeros64(z)) &^ 3
+	h.order = h.order&(1<<p-1) | h.order>>(p+4)<<p | uint64(w)<<l.mruShift
+}
+
+// fill installs line in way w of set s with flags f and makes it MRU.
+func (l *level) fill(s uint64, w int, line uint64, f uint8, readyAt units.Duration) {
+	h := &l.hdr[s]
+	sh := uint(w&7) * 8
+	h.fp[w>>3] = h.fp[w>>3]&^(0xff<<sh) | fingerprint(line)<<sh
+	h.valid |= 1 << w
+	h.flags[w] = f
+	i := l.slot(s, w)
+	l.tags[i] = line
+	l.readyAt[i] = readyAt
+	l.touch(s, w)
+}
+
+// invalidate drops way w of set s: valid bit off, tag swapped for the
+// sentinel. Its fingerprint, flags and recency position go stale; find
+// masks them by the valid bit and fill rewrites them.
+func (l *level) invalidate(s uint64, w int) {
+	l.hdr[s].valid &^= 1 << w
+	l.tags[l.slot(s, w)] = invalidTag
 }

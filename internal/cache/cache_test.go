@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memsys"
@@ -78,6 +79,16 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
+	}
+	// A set's recency order packs 16 nibbles into one word.
+	wide := DefaultConfig()
+	wide.Levels[2].Assoc = 17
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "16-way limit") {
+		t.Errorf("Assoc 17: got %v, want an error naming the 16-way limit", err)
+	}
+	wide.Levels[2].Assoc = 16
+	if err := wide.Validate(); err != nil {
+		t.Errorf("Assoc 16: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"repro/internal/memsys"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -12,11 +14,12 @@ import (
 // modelled as a per-thread slice, and threads do not share data —
 // matching SPEC-rate-style and partitioned server workloads).
 type Hierarchy struct {
-	cfg    Config
-	levels []*level
-	mem    Memory
-	pf     *prefetcher
-	ctr    Counters
+	cfg       Config
+	lineShift uint // log2(LineSize)
+	levels    []*level
+	mem       Memory
+	pf        *prefetcher
+	ctr       Counters
 }
 
 // Outcome reports how one reference resolved.
@@ -40,7 +43,7 @@ func New(cfg Config, mem Memory) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, mem: mem}
+	h := &Hierarchy{cfg: cfg, lineShift: lineShift(cfg), mem: mem}
 	for _, lc := range cfg.Levels {
 		h.levels = append(h.levels, newLevel(lc, cfg.LineSize))
 	}
@@ -128,10 +131,15 @@ func (h *Hierarchy) Reset(cfg Config) error {
 		h.pf = newPrefetcher(cfg.Prefetch)
 	}
 	h.cfg = cfg
+	h.lineShift = lineShift(cfg)
 	return nil
 }
 
-func (h *Hierarchy) line(addr uint64) uint64 { return addr / uint64(h.cfg.LineSize) }
+// lineShift is log2 of cfg's LineSize, which Validate holds to a power
+// of two.
+func lineShift(cfg Config) uint { return uint(bits.TrailingZeros64(uint64(cfg.LineSize))) }
+
+func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
 // Access performs one reference at simulated time now on a core running at
 // freq (freq converts cycle-denominated hit latencies to time).
@@ -142,8 +150,9 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 		// Streaming store: write combining straight to memory; invalidate
 		// any cached copy (no writeback — the store overwrites the line).
 		for _, l := range h.levels {
-			if i := l.find(line); i >= 0 {
-				l.invalidate(i)
+			s := l.set(line)
+			if w := l.find(s, line); w >= 0 {
+				l.invalidate(s, w)
 			}
 		}
 		h.mem.Access(now, ref.Addr, memsys.Write)
@@ -153,31 +162,23 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 
 	for li, l := range h.levels {
 		h.ctr.Levels[li].Accesses++
-		ei := l.find(line)
-		if ei < 0 {
+		s := l.set(line)
+		w := l.find(s, line)
+		if w < 0 {
 			continue
 		}
 		// Hit at level li.
 		h.ctr.Levels[li].Hits++
-		l.touch(ei)
+		l.touch(s, w)
 		out := Outcome{HitLevel: li}
-		if l.flags[ei]&flagPref != 0 {
+		if l.hdr[s].flags[w]&flagPref != 0 {
 			// First demand touch of a prefetched line: count it once and
 			// clear the flag on every level holding the fill (prefetch
 			// promotes to the L2 as well).
-			for lj := li; lj < len(h.levels); lj++ {
-				lv := h.levels[lj]
-				ej := ei
-				if lj != li {
-					ej = lv.find(line)
-				}
-				if ej >= 0 {
-					lv.flags[ej] &^= flagPref
-				}
-			}
+			h.markCopies(li, s, w, line, 0, flagPref)
 			h.ctr.PrefHits++
 			out.PrefetchHit = true
-			if ready := l.readyAt[ei]; ready > now {
+			if ready := l.readyAt[l.slot(s, w)]; ready > now {
 				// In-flight prefetch: expose the remaining latency.
 				h.ctr.PrefLate++
 				out.Latency = ready - now
@@ -194,16 +195,7 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 			// dirty so the LLC copy always carries the dirty state and an
 			// LLC eviction's recall (see evict) can drop the inner copies
 			// without a separate writeback.
-			for lj := li; lj < len(h.levels); lj++ {
-				lv := h.levels[lj]
-				ej := ei
-				if lj != li {
-					ej = lv.find(line)
-				}
-				if ej >= 0 {
-					lv.flags[ej] |= flagDirty
-				}
-			}
+			h.markCopies(li, s, w, line, flagDirty, 0)
 			out.Latency = 0
 		}
 		// Fill upward so inner levels hit next time (inclusive fill).
@@ -235,20 +227,28 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 	return out
 }
 
+// markCopies updates the flags of line's copy at level li (way w of set
+// s) and at every level below it that holds one: set bits on, clr off.
+func (h *Hierarchy) markCopies(li int, s uint64, w int, line uint64, set, clr uint8) {
+	f := &h.levels[li].hdr[s].flags[w]
+	*f = *f&^clr | set
+	for _, l := range h.levels[li+1:] {
+		sj := l.set(line)
+		if wj := l.find(sj, line); wj >= 0 {
+			f := &l.hdr[sj].flags[wj]
+			*f = *f&^clr | set
+		}
+	}
+}
+
 // fillUpward installs line into every level above upTo (exclusive), so the
-// next access hits the L1. Misses at inner levels are counted against
-// those levels (their DemandMisses), which keeps per-level hit-rate
-// statistics meaningful.
+// next access hits the L1. Each of those levels missed line earlier in
+// the same Access, and a fill only pushes other lines downward (evict) or
+// drops them (the LLC recall), so line is still absent there and needs no
+// find. Misses at inner levels are counted against those levels (their
+// DemandMisses), which keeps per-level hit-rate statistics meaningful.
 func (h *Hierarchy) fillUpward(now units.Duration, line uint64, upTo int, write bool) {
 	for li := upTo - 1; li >= 0; li-- {
-		l := h.levels[li]
-		if ei := l.find(line); ei >= 0 {
-			l.touch(ei)
-			if write {
-				l.flags[ei] |= flagDirty
-			}
-			continue
-		}
 		h.ctr.Levels[li].DemandMisses++
 		h.insert(now, line, li, write, false, 0)
 	}
@@ -258,26 +258,26 @@ func (h *Hierarchy) fillUpward(now units.Duration, line uint64, upTo int, write 
 // written to the next level; dirty LLC victims go to memory.
 func (h *Hierarchy) insert(now units.Duration, line uint64, li int, dirty, pref bool, readyAt units.Duration) {
 	l := h.levels[li]
-	v := l.victim(line)
-	if l.flags[v]&flagValid != 0 {
-		h.evict(now, li, v)
+	s := l.set(line)
+	v := l.victim(s)
+	if l.hdr[s].valid&(1<<v) != 0 {
+		h.evict(now, li, s, v)
 	}
-	f := flagValid
+	var f uint8
 	if dirty {
 		f |= flagDirty
 	}
 	if pref {
 		f |= flagPref
 	}
-	l.tags[v] = line
-	l.flags[v] = f
-	l.readyAt[v] = readyAt
-	l.touch(v)
+	l.fill(s, v, line, f, readyAt)
 }
 
-func (h *Hierarchy) evict(now units.Duration, li, v int) {
+// evict writes back way v of set s at level li if it is dirty. The way
+// keeps its stale state: insert refills it straight after.
+func (h *Hierarchy) evict(now units.Duration, li int, s uint64, v int) {
 	l := h.levels[li]
-	tag := l.tags[v]
+	tag := l.tags[l.slot(s, v)]
 	if li == len(h.levels)-1 {
 		// Inclusive LLC: evicting a line recalls it from the inner levels.
 		// Write hits mark every cached copy dirty, so the LLC copy already
@@ -286,31 +286,31 @@ func (h *Hierarchy) evict(now units.Duration, li, v int) {
 		// outliving the LLC eviction gets pushed back down later and the
 		// same fill is written back twice (MemWritebacks would exceed
 		// memory fills, breaking writeback conservation).
-		for lj := 0; lj < li; lj++ {
-			inner := h.levels[lj]
-			if ej := inner.find(tag); ej >= 0 {
-				inner.invalidate(ej)
+		for _, inner := range h.levels[:li] {
+			si := inner.set(tag)
+			if wi := inner.find(si, tag); wi >= 0 {
+				inner.invalidate(si, wi)
 			}
 		}
 	}
-	if l.flags[v]&flagDirty == 0 {
-		l.invalidate(v)
+	if l.hdr[s].flags[v]&flagDirty == 0 {
 		return
 	}
 	h.ctr.Levels[li].Writebacks++
 	if li == len(h.levels)-1 {
 		// LLC: write back to memory.
-		h.mem.Access(now, tag*uint64(h.cfg.LineSize), memsys.Write)
+		h.mem.Access(now, tag<<h.lineShift, memsys.Write)
 		h.ctr.MemWritebacks++
 	} else {
 		// Push dirty data down one level.
-		if ej := h.levels[li+1].find(tag); ej >= 0 {
-			h.levels[li+1].flags[ej] |= flagDirty
+		next := h.levels[li+1]
+		sn := next.set(tag)
+		if wn := next.find(sn, tag); wn >= 0 {
+			next.hdr[sn].flags[wn] |= flagDirty
 		} else {
 			h.insert(now, tag, li+1, true, false, 0)
 		}
 	}
-	l.invalidate(v)
 }
 
 // prefetchFill is called by the prefetcher to bring line into the LLC
@@ -318,10 +318,10 @@ func (h *Hierarchy) evict(now units.Duration, li, v int) {
 // an in-flight arrival time.
 func (h *Hierarchy) prefetchFill(now units.Duration, line uint64) {
 	llc := len(h.levels) - 1
-	if h.levels[llc].find(line) >= 0 {
+	if l := h.levels[llc]; l.find(l.set(line), line) >= 0 {
 		return // already present or in flight
 	}
-	res := h.mem.Access(now, line*uint64(h.cfg.LineSize), memsys.Read)
+	res := h.mem.Access(now, line<<h.lineShift, memsys.Read)
 	h.ctr.MemPrefReads++
 	h.ctr.PrefIssued++
 	h.insert(now, line, llc, false, true, now+res.Latency)

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -99,14 +100,15 @@ func TestInclusionInvariant(t *testing.T) {
 	// Walk L1 and L2 contents; every valid line must be found downward.
 	for li := 0; li < len(h.levels)-1; li++ {
 		lv := h.levels[li]
-		for wi := range lv.tags {
-			if lv.flags[wi]&flagValid == 0 {
+		for wi, tag := range lv.tags {
+			s, w := uint64(wi)/lv.assoc, wi%int(lv.assoc)
+			if lv.hdr[s].valid&(1<<w) == 0 {
 				continue
 			}
-			tag, dirty := lv.tags[wi], lv.flags[wi]&flagDirty != 0
+			dirty := lv.hdr[s].flags[w]&flagDirty != 0
 			found := false
 			for lj := li + 1; lj < len(h.levels); lj++ {
-				if h.levels[lj].find(tag) >= 0 {
+				if l := h.levels[lj]; l.find(l.set(tag), tag) >= 0 {
 					found = true
 					break
 				}
@@ -124,5 +126,103 @@ func TestInclusionInvariant(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLevelKernelInvariants drives one level's set kernel directly with
+// random fills, touches and invalidations at every associativity from 1
+// to maxAssoc, over power-of-two and non-power-of-two set counts. After
+// each operation the touched set's recency word must be a permutation of
+// its ways, its valid mask must mirror the tag sentinel, find must
+// locate every live tag, and victim must equal a last-touch-stamp oracle
+// (first invalid way, else the smallest stamp).
+func TestLevelKernelInvariants(t *testing.T) {
+	if size := unsafe.Sizeof(setHeader{}); size != 64 {
+		t.Fatalf("setHeader is %d bytes, want one 64-byte cache line", size)
+	}
+	for assoc := 1; assoc <= maxAssoc; assoc++ {
+		for _, sets := range []uint64{4, 3} {
+			l := newLevel(LevelConfig{Name: "L", Size: units.Bytes(sets * uint64(assoc) * 64), Assoc: assoc}, 64)
+			stamp := make([]uint64, len(l.tags))
+			var clock uint64
+			touched := func(s uint64, w int) {
+				clock++
+				stamp[l.slot(s, w)] = clock
+			}
+			rng := trace.NewRNG(uint64(assoc)*8 + sets)
+			for op := 0; op < 3000; op++ {
+				s := rng.Uint64n(sets)
+				w := int(rng.Uint64n(uint64(assoc)))
+				live := l.tags[l.slot(s, w)] != invalidTag
+				switch r := rng.Uint64n(10); {
+				case r < 5:
+					line := rng.Uint64n(4096)*sets + s
+					want := -1
+					for v := 0; v < assoc; v++ {
+						if l.tags[l.slot(s, v)] == line {
+							want = v
+							break
+						}
+					}
+					got := l.find(s, line)
+					if got != want {
+						t.Fatalf("assoc %d sets %d op %d: find(%d) = %d, tag scan says %d", assoc, sets, op, line, got, want)
+					}
+					if got < 0 {
+						got = l.victim(s)
+						l.fill(s, got, line, flagDirty, 0)
+					} else {
+						l.touch(s, got)
+					}
+					touched(s, got)
+				case r < 8 && live:
+					l.touch(s, w)
+					touched(s, w)
+				case live:
+					l.invalidate(s, w)
+				}
+				checkSetKernel(t, l, s, stamp)
+				if t.Failed() {
+					t.Fatalf("assoc %d sets %d: invariant broken at op %d", assoc, sets, op)
+				}
+			}
+		}
+	}
+}
+
+func checkSetKernel(t *testing.T, l *level, s uint64, stamp []uint64) {
+	t.Helper()
+	h := &l.hdr[s]
+	assoc := int(l.assoc)
+	var seen uint16
+	for p := 0; p < assoc; p++ {
+		seen |= 1 << (h.order >> (4 * p) & 0xf)
+	}
+	if seen != l.full || h.order>>(4*assoc) != 0 {
+		t.Errorf("set %d: order %#x is not a permutation of %d ways", s, h.order, assoc)
+	}
+	if h.valid&^l.full != 0 {
+		t.Errorf("set %d: valid %#x has bits beyond %d ways", s, h.valid, assoc)
+	}
+	want := -1
+	for w := 0; w < assoc; w++ {
+		tag := l.tags[l.slot(s, w)]
+		if valid := h.valid&(1<<w) != 0; valid != (tag != invalidTag) {
+			t.Errorf("set %d way %d: valid bit %v but tag %#x", s, w, valid, tag)
+		}
+		if tag != invalidTag {
+			if got := l.find(s, tag); got != w {
+				t.Errorf("set %d way %d: find(%d) = %d", s, w, tag, got)
+			}
+		}
+		if want >= 0 && l.tags[l.slot(s, want)] == invalidTag {
+			continue
+		}
+		if tag == invalidTag || want < 0 || stamp[l.slot(s, w)] < stamp[l.slot(s, want)] {
+			want = w
+		}
+	}
+	if got := l.victim(s); got != want {
+		t.Errorf("set %d: victim %d, stamp oracle %d (order %#x)", s, got, want, h.order)
 	}
 }

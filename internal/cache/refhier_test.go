@@ -9,13 +9,16 @@ import (
 	"repro/internal/units"
 )
 
-// This file keeps the pre-SoA array-of-structs hierarchy alive as a
-// test-only reference implementation (the TestStepMatchesLinearScan
-// pattern from internal/sim): refHierarchy is the []entry data plane the
-// struct-of-arrays layout in cache.go/hierarchy.go replaced, verbatim.
-// TestSoAMatchesReference drives both with identical random mixed streams
-// and demands identical Outcomes and Counters, witnessing that the
-// reordered layout changed representation only.
+// This file keeps a test-only reference hierarchy: an array-of-structs
+// data plane whose ways carry LRU stamps from a per-level clock, found
+// and replaced by linear scans (find: first valid way with the tag;
+// victim: first invalid way, else the smallest stamp). It is the
+// simplest correct statement of the replacement policy, not the
+// production layout. TestSoAMatchesReference drives it and Hierarchy
+// with identical random mixed streams and demands identical Outcomes and
+// Counters, witnessing that the set-header kernel in cache.go (packed
+// recency order, fingerprint match, valid mask) changes representation
+// only.
 
 type refEntry struct {
 	tag     uint64
@@ -329,8 +332,63 @@ func nonPow2Config(prefetch bool) Config {
 	}
 }
 
-// TestSoAMatchesReference is the determinism witness for the SoA layout:
-// random mixed traffic (loads, stores, NT stores, sequential bursts that
+// directMappedConfig makes every level one way per set, so each fill
+// evicts whatever shares its set.
+func directMappedConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 8 * 64, Assoc: 1, HitLatency: 0},
+			{Name: "L2", Size: 16 * 64, Assoc: 1, HitLatency: 5},
+			{Name: "LLC", Size: 64 * 64, Assoc: 1, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 4, Depth: 4, TrainHits: 2},
+	}
+}
+
+// twelveWayConfig has a 12-way LLC: an associativity that is neither a
+// power of two nor a whole number of fingerprint words.
+func twelveWayConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 4 * 4 * 64, Assoc: 4, HitLatency: 0},
+			{Name: "L2", Size: 8 * 8 * 64, Assoc: 8, HitLatency: 5},
+			{Name: "LLC", Size: 16 * 12 * 64, Assoc: 12, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 4, Depth: 6, TrainHits: 2},
+	}
+}
+
+// twoLevelConfig promotes prefetch fills into level 0, so demand hits on
+// prefetched lines start at the L1.
+func twoLevelConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 8 * 4 * 64, Assoc: 4, HitLatency: 0},
+			{Name: "LLC", Size: 32 * 8 * 64, Assoc: 8, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 4, Depth: 8, TrainHits: 2},
+	}
+}
+
+// tinyWideConfig has a two-set 16-way LLC that a deep prefetcher fills
+// and evicts constantly.
+func tinyWideConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 2 * 2 * 64, Assoc: 2, HitLatency: 0},
+			{Name: "L2", Size: 2 * 4 * 64, Assoc: 4, HitLatency: 5},
+			{Name: "LLC", Size: 2 * 16 * 64, Assoc: 16, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 8, Depth: 8, TrainHits: 2},
+	}
+}
+
+// TestSoAMatchesReference is the determinism witness for the production
+// data plane (set headers over flat tag arrays): random mixed traffic (loads, stores, NT stores, sequential bursts that
 // train the prefetcher) through both implementations over a live
 // memsys.Simulator must produce identical Outcomes, cache Counters, and
 // memory-side Counters.
@@ -341,6 +399,10 @@ func TestSoAMatchesReference(t *testing.T) {
 		"default":     DefaultConfig(),
 		"nonpow2-pf":  nonPow2Config(true),
 		"nonpow2-off": nonPow2Config(false),
+		"direct":      directMappedConfig(),
+		"llc-12way":   twelveWayConfig(),
+		"two-level":   twoLevelConfig(),
+		"tiny-16way":  tinyWideConfig(),
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -401,7 +463,7 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 		rng := trace.NewRNG(seed)
 		outs := make([]Outcome, 0, 4000)
 		for i := 0; i < 4000; i++ {
-			r := trace.Ref{Addr: rng.Uint64n(1 << 12) * 64, Write: rng.Bernoulli(0.25)}
+			r := trace.Ref{Addr: rng.Uint64n(1<<12) * 64, Write: rng.Bernoulli(0.25)}
 			outs = append(outs, h.Access(units.Duration(i)*5, r, units.GHzOf(2.5)))
 		}
 		return outs
@@ -482,7 +544,7 @@ func BenchmarkCountersInto(b *testing.B) {
 	}
 	rng := trace.NewRNG(7)
 	for i := 0; i < 10_000; i++ {
-		h.Access(units.Duration(i), trace.Ref{Addr: rng.Uint64n(1 << 20) * 64}, units.GHzOf(2.5))
+		h.Access(units.Duration(i), trace.Ref{Addr: rng.Uint64n(1<<20) * 64}, units.GHzOf(2.5))
 	}
 	var dst Counters
 	b.ReportAllocs()

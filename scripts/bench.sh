@@ -21,10 +21,10 @@
 #                   <REPRO_PROFILE>_mem.prof from the suite pass
 #
 # The smoke mode also gates allocation regressions: the steady-state
-# hot paths (CacheAccess, MemsysAccess) must stay at zero allocs/op and
-# MachineSimulation and ClusterSimulate under fixed ceilings, so an
-# accidental allocation on the measurement path or in the fleet
-# simulator fails CI instead of landing silently.
+# hot paths (CacheAccess, CacheAccessStream, MemsysAccess) must stay at
+# zero allocs/op and MachineSimulation and ClusterSimulate under fixed
+# ceilings, so an accidental allocation on the measurement path or in
+# the fleet simulator fails CI instead of landing silently.
 #
 # Output: BENCH_repro.json (override with BENCH_OUT). No jq dependency:
 # the JSON is assembled from `go test -bench` output with awk/printf.
@@ -115,6 +115,7 @@ check_allocs() {
 # them; the pricing pass's canonical strings and solves dominate the
 # rest); 1500 is ~1.5x headroom.
 check_allocs CacheAccess 0
+check_allocs CacheAccessStream 0
 check_allocs MemsysAccess 0
 check_allocs MachineSimulation 220
 check_allocs ClusterSimulate 1500
