@@ -130,6 +130,16 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceHashGolden pins the default spec's trace literally: the
+// per-client stream seeds, the generators and the FNV-64a witness fold
+// must all stay bit-identical for reports to stay comparable.
+func TestTraceHashGolden(t *testing.T) {
+	tr := mustCompile(t, api.WorkloadSpec{}).Trace()
+	if got, want := tr.HashHex(), "f1f94ecfb361ed52"; got != want || len(tr.Arrivals) != 444 {
+		t.Fatalf("default trace = %s (%d arrivals), want %s (444)", got, len(tr.Arrivals), want)
+	}
+}
+
 // TestTraceClientStreamsIndependent: removing one client must not
 // perturb another client's arrivals (per-client seeded streams).
 func TestTraceClientStreamsIndependent(t *testing.T) {
