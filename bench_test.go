@@ -10,7 +10,6 @@ package repro_test
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"repro/api"
@@ -36,21 +35,14 @@ func benchScale() experiments.Scale {
 	return s
 }
 
-// benchSetup builds the scale the artifact benchmarks run at. By
-// default the iterations share one in-process measurement cache and let
-// the fit grids fan out — the configuration cmd/repro runs with — so
-// the first iteration pays the simulation cost and steady-state
-// iterations measure everything downstream of it. Setting
-// REPRO_BENCH_BASELINE=1 pins the pre-parallel configuration (one sim
-// worker, no measurement cache); scripts/bench.sh runs both and records
-// the speedup in BENCH_repro.json.
+// benchSetup builds the scale the artifact benchmarks run at. The
+// iterations share one in-process measurement cache and let the fit
+// grids fan out — the configuration cmd/repro runs with — so the first
+// iteration pays the simulation cost and steady-state iterations
+// measure everything downstream of it.
 func benchSetup(b *testing.B) experiments.Scale {
 	b.Helper()
 	s := benchScale()
-	if os.Getenv("REPRO_BENCH_BASELINE") != "" {
-		s.SimWorkers = 1
-		return s
-	}
 	c, err := simcache.New(4096, "")
 	if err != nil {
 		b.Fatal(err)

@@ -11,6 +11,7 @@ import (
 // goldenRender prints every field of a Result, floats in exact
 // hexadecimal, one line for the run, each tenant and each host.
 func goldenRender(r Result) string {
+	hexf := model.HexFloat
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s seed=%d events=%d hash=%016x fair=%s\n",
 		r.Policy, r.Seed, r.Events, r.EventHash, hexf(r.Fairness))

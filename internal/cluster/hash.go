@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/model"
@@ -15,8 +14,6 @@ import (
 // and tenant order is significant — it is the routing and seeding
 // order.
 
-func hexf(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
-
 // CanonicalSpec serializes everything Simulate's outcome depends on.
 func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})[0] }
 
@@ -25,13 +22,13 @@ func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})
 func CanonicalSpecs(s Spec, policies []Policy) []string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ",dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[",
-		hexf(float64(s.Duration)), hexf(float64(s.Warmup)), s.Seed, s.MaxEvents)
+		model.HexFloat(float64(s.Duration)), model.HexFloat(float64(s.Warmup)), s.Seed, s.MaxEvents)
 	for i, h := range s.Hosts {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		fmt.Fprintf(&b, "slots=%d,rate=%s,burst=%s,%s",
-			h.slots(), hexf(h.AdmitRate), hexf(h.AdmitBurst), model.CanonicalTopology(h.Topology))
+		fmt.Fprintf(&b, "slots=%d,rate=%s,burst=%s,%s", h.slots(), model.HexFloat(h.AdmitRate),
+			model.HexFloat(h.AdmitBurst), model.CanonicalTopology(h.Topology))
 	}
 	b.WriteString("],tenants=[")
 	for i, t := range s.Tenants {
@@ -39,7 +36,7 @@ func CanonicalSpecs(s Spec, policies []Policy) []string {
 			b.WriteByte(';')
 		}
 		fmt.Fprintf(&b, "rate=%s,work=%s,%s",
-			hexf(t.Rate), hexf(t.Work), model.CanonicalParams(t.Params))
+			model.HexFloat(t.Rate), model.HexFloat(t.Work), model.CanonicalParams(t.Params))
 	}
 	b.WriteString("]}")
 	rest := b.String()

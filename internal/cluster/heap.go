@@ -83,34 +83,3 @@ func (h eventHeap) replaceTop(e event) {
 	}
 	h[i] = e
 }
-
-// FNV-64a constants. fnvPrimePow8 is fnvPrime⁸ mod 2⁶⁴: the factor
-// seven zero bytes and one more multiply contribute after a word's low
-// byte.
-const (
-	fnvOffset    uint64 = 14695981039346656037
-	fnvPrime     uint64 = 1099511628211
-	fnvPrimePow8 uint64 = 0x1efac7090aef4a21
-)
-
-// hash64 is an FNV-64a fold of the popped event stream, each word fed
-// as its 8 little-endian bytes — the bit-identical-event-order witness
-// of the determinism contract.
-type hash64 struct{ sum uint64 }
-
-func newHash64() hash64 { return hash64{sum: fnvOffset} }
-
-// fold feeds one word. A word below 256 has seven zero high bytes,
-// which only multiply by the prime, so it folds in one step.
-func (h *hash64) fold(w uint64) {
-	if w < 256 {
-		h.sum = (h.sum ^ w) * fnvPrimePow8
-		return
-	}
-	s := h.sum
-	for i := 0; i < 8; i++ {
-		s = (s ^ (w & 0xFF)) * fnvPrime
-		w >>= 8
-	}
-	h.sum = s
-}

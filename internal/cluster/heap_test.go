@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -65,32 +62,6 @@ func TestEventHeapOrder(t *testing.T) {
 			h.pop()
 			ref = ref[1:]
 			checkRoot("drain")
-		}
-	}
-}
-
-// TestHashFoldMatchesFNV: the word fold, including its one-step path
-// for words below 256, equals hash/fnv's FNV-64a over each word's 8
-// little-endian bytes.
-func TestHashFoldMatchesFNV(t *testing.T) {
-	words := []uint64{0, 1, 2, 255, 256, 257, 1 << 62, 1 << 63, math.MaxUint64,
-		math.Float64bits(0), math.Float64bits(1), math.Float64bits(0.5e9), math.Float64bits(math.Pi * 1e7)}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		words = append(words, rng.Uint64(), uint64(rng.Intn(512)))
-	}
-	ref := fnv.New64a()
-	h := newHash64()
-	if got, want := h.sum, ref.Sum64(); got != want {
-		t.Fatalf("offset basis %x, want %x", got, want)
-	}
-	var buf [8]byte
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		ref.Write(buf[:])
-		h.fold(w)
-		if got, want := h.sum, ref.Sum64(); got != want {
-			t.Fatalf("after word %#x: fold %x, byte-wise FNV-64a %x", w, got, want)
 		}
 	}
 }

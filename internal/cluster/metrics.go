@@ -81,7 +81,7 @@ func (f *fleet) result() Result {
 		Duration:  f.spec.Duration,
 		Warmup:    f.spec.Warmup,
 		Events:    f.events,
-		EventHash: f.hash.sum,
+		EventHash: f.hash.Sum64(),
 	}
 	window := (f.spec.Duration - f.spec.Warmup).Seconds()
 	shares := make([]float64, 0, len(f.tens))

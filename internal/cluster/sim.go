@@ -97,7 +97,7 @@ type fleet struct {
 	rr     []int // per-tenant round-robin cursor
 	heap   eventHeap
 	seq    uint64
-	hash   hash64
+	hash   trace.Hash64
 	events int64
 	last   units.Duration // latest completion timestamp seen
 
@@ -212,7 +212,7 @@ func newFleet(spec Spec, pr *pricing) *fleet {
 		tens:  make([]tenantState, len(spec.Tenants)),
 		pr:    pr,
 		rr:    make([]int, len(spec.Tenants)),
-		hash:  newHash64(),
+		hash:  trace.NewHash64(),
 	}
 	// At most one pending arrival per tenant and one completion per slot.
 	depth := len(spec.Tenants)
@@ -238,9 +238,7 @@ func newFleet(spec Spec, pr *pricing) *fleet {
 		// of the Poisson count, so the sample slice rarely regrows.
 		n := ten.Rate * window
 		ts.samples = make([]float64, 0, int64(math.Min(n+4*math.Sqrt(n)+16, float64(maxSamples))))
-		// Seed mixing in the splitmix64 style: distinct tenants draw from
-		// unrelated xorshift streams even with adjacent seeds.
-		ts.rng = trace.NewRNG((spec.Seed + uint64(t) + 1) * 0x9E3779B97F4A7C15)
+		ts.rng = trace.StreamRNG(spec.Seed, t)
 		ts.meanIA = 1e9 / ten.Rate
 		f.schedule(event{at: units.Duration(ts.rng.Exp(ts.meanIA)), tenant: int32(t), host: -1})
 	}
@@ -287,15 +285,15 @@ func (f *fleet) run(ctx context.Context) error {
 		f.rootDone = true
 		f.events++
 		if e.host < 0 { // arrival
-			f.hash.fold(0)
-			f.hash.fold(uint64(e.tenant))
-			f.hash.fold(math.Float64bits(float64(e.at)))
+			f.hash.Fold(0)
+			f.hash.Fold(uint64(e.tenant))
+			f.hash.Fold(math.Float64bits(float64(e.at)))
 			f.arrive(&e)
 		} else {
-			f.hash.fold(1)
-			f.hash.fold(uint64(e.tenant))
-			f.hash.fold(uint64(e.host))
-			f.hash.fold(math.Float64bits(float64(e.at)))
+			f.hash.Fold(1)
+			f.hash.Fold(uint64(e.tenant))
+			f.hash.Fold(uint64(e.host))
+			f.hash.Fold(math.Float64bits(float64(e.at)))
 			f.complete(&e)
 		}
 		if f.rootDone {

@@ -39,8 +39,9 @@ var curveProbes = []float64{
 	0.95, 0.96, 0.97, 0.98, 0.99, 1,
 }
 
-// hexf renders f in the exact hexadecimal floating-point format.
-func hexf(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
+// HexFloat renders f in the exact hexadecimal floating-point format —
+// the one float spelling of every canonical key in the repo.
+func HexFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 
 // CanonicalCurve fingerprints a queuing curve by probing it on the
 // utilization ladder.
@@ -51,11 +52,11 @@ func CanonicalCurve(c queueing.Curve) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(hexf(float64(c.Delay(u))))
+		b.WriteString(HexFloat(float64(c.Delay(u))))
 	}
-	fmt.Fprintf(&b, "|max=%s", hexf(float64(c.MaxStableDelay())))
+	fmt.Fprintf(&b, "|max=%s", HexFloat(float64(c.MaxStableDelay())))
 	if l, ok := c.(interface{ ULimit() float64 }); ok {
-		fmt.Fprintf(&b, "|ulimit=%s", hexf(l.ULimit()))
+		fmt.Fprintf(&b, "|ulimit=%s", HexFloat(l.ULimit()))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -65,15 +66,16 @@ func CanonicalCurve(c queueing.Curve) string {
 // name.
 func CanonicalParams(p Params) string {
 	return fmt.Sprintf("params{cpicache=%s,bf=%s,mpki=%s,wbr=%s,iopi=%s,iosz=%s}",
-		hexf(p.CPICache), hexf(p.BF), hexf(p.MPKI), hexf(p.WBR), hexf(p.IOPI), hexf(p.IOSZ))
+		HexFloat(p.CPICache), HexFloat(p.BF), HexFloat(p.MPKI),
+		HexFloat(p.WBR), HexFloat(p.IOPI), HexFloat(p.IOSZ))
 }
 
 // CanonicalPlatform serializes the supply side of pl, excluding its
 // name.
 func CanonicalPlatform(pl Platform) string {
 	return fmt.Sprintf("platform{threads=%d,cores=%d,cps=%s,ls=%s,comp=%s,peak=%s,%s}",
-		pl.Threads, pl.Cores, hexf(float64(pl.CoreSpeed)), hexf(float64(pl.LineSize)),
-		hexf(float64(pl.Compulsory)), hexf(float64(pl.PeakBW)), CanonicalCurve(pl.Queue))
+		pl.Threads, pl.Cores, HexFloat(float64(pl.CoreSpeed)), HexFloat(float64(pl.LineSize)),
+		HexFloat(float64(pl.Compulsory)), HexFloat(float64(pl.PeakBW)), CanonicalCurve(pl.Queue))
 }
 
 // CanonicalTopology serializes an N-tier topology, excluding tier and
@@ -86,15 +88,15 @@ func CanonicalPlatform(pl Platform) string {
 func CanonicalTopology(top Topology) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "topology{policy=%s,threads=%d,cores=%d,cps=%s,ls=%s,rf=%s,tiers=[",
-		top.Policy, top.Threads, top.Cores,
-		hexf(float64(top.CoreSpeed)), hexf(float64(top.LineSize)), hexf(top.RemoteFraction))
+		top.Policy, top.Threads, top.Cores, HexFloat(float64(top.CoreSpeed)),
+		HexFloat(float64(top.LineSize)), HexFloat(top.RemoteFraction))
 	for i, t := range top.Tiers {
 		if i > 0 {
 			b.WriteByte(';')
 		}
 		fmt.Fprintf(&b, "share=%s,comp=%s,peak=%s,sust=%s,%s",
-			hexf(t.Share), hexf(float64(t.Compulsory)), hexf(float64(t.PeakBW)),
-			hexf(float64(t.SustainedBW())), CanonicalCurve(t.Queue))
+			HexFloat(t.Share), HexFloat(float64(t.Compulsory)), HexFloat(float64(t.PeakBW)),
+			HexFloat(float64(t.SustainedBW())), CanonicalCurve(t.Queue))
 	}
 	b.WriteString("]}")
 	return b.String()

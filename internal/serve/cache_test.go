@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -32,117 +30,6 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 }
 
-func TestCacheErrorsNotCached(t *testing.T) {
-	c := NewCache(64)
-	ctx := context.Background()
-	boom := errors.New("boom")
-	calls := 0
-	fn := func() (any, error) { calls++; return nil, boom }
-	if _, _, err := c.Do(ctx, "k", fn); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, _, err := c.Do(ctx, "k", fn); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom on retry", err)
-	}
-	if calls != 2 {
-		t.Errorf("fn ran %d times, want 2 (errors must not stick)", calls)
-	}
-	if st := c.Stats(); st.Size != 0 {
-		t.Errorf("size = %d, want 0", st.Size)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	// Capacity 16 = one entry per shard, so a second distinct key on a
-	// shard evicts the first.
-	c := NewCache(16)
-	ctx := context.Background()
-	for i := 0; i < 256; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if _, _, err := c.Do(ctx, key, func() (any, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Size > 16 {
-		t.Errorf("size = %d, want <= 16", st.Size)
-	}
-	if st.Evictions == 0 {
-		t.Error("expected evictions past capacity")
-	}
-	if st.Evictions != st.Misses-int64(st.Size) {
-		t.Errorf("evictions = %d, want misses-size = %d", st.Evictions, st.Misses-int64(st.Size))
-	}
-}
-
-func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache(1) // one entry per shard
-	// Find two keys on the same shard.
-	var a, b string
-	shard := c.shardFor("probe")
-	for i := 0; a == "" || b == ""; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shardFor(k) != shard {
-			continue
-		}
-		if a == "" {
-			a = k
-		} else {
-			b = k
-		}
-	}
-	c.put(a, 1)
-	c.put(b, 2) // evicts a (cap 1)
-	if _, ok := c.get(a); ok {
-		t.Error("a should have been evicted")
-	}
-	if v, ok := c.get(b); !ok || v != 2 {
-		t.Errorf("b = (%v, %v), want (2, true)", v, ok)
-	}
-}
-
-func TestCacheSingleflightCollapse(t *testing.T) {
-	c := NewCache(64)
-	ctx := context.Background()
-	const n = 32
-
-	gate := make(chan struct{})
-	leaderStarted := make(chan struct{})
-	var startOnce sync.Once
-	var execs atomic.Int64
-	var wg sync.WaitGroup
-	var spared atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, cached, err := c.Do(ctx, "shared", func() (any, error) {
-				execs.Add(1)
-				startOnce.Do(func() { close(leaderStarted) })
-				<-gate
-				return "solved", nil
-			})
-			if err != nil || v != "solved" {
-				t.Errorf("Do = (%v, %v)", v, err)
-			}
-			if cached {
-				spared.Add(1)
-			}
-		}()
-	}
-	// Let the leader start, then release everyone.
-	<-leaderStarted
-	close(gate)
-	wg.Wait()
-
-	if execs.Load() != 1 {
-		t.Errorf("fn executed %d times, want 1 (singleflight)", execs.Load())
-	}
-	if spared.Load() != n-1 {
-		t.Errorf("spared = %d, want %d", spared.Load(), n-1)
-	}
-}
-
 func TestCacheFollowerHonorsOwnContext(t *testing.T) {
 	c := NewCache(64)
 	gate := make(chan struct{})
@@ -160,5 +47,58 @@ func TestCacheFollowerHonorsOwnContext(t *testing.T) {
 	cancel()
 	if _, _, err := c.Do(ctx, "k", func() (any, error) { return 2, nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("follower err = %v, want context.Canceled", err)
+	}
+}
+
+// joinCtx closes joined the first time Do consults its Done channel,
+// which a follower does only once it holds the leader's flight.
+type joinCtx struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *joinCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestCacheFollowerSurvivesLeaderCancel: a leader whose client hung up
+// fails with its own context error, but a live follower of the same key
+// must not inherit that cancellation — it retries and gets a value.
+func TestCacheFollowerSurvivesLeaderCancel(t *testing.T) {
+	c := NewCache(64)
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, "k", func() (any, error) {
+			close(started)
+			<-release
+			return nil, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	follower := &joinCtx{Context: context.Background(), joined: make(chan struct{})}
+	type result struct {
+		v   any
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, _, err := c.Do(follower, "k", func() (any, error) { return 2, nil })
+		got <- result{v, err}
+	}()
+	<-follower.joined
+	cancel()
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	if r := <-got; r.err != nil || r.v != 2 {
+		t.Errorf("follower = (%v, %v), want (2, nil)", r.v, r.err)
 	}
 }

@@ -9,13 +9,24 @@ type RNG struct {
 	state uint64
 }
 
+// golden is 2⁶⁴/φ, the odd splitmix increment.
+const golden = 0x9E3779B97F4A7C15
+
 // NewRNG returns a generator seeded with seed (0 is remapped to a fixed
 // non-zero constant; xorshift cannot leave the zero state).
 func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
+		seed = golden
 	}
 	return &RNG{state: seed}
+}
+
+// StreamRNG returns the generator of one numbered stream under a run
+// seed: the seed mixed with the stream index, splitmix-style. Each
+// tenant or client draws from its own stream, so adding or reordering
+// streams never perturbs another stream's draws.
+func StreamRNG(seed uint64, stream int) *RNG {
+	return NewRNG((seed + uint64(stream) + 1) * golden)
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

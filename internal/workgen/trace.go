@@ -32,15 +32,15 @@ type Trace struct {
 func (t *Trace) HashHex() string { return fmt.Sprintf("%016x", t.Hash) }
 
 // Trace generates the spec's arrival schedule. Each client draws its
-// gaps and scenario picks from its own seeded stream (seed mixed with
-// the client index, splitmix-style, as internal/cluster does), so
-// adding or reordering clients never perturbs another client's
-// arrivals; the per-client streams are then merged by (time, client).
+// gaps and scenario picks from its own trace.StreamRNG stream (as the
+// tenants of internal/cluster do), so adding or reordering clients
+// never perturbs another client's arrivals; the per-client streams are
+// then merged by (time, client).
 func (s *Spec) Trace() *Trace {
 	tr := &Trace{}
 	for ci := range s.Clients {
 		c := &s.Clients[ci]
-		rng := trace.NewRNG((s.Seed + uint64(ci) + 1) * 0x9E3779B97F4A7C15)
+		rng := trace.StreamRNG(s.Seed, ci)
 		t := 0.0
 		for {
 			t += c.Process.Next(rng)
@@ -63,23 +63,12 @@ func (s *Spec) Trace() *Trace {
 		}
 		return a.Client < b.Client
 	})
-	tr.Hash = hashArrivals(tr.Arrivals)
+	h := trace.NewHash64()
+	for _, a := range tr.Arrivals {
+		h.Fold(math.Float64bits(a.At))
+		h.Fold(uint64(a.Client))
+		h.Fold(uint64(a.Scenario))
+	}
+	tr.Hash = h.Sum64()
 	return tr
-}
-
-// hashArrivals folds the merged schedule into an FNV-64a witness.
-func hashArrivals(arrivals []Arrival) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	for _, a := range arrivals {
-		mix(math.Float64bits(a.At))
-		mix(uint64(a.Client))
-		mix(uint64(a.Scenario))
-	}
-	return h
 }

@@ -1,18 +1,13 @@
 #!/usr/bin/env bash
 # Benchmark harness: runs the artifact benchmark suite (bench_test.go)
 # with -benchmem and emits BENCH_repro.json recording op time and
-# allocations for every benchmark, plus the measured speedup of the
-# parallel fit grids + measurement cache over the pre-parallel baseline
-# (REPRO_BENCH_BASELINE=1: one sim worker, no measurement cache — the
-# configuration before the parallel-grid PR) on the fit-heavy artifacts
-# Table 2, Figure 3, Table 6 and Figure 6. To re-baseline after a perf
-# change, rerun this script and commit the regenerated BENCH_repro.json;
-# the baseline env is re-measured on every run, so speedups always
-# compare like hardware against like.
+# allocations for every benchmark. To re-baseline after a perf change,
+# rerun this script and commit the regenerated BENCH_repro.json.
+# End-to-end performance comparisons belong to perfbench/, not here.
 #
 # Usage: scripts/bench.sh [smoke|full]
-#   smoke  one iteration per benchmark and a short speedup pass (CI)
-#   full   multi-iteration suite and speedup pass (default)
+#   smoke  one iteration per benchmark (CI)
+#   full   three iterations per benchmark (default)
 #
 # Env:
 #   BENCH_OUT       output path (default BENCH_repro.json)
@@ -37,11 +32,9 @@ CPU="${BENCH_CPU:-8}"
 case "$MODE" in
 smoke)
 	SUITE_TIME=1x
-	SPEEDUP_TIME=3x
 	;;
 full)
 	SUITE_TIME=3x
-	SPEEDUP_TIME=5x
 	;;
 *)
 	echo "usage: scripts/bench.sh [smoke|full]" >&2
@@ -75,18 +68,9 @@ if [ -n "${REPRO_PROFILE:-}" ]; then
 	echo "== profiling suite pass to ${REPRO_PROFILE}_{cpu,mem}.prof"
 fi
 
-SPEEDUP_BENCH='Table2$|Figure3$|Table6$|Figure6$'
-
 echo "== suite: go test -bench . -benchmem -benchtime $SUITE_TIME -cpu $CPU"
 go test -run '^$' -bench . -benchmem -benchtime "$SUITE_TIME" -cpu "$CPU" -timeout 45m "${PROFILE_ARGS[@]}" . | tee "$TMP/suite.txt"
-
-echo "== speedup: $SPEEDUP_BENCH, parallel grids + measurement cache vs baseline"
-go test -run '^$' -bench "$SPEEDUP_BENCH" -benchtime "$SPEEDUP_TIME" -cpu "$CPU" -timeout 45m . | tee "$TMP/par.txt"
-REPRO_BENCH_BASELINE=1 go test -run '^$' -bench "$SPEEDUP_BENCH" -benchtime "$SPEEDUP_TIME" -cpu "$CPU" -timeout 45m . | tee "$TMP/base.txt"
-
 parse "$TMP/suite.txt" >"$TMP/suite.tsv"
-parse "$TMP/par.txt" >"$TMP/par.tsv"
-parse "$TMP/base.txt" >"$TMP/base.tsv"
 
 # check_allocs fails the run when a benchmark's allocs/op exceeds its
 # ceiling — the allocation-regression gate for the zero-alloc
@@ -134,26 +118,8 @@ check_allocs ClusterSimulate 1500
 		printf '    {"name": "%s", "iterations": %s, "ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s}' \
 			"$name" "$iters" "${ns:-null}" "${bytes:-null}" "${allocs:-null}"
 	done <"$TMP/suite.tsv"
-	printf '\n  ],\n'
-	printf '  "speedup": {\n'
-	printf '    "baseline": "REPRO_BENCH_BASELINE=1 (one sim worker, no measurement cache)",\n'
-	printf '    "benchtime": "%s",\n' "$SPEEDUP_TIME"
-	printf '    "results": [\n'
-	first=1
-	while IFS=$'\t' read -r name iters ns bytes allocs; do
-		base_ns="$(awk -F'\t' -v n="$name" '$1 == n { print $3 }' "$TMP/base.tsv")"
-		[ -n "$base_ns" ] || continue
-		sp="$(awk -v b="$base_ns" -v p="$ns" 'BEGIN { printf "%.2f", b / p }')"
-		[ "$first" -eq 1 ] || printf ',\n'
-		first=0
-		printf '    {"name": "%s", "baseline_ns_per_op": %s, "ns_per_op": %s, "speedup": %s}' \
-			"$name" "$base_ns" "$ns" "$sp"
-	done <"$TMP/par.tsv"
-	printf '\n    ]\n'
-	printf '  }\n'
+	printf '\n  ]\n'
 	printf '}\n'
 } >"$OUT"
 
-echo "== $OUT"
-awk -F'"speedup": ' '/"speedup": [0-9]/ { print "speedup " $0 }' "$OUT" || true
 echo "bench: wrote $OUT"

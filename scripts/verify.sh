@@ -3,8 +3,9 @@
 # module's own vet and tests, and the race detector over the
 # concurrency-bearing packages (the simulator's event
 # loop under the parallel fit grids, the engine scheduler, the
-# experiment suite's shared caches and measurement cache, the fleet
-# simulator, the memmodeld service layer, and the resilient client SDK).
+# experiment suite's shared caches and measurement cache, the sharded
+# LRU behind both caches, the fleet simulator, the memmodeld service
+# layer, and the resilient client SDK).
 #
 # The race pass shrinks the golden-manifest drift test's scope via the
 # `race` build tag (see internal/experiments/race_on_test.go) — the
@@ -27,7 +28,7 @@ go test ./...
 echo "== perfbench: go vet + go test"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== go test -race (sim + cluster + engine + experiments + simcache + serve + client + workgen)"
-go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/simcache/ ./internal/serve/ ./client/ ./internal/workgen/
+echo "== go test -race (sim + cluster + engine + experiments + lru + simcache + serve + client + workgen)"
+go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/lru/ ./internal/simcache/ ./internal/serve/ ./client/ ./internal/workgen/
 
 echo "verify: OK"
