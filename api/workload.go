@@ -46,7 +46,7 @@ type WorkloadClientSpec struct {
 type ArrivalSpec struct {
 	// Process is "poisson" (default), "gamma", or "weibull".
 	Process string `json:"process,omitempty"`
-	// Shape is the gamma/weibull shape parameter; 0 means 1.
+	// Shape is the gamma/weibull shape parameter in [0.1, 64]; 0 means 1.
 	Shape float64 `json:"shape,omitempty"`
 }
 

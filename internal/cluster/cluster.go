@@ -11,18 +11,20 @@
 // priced once per spec through model.EvaluateTopology — the predicted
 // CPI sets the base service time, the predicted bandwidth demand sets
 // the request's footprint against the host's sustained bandwidth — and
-// a single-clock event loop (a 4-ary min-heap keyed by (timestamp, push
-// sequence)) plays the traffic through routing policies, token-bucket
-// admission, and FCFS multi-slot hosts.
+// a single-clock event loop plays the traffic through routing policies,
+// token-bucket admission, and FCFS multi-slot hosts. The loop replays
+// internal/workgen's arrival Stream (each tenant is a one-scenario
+// Poisson client) against a 4-ary min-heap of pending completions.
 //
 // The determinism contract matches internal/sim: the same Spec and seed
-// produce a bit-identical event order (asserted by folding every popped
+// produce a bit-identical event order (asserted by folding every handled
 // event into an FNV-64a EventHash) and bit-identical metrics, regardless
 // of walltime or platform.
 package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/params"
@@ -91,10 +93,10 @@ func (s Spec) Validate() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("%w: cluster needs at least one tenant", model.ErrInvalidParams)
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("%w: cluster duration must be positive", model.ErrInvalidPlatform)
+	if !finite(float64(s.Duration)) || s.Duration <= 0 {
+		return fmt.Errorf("%w: cluster duration must be positive and finite", model.ErrInvalidPlatform)
 	}
-	if s.Warmup < 0 || s.Warmup >= s.Duration {
+	if !finite(float64(s.Warmup)) || s.Warmup < 0 || s.Warmup >= s.Duration {
 		return fmt.Errorf("%w: cluster warmup must be in [0, duration)", model.ErrInvalidPlatform)
 	}
 	if s.MaxEvents < 0 {
@@ -107,8 +109,8 @@ func (s Spec) Validate() error {
 		if err := h.Topology.Validate(); err != nil {
 			return fmt.Errorf("host %d (%s): %w", i, h.Name, err)
 		}
-		if h.Slots < 0 || h.AdmitRate < 0 || h.AdmitBurst < 0 {
-			return fmt.Errorf("%w: host %d (%s): slots and admission knobs must be non-negative",
+		if !finite(h.AdmitRate) || !finite(h.AdmitBurst) || h.Slots < 0 || h.AdmitRate < 0 || h.AdmitBurst < 0 {
+			return fmt.Errorf("%w: host %d (%s): slots and admission knobs must be non-negative and finite",
 				model.ErrInvalidPlatform, i, h.Name)
 		}
 	}
@@ -116,13 +118,16 @@ func (s Spec) Validate() error {
 		if err := t.Params.Validate(); err != nil {
 			return fmt.Errorf("tenant %d (%s): %w", i, t.Name, err)
 		}
-		if t.Rate <= 0 || t.Work <= 0 {
-			return fmt.Errorf("%w: tenant %d (%s): rate and work must be positive",
+		if !finite(t.Rate) || !finite(t.Work) || t.Rate <= 0 || t.Work <= 0 {
+			return fmt.Errorf("%w: tenant %d (%s): rate and work must be positive and finite",
 				model.ErrInvalidParams, i, t.Name)
 		}
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // slots resolves the host's effective service slot count.
 func (h HostSpec) slots() int {

@@ -116,123 +116,124 @@ func TestCanonicalSpecsGolden(t *testing.T) {
 	}
 }
 
-// goldenResults was captured before the event loop was optimized.
+// goldenResults was captured with arrivals replayed from workgen's
+// Stream.
 var goldenResults = map[string]string{
-	"round-robin/seed1": `round-robin seed=1 events=12080 hash=9b739d225b84fab8 fair=0x1.f52c88d3808b9p-01
-t Enterprise off=2075 done=2075 shed=0 orps=0x1.286db6db6db6ep+09 grps=0x1.286db6db6db6ep+09 sr=0x0p+00 p50=0x1.311c76ef53c7p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.39f0172e13fd6p+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1808 done=1808 shed=0 orps=0x1.0249249249249p+09 grps=0x1.0249249249249p+09 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.638cf94518132p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1393 done=1393 shed=0 orps=0x1.8ep+08 grps=0x1.8ep+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.eb0df30d380b3p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=757 shed=0 util=0x1.9ea6633cae13p-02 peakq=0
-h dram-1 done=755 shed=0 util=0x1.9da0d431ec84cp-02 peakq=0
-h dram-2 done=755 shed=0 util=0x1.9da0d431ec84cp-02 peakq=0
-h hbm-0 done=755 shed=0 util=0x1.5e15fb1c9c3c5p-02 peakq=0
-h hbm-1 done=755 shed=0 util=0x1.5e15fb1c9c3c5p-02 peakq=0
-h hbm-2 done=755 shed=0 util=0x1.5e15fb1c9c3c5p-02 peakq=0
-h cxl-0 done=754 shed=0 util=0x1.a0fba7a189ccap-02 peakq=0
-h cxl-1 done=754 shed=0 util=0x1.a0fba7a189ccap-02 peakq=0
+	"round-robin/seed1": `round-robin seed=1 events=11942 hash=9c9bb9c07a18bc81 fair=0x1.f536a593cacb6p-01
+t Enterprise off=2029 done=2029 shed=0 orps=0x1.21db6db6db6dbp+09 grps=0x1.21db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.39f295d264f5ap+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1752 done=1752 shed=0 orps=0x1.f492492492492p+08 grps=0x1.f492492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.638cf94518133p+24 min=0x1.587bc4117bd74p+24
+t HPC off=1420 done=1420 shed=0 orps=0x1.95b6db6db6db7p+08 grps=0x1.95b6db6db6db7p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.eabc4a21db195p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=747 shed=0 util=0x1.993b8edddf84fp-02 peakq=0
+h dram-1 done=747 shed=0 util=0x1.993b8edddf84fp-02 peakq=0
+h dram-2 done=747 shed=0 util=0x1.993b8edddf84fp-02 peakq=0
+h hbm-0 done=747 shed=0 util=0x1.589c624daf4b1p-02 peakq=0
+h hbm-1 done=747 shed=0 util=0x1.589c624daf4b1p-02 peakq=0
+h hbm-2 done=747 shed=0 util=0x1.589c624daf4b1p-02 peakq=0
+h cxl-0 done=745 shed=0 util=0x1.9b15536e4102dp-02 peakq=0
+h cxl-1 done=744 shed=0 util=0x1.9a5f1032a8p-02 peakq=0
 `,
-	"least-loaded/seed1": `least-loaded seed=1 events=12080 hash=b405390769e01610 fair=0x1.f5432795eeddfp-01
-t Enterprise off=2075 done=2075 shed=0 orps=0x1.286db6db6db6ep+09 grps=0x1.286db6db6db6ep+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.38ade17a004cp+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1808 done=1808 shed=0 orps=0x1.0249249249249p+09 grps=0x1.0249249249249p+09 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.62755a2f0b746p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1393 done=1393 shed=0 orps=0x1.8ep+08 grps=0x1.8ep+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.e89794f4ca4d6p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=752 shed=0 util=0x1.a05e6be1abad4p-02 peakq=0
-h dram-1 done=747 shed=0 util=0x1.9af18d7c3bfc9p-02 peakq=0
-h dram-2 done=733 shed=0 util=0x1.92812864c0672p-02 peakq=0
-h hbm-0 done=840 shed=0 util=0x1.8790b99f27aeep-02 peakq=0
-h hbm-1 done=824 shed=0 util=0x1.7e5f841f3aaep-02 peakq=0
-h hbm-2 done=821 shed=0 util=0x1.781716bbef04cp-02 peakq=0
-h cxl-0 done=670 shed=0 util=0x1.7230187b8438cp-02 peakq=0
-h cxl-1 done=653 shed=0 util=0x1.6a67a977cbd21p-02 peakq=0
+	"least-loaded/seed1": `least-loaded seed=1 events=11942 hash=7a59fa85b171deaf fair=0x1.f5e2c11fed1cp-01
+t Enterprise off=2029 done=2029 shed=0 orps=0x1.21db6db6db6dbp+09 grps=0x1.21db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.3876caf028cc5p+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1752 done=1752 shed=0 orps=0x1.f492492492492p+08 grps=0x1.f492492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.62d425b9688cdp+24 min=0x1.587bc4117bd74p+24
+t HPC off=1420 done=1420 shed=0 orps=0x1.95b6db6db6db7p+08 grps=0x1.95b6db6db6db7p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.e3829d040fe7fp+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=752 shed=0 util=0x1.9bbcde032a484p-02 peakq=0
+h dram-1 done=739 shed=0 util=0x1.93b040d5af844p-02 peakq=0
+h dram-2 done=723 shed=0 util=0x1.8bc7fe2d7aaddp-02 peakq=0
+h hbm-0 done=830 shed=0 util=0x1.7f9e153750eap-02 peakq=0
+h hbm-1 done=809 shed=0 util=0x1.779b194df8539p-02 peakq=0
+h hbm-2 done=800 shed=0 util=0x1.70bf52b5ca3a3p-02 peakq=0
+h cxl-0 done=670 shed=0 util=0x1.6ae896fd83242p-02 peakq=0
+h cxl-1 done=648 shed=0 util=0x1.6726a8e4e3216p-02 peakq=0
 `,
-	"weighted/seed1": `weighted seed=1 events=12080 hash=619f7fb4b23e62af fair=0x1.ffce7b78f6055p-01
-t Enterprise off=2075 done=2075 shed=0 orps=0x1.286db6db6db6ep+09 grps=0x1.286db6db6db6ep+09 sr=0x0p+00 p50=0x1.311c76ef53c68p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.34501931c8813p+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1808 done=1808 shed=0 orps=0x1.0249249249249p+09 grps=0x1.0249249249249p+09 sr=0x0p+00 p50=0x1.5e9a12f495acp+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.6918c49633c14p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1393 done=1393 shed=0 orps=0x1.8ep+08 grps=0x1.8ep+08 sr=0x0p+00 p50=0x1.54e3206da82p+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da8117p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=685 shed=0 util=0x1.7ca43729fea7dp-02 peakq=0
-h dram-1 done=677 shed=0 util=0x1.6d544331adfbap-02 peakq=0
-h dram-2 done=671 shed=0 util=0x1.6353d8ddbcc93p-02 peakq=0
-h hbm-0 done=1039 shed=0 util=0x1.b2be1538ca5afp-02 peakq=0
-h hbm-1 done=964 shed=0 util=0x1.9efca7e968fdep-02 peakq=0
-h hbm-2 done=913 shed=0 util=0x1.92793e5a4811cp-02 peakq=0
-h cxl-0 done=569 shed=0 util=0x1.03a1fa51f1de3p-02 peakq=0
-h cxl-1 done=522 shed=0 util=0x1.ef9b1afbc1288p-03 peakq=0
+	"weighted/seed1": `weighted seed=1 events=11942 hash=8fd14bd8dba9dc60 fair=0x1.ffce2c4dd1876p-01
+t Enterprise off=2029 done=2029 shed=0 orps=0x1.21db6db6db6dbp+09 grps=0x1.21db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.342c8e0e42954p+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1752 done=1752 shed=0 orps=0x1.f492492492492p+08 grps=0x1.f492492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495acp+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.691ea0f0d94d8p+24 min=0x1.587bc4117bd74p+24
+t HPC off=1420 done=1420 shed=0 orps=0x1.95b6db6db6db7p+08 grps=0x1.95b6db6db6db7p+08 sr=0x0p+00 p50=0x1.54e3206da82p+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da8112p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=665 shed=0 util=0x1.751523715711ap-02 peakq=0
+h dram-1 done=665 shed=0 util=0x1.69c2d414fd20dp-02 peakq=0
+h dram-2 done=658 shed=0 util=0x1.5e96429822e13p-02 peakq=0
+h hbm-0 done=1047 shed=0 util=0x1.ae27ccc0e59fcp-02 peakq=0
+h hbm-1 done=962 shed=0 util=0x1.9c91eb24dc8a9p-02 peakq=0
+h hbm-2 done=906 shed=0 util=0x1.8d8e9a03a4f3ep-02 peakq=0
+h cxl-0 done=558 shed=0 util=0x1.f505590618ae9p-03 peakq=0
+h cxl-1 done=510 shed=0 util=0x1.e10936c3d2e0ep-03 peakq=0
 `,
-	"round-robin/seed42": `round-robin seed=42 events=11782 hash=6d355f8d6bf0a765 fair=0x1.f5307736d7d6dp-01
-t Enterprise off=2053 done=2053 shed=0 orps=0x1.2549249249249p+09 grps=0x1.2549249249249p+09 sr=0x0p+00 p50=0x1.311c76ef53c7p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.39f80f6ed224ep+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1715 done=1715 shed=0 orps=0x1.eap+08 grps=0x1.eap+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.638d417aa9c2p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1352 done=1352 shed=0 orps=0x1.8249249249249p+08 grps=0x1.8249249249249p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.eaf3c2fb84324p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=738 shed=0 util=0x1.95515bfdaed3dp-02 peakq=0
-h dram-1 done=737 shed=0 util=0x1.94a9262e60c62p-02 peakq=0
-h dram-2 done=737 shed=0 util=0x1.94a9262e60c62p-02 peakq=0
-h hbm-0 done=736 shed=0 util=0x1.5671a6a7fd526p-02 peakq=0
-h hbm-1 done=736 shed=0 util=0x1.5671a6a7fd526p-02 peakq=0
-h hbm-2 done=736 shed=0 util=0x1.5671a6a7fd526p-02 peakq=0
-h cxl-0 done=736 shed=0 util=0x1.986b374b9c84p-02 peakq=0
-h cxl-1 done=735 shed=0 util=0x1.98066be58fdb9p-02 peakq=0
+	"round-robin/seed42": `round-robin seed=42 events=11962 hash=f68ecd5033586123 fair=0x1.f5369a9964fd6p-01
+t Enterprise off=2078 done=2078 shed=0 orps=0x1.28db6db6db6dbp+09 grps=0x1.28db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c7p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.39f1c2b40815dp+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1731 done=1731 shed=0 orps=0x1.ee92492492492p+08 grps=0x1.ee92492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.6392715fe9e55p+24 min=0x1.587bc4117bd74p+24
+t HPC off=1406 done=1406 shed=0 orps=0x1.91b6db6db6db7p+08 grps=0x1.91b6db6db6db7p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.eabfded127d4p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=748 shed=0 util=0x1.9b2a932f7e3d9p-02 peakq=0
+h dram-1 done=748 shed=0 util=0x1.9b2a932f7e3d9p-02 peakq=0
+h dram-2 done=748 shed=0 util=0x1.9b2a932f7e3d9p-02 peakq=0
+h hbm-0 done=748 shed=0 util=0x1.5ba7b3a0f3c7fp-02 peakq=0
+h hbm-1 done=748 shed=0 util=0x1.5ba7b3a0f3c7fp-02 peakq=0
+h hbm-2 done=747 shed=0 util=0x1.5b0676f30704cp-02 peakq=0
+h cxl-0 done=747 shed=0 util=0x1.9e4fa9c6cf96bp-02 peakq=0
+h cxl-1 done=747 shed=0 util=0x1.9e4fa9c6cf96bp-02 peakq=0
 `,
-	"least-loaded/seed42": `least-loaded seed=42 events=11782 hash=8d9cf97ee7f2a140 fair=0x1.f56818b473748p-01
-t Enterprise off=2053 done=2053 shed=0 orps=0x1.2549249249249p+09 grps=0x1.2549249249249p+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.38bac0b29b6a8p+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1715 done=1715 shed=0 orps=0x1.eap+08 grps=0x1.eap+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.62a092e7107c8p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1352 done=1352 shed=0 orps=0x1.8249249249249p+08 grps=0x1.8249249249249p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.e78e99b4dea3p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=730 shed=0 util=0x1.992f5376dff7cp-02 peakq=0
-h dram-1 done=739 shed=0 util=0x1.90141fa50f1d8p-02 peakq=0
-h dram-2 done=713 shed=0 util=0x1.8a3125f79992fp-02 peakq=0
-h hbm-0 done=802 shed=0 util=0x1.7d7e227e476a1p-02 peakq=0
-h hbm-1 done=818 shed=0 util=0x1.77303edc927b3p-02 peakq=0
-h hbm-2 done=797 shed=0 util=0x1.6e147bf44fa31p-02 peakq=0
-h cxl-0 done=651 shed=0 util=0x1.69f631f23cedfp-02 peakq=0
-h cxl-1 done=641 shed=0 util=0x1.641d39da98e0ep-02 peakq=0
+	"least-loaded/seed42": `least-loaded seed=42 events=11962 hash=ce79cc214ad8d3a9 fair=0x1.f5ba870abe58p-01
+t Enterprise off=2078 done=2078 shed=0 orps=0x1.28db6db6db6dbp+09 grps=0x1.28db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.38b7949aed829p+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1731 done=1731 shed=0 orps=0x1.ee92492492492p+08 grps=0x1.ee92492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495a8p+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.62c1f3368431fp+24 min=0x1.587bc4117bd74p+24
+t HPC off=1406 done=1406 shed=0 orps=0x1.91b6db6db6db7p+08 grps=0x1.91b6db6db6db7p+08 sr=0x0p+00 p50=0x1.f64d5e52d8a8p+24 p95=0x1.3cb9a9a79408p+25 p99=0x1.3cb9a9a79408p+25 mean=0x1.e4f75a252b3f7p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=752 shed=0 util=0x1.9ec751d394d52p-02 peakq=0
+h dram-1 done=739 shed=0 util=0x1.977fa78dff26bp-02 peakq=0
+h dram-2 done=733 shed=0 util=0x1.8ef6e850a3ca1p-02 peakq=0
+h hbm-0 done=830 shed=0 util=0x1.81def077fd875p-02 peakq=0
+h hbm-1 done=807 shed=0 util=0x1.7ac4d795ab55bp-02 peakq=0
+h hbm-2 done=804 shed=0 util=0x1.743789ae99c65p-02 peakq=0
+h cxl-0 done=662 shed=0 util=0x1.7059ac822726dp-02 peakq=0
+h cxl-1 done=654 shed=0 util=0x1.68fde10bd7fc8p-02 peakq=0
 `,
-	"weighted/seed42": `weighted seed=42 events=11782 hash=42eb9490838fd405 fair=0x1.ffcf15042bd67p-01
-t Enterprise off=2053 done=2053 shed=0 orps=0x1.2549249249249p+09 grps=0x1.2549249249249p+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.346de2b6900bfp+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1715 done=1715 shed=0 orps=0x1.eap+08 grps=0x1.eap+08 sr=0x0p+00 p50=0x1.5e9a12f495acp+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.69051f61f95d4p+24 min=0x1.587bc4117bd74p+24
-t HPC off=1352 done=1352 shed=0 orps=0x1.8249249249249p+08 grps=0x1.8249249249249p+08 sr=0x0p+00 p50=0x1.54e3206da82p+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da812p+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=670 shed=0 util=0x1.74fc66f7b1943p-02 peakq=0
-h dram-1 done=667 shed=0 util=0x1.684dc6085149ep-02 peakq=0
-h dram-2 done=666 shed=0 util=0x1.5c5982b78a932p-02 peakq=0
-h hbm-0 done=1025 shed=0 util=0x1.a7a67b995bf68p-02 peakq=0
-h hbm-1 done=931 shed=0 util=0x1.986c12bfb7147p-02 peakq=0
-h hbm-2 done=879 shed=0 util=0x1.8d321db6f360cp-02 peakq=0
-h cxl-0 done=550 shed=0 util=0x1.f5aff33c28c5ep-03 peakq=0
-h cxl-1 done=503 shed=0 util=0x1.e27dfdeff04dbp-03 peakq=0
+	"weighted/seed42": `weighted seed=42 events=11962 hash=ac0324918956a646 fair=0x1.ffca374dc0c64p-01
+t Enterprise off=2078 done=2078 shed=0 orps=0x1.28db6db6db6dbp+09 grps=0x1.28db6db6db6dbp+09 sr=0x0p+00 p50=0x1.311c76ef53c6p+25 p95=0x1.5747b4de02c4p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.340f41942d763p+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=1731 done=1731 shed=0 orps=0x1.ee92492492492p+08 grps=0x1.ee92492492492p+08 sr=0x0p+00 p50=0x1.5e9a12f495acp+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.69b8554b25615p+24 min=0x1.587bc4117bd74p+24
+t HPC off=1406 done=1406 shed=0 orps=0x1.91b6db6db6db7p+08 grps=0x1.91b6db6db6db7p+08 sr=0x0p+00 p50=0x1.54e3206da82p+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da8115p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=669 shed=0 util=0x1.798e2defa0bb1p-02 peakq=0
+h dram-1 done=681 shed=0 util=0x1.6d7a97353e275p-02 peakq=0
+h dram-2 done=659 shed=0 util=0x1.609dd24d8dfbbp-02 peakq=0
+h hbm-0 done=1037 shed=0 util=0x1.af4e9bc4f8796p-02 peakq=0
+h hbm-1 done=949 shed=0 util=0x1.9db8295e11b68p-02 peakq=0
+h hbm-2 done=906 shed=0 util=0x1.9018eb03fb3bdp-02 peakq=0
+h cxl-0 done=558 shed=0 util=0x1.fe03e4c0e9d97p-03 peakq=0
+h cxl-1 done=522 shed=0 util=0x1.e576062a8702dp-03 peakq=0
 `,
-	"weighted/shed": `weighted seed=42 events=12416 hash=3b270feb739b2df0 fair=0x1.c5467218badc1p-01
-t Enterprise off=3114 done=1168 shed=1946 orps=0x1.bcdb6db6db6dbp+09 grps=0x1.4db6db6db6db7p+08 sr=0x1.3ff57a29c32a4p-01 p50=0x1.311c76ef53c6p+25 p95=0x1.311c76ef53c8p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.31a6b0908b13fp+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=2600 done=1380 shed=1220 orps=0x1.736db6db6db6ep+09 grps=0x1.8a49249249249p+08 sr=0x1.e07e07e07e07ep-02 p50=0x1.5e9a12f495acp+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.68a7d1d2f0a64p+24 min=0x1.587bc4117bd74p+24
-t HPC off=2042 done=394 shed=1648 orps=0x1.23b6db6db6db7p+09 grps=0x1.c249249249249p+06 sr=0x1.9d35e86e52be1p-01 p50=0x1.54e3206da81dp+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da81fp+24 min=0x1.54e3206da81c4p+24
-h dram-0 done=441 shed=0 util=0x1.ccd7a54b2db85p-03 peakq=0
-h dram-1 done=437 shed=0 util=0x1.c963d6c7eb3cbp-03 peakq=0
-h dram-2 done=432 shed=0 util=0x1.c649b56454facp-03 peakq=0
-h hbm-0 done=509 shed=4687 util=0x1.c7c4f771cc2c2p-03 peakq=0
-h hbm-1 done=501 shed=660 util=0x1.cbc47f4836035p-03 peakq=0
-h hbm-2 done=498 shed=11 util=0x1.cffeaf5c6e529p-03 peakq=0
-h cxl-0 done=366 shed=0 util=0x1.326dcdfce8202p-03 peakq=0
-h cxl-1 done=345 shed=0 util=0x1.246c0d3f2964cp-03 peakq=0
+	"weighted/shed": `weighted seed=42 events=12498 hash=9c72a9f8136bfa4c fair=0x1.c224960e868a6p-01
+t Enterprise off=3053 done=1165 shed=1888 orps=0x1.b424924924925p+09 grps=0x1.4cdb6db6db6dbp+08 sr=0x1.3c9ffd5115b7cp-01 p50=0x1.311c76ef53c6p+25 p95=0x1.311c76ef53c8p+25 p99=0x1.5747b4de02c4p+25 mean=0x1.3217f4aa96b72p+25 min=0x1.2f3e8ace65612p+25
+t Big Data off=2641 done=1413 shed=1228 orps=0x1.7949249249249p+09 grps=0x1.93b6db6db6db7p+08 sr=0x1.dc22821584e52p-02 p50=0x1.5e9a12f495aap+24 p95=0x1.7b93228b4618p+24 p99=0x1.7b93228b4618p+24 mean=0x1.680f716c7d137p+24 min=0x1.587bc4117bd74p+24
+t HPC off=2134 done=400 shed=1734 orps=0x1.30db6db6db6dbp+09 grps=0x1.c924924924925p+06 sr=0x1.a007ad773e24p-01 p50=0x1.54e3206da82p+24 p95=0x1.54e3206da82p+24 p99=0x1.54e3206da82p+24 mean=0x1.54e3206da81f1p+24 min=0x1.54e3206da81c4p+24
+h dram-0 done=446 shed=0 util=0x1.cf92bf3b71dfep-03 peakq=0
+h dram-1 done=450 shed=0 util=0x1.c728858dd685dp-03 peakq=0
+h dram-2 done=440 shed=0 util=0x1.c7f7132e586f5p-03 peakq=0
+h hbm-0 done=509 shed=4170 util=0x1.d755f8d4020adp-03 peakq=0
+h hbm-1 done=509 shed=1212 util=0x1.c9301f9192b5p-03 peakq=0
+h hbm-2 done=493 shed=0 util=0x1.d0000786cf132p-03 peakq=0
+h cxl-0 done=369 shed=0 util=0x1.362e9d81ac3d9p-03 peakq=0
+h cxl-1 done=342 shed=0 util=0x1.26a0929232ab4p-03 peakq=0
 `,
-	"round-robin/queue": `round-robin seed=42 events=11782 hash=631149556f8363f1 fair=0x1.e45d406540448p-01
-t Enterprise off=2053 done=2053 shed=0 orps=0x1.2549249249249p+09 grps=0x1.2549249249249p+09 sr=0x0p+00 p50=0x1.d1a0781c3a4e8p+26 p95=0x1.1d2cf4e99dc06p+28 p99=0x1.440ec30682c9ep+28 mean=0x1.09bab4838029dp+27 min=0x1.2f3e8ace65612p+25
-t Big Data off=1715 done=1715 shed=0 orps=0x1.eap+08 grps=0x1.eap+08 sr=0x0p+00 p50=0x1.8a5a690bd0d9p+26 p95=0x1.1345101b4611p+28 p99=0x1.34820985f5586p+28 mean=0x1.d5c4809c63b27p+26 min=0x1.587bc4117bd74p+24
-t HPC off=1352 done=1352 shed=0 orps=0x1.8249249249249p+08 grps=0x1.8249249249249p+08 sr=0x0p+00 p50=0x1.c592ab167ea88p+26 p95=0x1.1db8455932c5p+28 p99=0x1.39bc334cc691dp+28 mean=0x1.eff55f3844191p+26 min=0x1.54e3206da81c4p+24
-h dram-0 done=738 shed=0 util=0x1.f6d60e12353c9p-01 peakq=48
-h dram-1 done=737 shed=0 util=0x1.f6055fb58d9f9p-01 peakq=49
-h dram-2 done=737 shed=0 util=0x1.f6055fb58d9f9p-01 peakq=49
-h hbm-0 done=736 shed=0 util=0x1.a8d5c3878f4dep-01 peakq=4
-h hbm-1 done=736 shed=0 util=0x1.a8d5c3878f4dep-01 peakq=4
-h hbm-2 done=736 shed=0 util=0x1.a8d5c3878f4dep-01 peakq=4
-h cxl-0 done=736 shed=0 util=0x1.faaee94d507dcp-01 peakq=56
-h cxl-1 done=735 shed=0 util=0x1.fa31ddad597ddp-01 peakq=56
+	"round-robin/queue": `round-robin seed=42 events=11962 hash=b1f550f236a0512c fair=0x1.e4251b52da692p-01
+t Enterprise off=2078 done=2078 shed=0 orps=0x1.28db6db6db6dbp+09 grps=0x1.28db6db6db6dbp+09 sr=0x0p+00 p50=0x1.03ee86011e40ap+27 p95=0x1.521bac9df5f6dp+28 p99=0x1.744c72f9cc8a2p+28 mean=0x1.25f3ef4d6e62p+27 min=0x1.2f3e8ace65612p+25
+t Big Data off=1731 done=1731 shed=0 orps=0x1.ee92492492492p+08 grps=0x1.ee92492492492p+08 sr=0x0p+00 p50=0x1.c4134029d474p+26 p95=0x1.40b8154e9293p+28 p99=0x1.623451417e2d7p+28 mean=0x1.00f382f35e52ep+27 min=0x1.587bc4117bd74p+24
+t HPC off=1406 done=1406 shed=0 orps=0x1.91b6db6db6db7p+08 grps=0x1.91b6db6db6db7p+08 sr=0x0p+00 p50=0x1.005cd7c75ea7ap+27 p95=0x1.4d1e954b630e8p+28 p99=0x1.68678f0ad86dfp+28 mean=0x1.15c7cf3ff63a1p+27 min=0x1.54e3206da81c4p+24
+h dram-0 done=748 shed=0 util=0x1.f7c4dfd2d13cfp-01 peakq=56
+h dram-1 done=748 shed=0 util=0x1.f7c4dfd2d13cfp-01 peakq=57
+h dram-2 done=748 shed=0 util=0x1.f7c4dfd2d13cfp-01 peakq=57
+h hbm-0 done=748 shed=0 util=0x1.a9f42eecd39c4p-01 peakq=4
+h hbm-1 done=748 shed=0 util=0x1.a9f42eecd39c4p-01 peakq=4
+h hbm-2 done=747 shed=0 util=0x1.a92ea1ed2b28fp-01 peakq=4
+h cxl-0 done=747 shed=0 util=0x1.fb9f48c497954p-01 peakq=62
+h cxl-1 done=747 shed=0 util=0x1.fb9f48c497954p-01 peakq=62
 `,
-	"least-loaded/queue": `least-loaded seed=42 events=11782 hash=2e84f86fe218fe80 fair=0x1.f2a097f51c5dap-01
-t Enterprise off=2053 done=2053 shed=0 orps=0x1.2549249249249p+09 grps=0x1.2549249249249p+09 sr=0x0p+00 p50=0x1.cd72364c39bcp+25 p95=0x1.33dac64d16d86p+26 p99=0x1.55379a4d872aep+26 mean=0x1.ca4a0456c8e8bp+25 min=0x1.2f3e8ace65612p+25
-t Big Data off=1715 done=1715 shed=0 orps=0x1.eap+08 grps=0x1.eap+08 sr=0x0p+00 p50=0x1.42ca0d81c3dc8p+25 p95=0x1.da9eaedf1c7p+25 p99=0x1.fcba2fa7b9057p+25 mean=0x1.3ceceb69d4c7cp+25 min=0x1.587bc4117bd74p+24
-t HPC off=1352 done=1352 shed=0 orps=0x1.8249249249249p+08 grps=0x1.8249249249249p+08 sr=0x0p+00 p50=0x1.7093c530c8aap+25 p95=0x1.32ffef0f2c8f3p+26 p99=0x1.4c48e8688ae78p+26 mean=0x1.81e4bd8a9b254p+25 min=0x1.54e3206da81c4p+24
-h dram-0 done=697 shed=0 util=0x1.fa366ed744dep-01 peakq=8
-h dram-1 done=694 shed=0 util=0x1.f94a0a005db1fp-01 peakq=8
-h dram-2 done=686 shed=0 util=0x1.f933202fef434p-01 peakq=8
-h hbm-0 done=816 shed=0 util=0x1.f6abe24c661b1p-01 peakq=8
-h hbm-1 done=820 shed=0 util=0x1.f5a154074d24ap-01 peakq=8
-h hbm-2 done=825 shed=0 util=0x1.f4528d539efcep-01 peakq=8
-h cxl-0 done=680 shed=0 util=0x1.f4542df20cdd6p-01 peakq=8
-h cxl-1 done=673 shed=0 util=0x1.f31fa64e9a18ap-01 peakq=8
+	"least-loaded/queue": `least-loaded seed=42 events=11962 hash=9b9727a3775d252c fair=0x1.ef3883c309f43p-01
+t Enterprise off=2078 done=2078 shed=0 orps=0x1.28db6db6db6dbp+09 grps=0x1.28db6db6db6dbp+09 sr=0x0p+00 p50=0x1.e84d253aeb57p+25 p95=0x1.8f406180852a1p+26 p99=0x1.b713344328eccp+26 mean=0x1.07b273708c2eap+26 min=0x1.2f3e8ace65612p+25
+t Big Data off=1731 done=1731 shed=0 orps=0x1.ee92492492492p+08 grps=0x1.ee92492492492p+08 sr=0x0p+00 p50=0x1.5a192e5bd7b6p+25 p95=0x1.485a0df4fe07p+26 p99=0x1.6f6578f3af438p+26 mean=0x1.832624e4059cp+25 min=0x1.587bc4117bd74p+24
+t HPC off=1406 done=1406 shed=0 orps=0x1.91b6db6db6db7p+08 grps=0x1.91b6db6db6db7p+08 sr=0x0p+00 p50=0x1.bc5a9c899cd98p+25 p95=0x1.866dacf8ad518p+26 p99=0x1.acd6799c9fe61p+26 mean=0x1.ce5f98a2e9e7dp+25 min=0x1.54e3206da81c4p+24
+h dram-0 done=705 shed=0 util=0x1.fa866b162c452p-01 peakq=13
+h dram-1 done=704 shed=0 util=0x1.fb4efa85be5bbp-01 peakq=13
+h dram-2 done=702 shed=0 util=0x1.f97c08b5ea17p-01 peakq=13
+h hbm-0 done=824 shed=0 util=0x1.f787ca8ae113bp-01 peakq=13
+h hbm-1 done=832 shed=0 util=0x1.f733c2c68f3d7p-01 peakq=12
+h hbm-2 done=830 shed=0 util=0x1.f7711de76199bp-01 peakq=12
+h cxl-0 done=692 shed=0 util=0x1.f798aa25c8e04p-01 peakq=12
+h cxl-1 done=692 shed=0 util=0x1.f76deba59a3f7p-01 peakq=12
 `,
 }

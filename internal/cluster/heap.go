@@ -2,15 +2,15 @@ package cluster
 
 import "repro/internal/units"
 
-// event is one heap entry, 32 bytes. seq is the monotone push counter
-// that makes the (at, seq) order a deterministic total order, exactly
-// like the (timestamp, thread index) key of internal/sim's machine
-// heap. host < 0 marks an arrival; a completion carries its serving
-// host and the request's arrival time.
+// event is one pending completion, 32 bytes: the serving host and the
+// request's arrival time. seq is the monotone push counter that makes
+// the (at, seq) order a deterministic total order, exactly like the
+// (timestamp, thread index) key of internal/sim's machine heap.
+// Arrivals never enter the heap; they stream from workgen.
 type event struct {
 	at      units.Duration
 	seq     uint64
-	arrived units.Duration // completion only
+	arrived units.Duration
 	tenant  int32
 	host    int32
 }
@@ -55,8 +55,8 @@ func (h *eventHeap) pop() {
 	*h = q
 }
 
-// replaceTop overwrites the root with e and restores the heap order:
-// a pop fused with the push that follows it, in one sift-down.
+// replaceTop overwrites the root with e and restores the heap order in
+// one sift-down; pop uses it to move the last leaf into the root.
 func (h eventHeap) replaceTop(e event) {
 	n := len(h)
 	i := 0

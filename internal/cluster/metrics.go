@@ -43,7 +43,7 @@ type Result struct {
 	Duration units.Duration
 	Warmup   units.Duration
 	// Events is the number of processed events; EventHash is the FNV-64a
-	// fold of the popped event stream — two runs with the same Spec must
+	// fold of the handled event stream — two runs with the same Spec must
 	// agree on both bit-exactly.
 	Events    int64
 	EventHash uint64

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/workgen"
 )
 
 // ctxCheckEvents is how often the event loop polls ctx — the same
@@ -21,11 +23,13 @@ type price struct {
 	demand  float64        // B/s one in-service request adds to the host
 }
 
-// pricing is the model pass of one Spec, shared by every policy run
-// over it: routing never feeds back into the prices.
+// pricing is the policy-independent pass of one Spec, shared by every
+// policy run over it: routing never feeds back into the prices, and
+// each run replays the same arrivals from a fresh Stream.
 type pricing struct {
 	prices   [][]price        // [tenant][host]
 	minServe []units.Duration // per tenant: the best host's service time
+	arrivals workgen.Spec     // tenant t is client t, a one-scenario Poisson process
 }
 
 // pending is one admitted request waiting for a service slot.
@@ -81,8 +85,6 @@ func (hs *hostState) dequeue() pending {
 
 // tenantState accumulates one tenant's observations.
 type tenantState struct {
-	rng     *trace.RNG
-	meanIA  float64 // mean interarrival, ns
 	offered int64
 	shed    int64
 	samples []float64 // latency ns, post-warmup arrivals only
@@ -94,17 +96,13 @@ type fleet struct {
 	hosts  []hostState
 	tens   []tenantState
 	pr     *pricing
-	rr     []int // per-tenant round-robin cursor
-	heap   eventHeap
+	rr     []int           // per-tenant round-robin cursor
+	arr    *workgen.Stream // the tenants' merged arrivals, never materialized
+	heap   eventHeap       // pending completions only
 	seq    uint64
 	hash   trace.Hash64
 	events int64
 	last   units.Duration // latest completion timestamp seen
-
-	// rootDone is set while the handler of heap[0] runs: the root is
-	// consumed, so the first event the handler schedules overwrites it
-	// with one sift-down instead of a pop plus a push.
-	rootDone bool
 }
 
 // Simulate runs the fleet to completion: arrivals over [0, Duration),
@@ -149,12 +147,15 @@ func SimulatePolicies(ctx context.Context, spec Spec, policies []Policy) ([]Resu
 }
 
 // newPricing prices every (tenant, host) pair through the analytic
-// model. Each host topology and each tenant's params are canonicalized
-// once; pairs with equal canonical forms share one solve.
+// model and builds each tenant's arrival process. Each host topology
+// and each tenant's params are canonicalized once; pairs with equal
+// canonical forms share one solve.
 func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 	pr := &pricing{
 		prices:   make([][]price, len(spec.Tenants)),
 		minServe: make([]units.Duration, len(spec.Tenants)),
+		arrivals: workgen.Spec{Duration: spec.Duration.Seconds(), Seed: spec.Seed,
+			Clients: make([]workgen.Client, len(spec.Tenants))},
 	}
 	topClass := make([]int, len(spec.Hosts))
 	topIndex := map[string]int{}
@@ -165,6 +166,11 @@ func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 	memo := map[[2]int]model.TopologyPoint{}
 	for t := range spec.Tenants {
 		ten := &spec.Tenants[t]
+		proc, err := workgen.NewProcess(api.ArrivalSpec{}, ten.Rate)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: tenant %s: %w", ten.Name, err)
+		}
+		pr.arrivals.Clients[t] = workgen.Client{Name: ten.Name, Rate: ten.Rate, Process: proc}
 		pc := classOf(paramIndex, model.CanonicalParams(ten.Params))
 		pr.prices[t] = make([]price, len(spec.Hosts))
 		for h := range spec.Hosts {
@@ -204,7 +210,7 @@ func classOf(index map[string]int, key string) int {
 }
 
 // newFleet builds fresh host and tenant state for one policy run and
-// seeds the first arrival of every tenant.
+// starts its arrival stream.
 func newFleet(spec Spec, pr *pricing) *fleet {
 	f := &fleet{
 		spec:  spec,
@@ -212,10 +218,10 @@ func newFleet(spec Spec, pr *pricing) *fleet {
 		tens:  make([]tenantState, len(spec.Tenants)),
 		pr:    pr,
 		rr:    make([]int, len(spec.Tenants)),
+		arr:   pr.arrivals.Stream(),
 		hash:  trace.NewHash64(),
 	}
-	// At most one pending arrival per tenant and one completion per slot.
-	depth := len(spec.Tenants)
+	depth := 0 // at most one pending completion per slot
 	for h := range spec.Hosts {
 		hs := &f.hosts[h]
 		hs.spec = &spec.Hosts[h]
@@ -232,30 +238,12 @@ func newFleet(spec Spec, pr *pricing) *fleet {
 	window := (spec.Duration - spec.Warmup).Seconds()
 	maxSamples := f.maxEvents() / 2
 	for t := range spec.Tenants {
-		ten := &spec.Tenants[t]
-		ts := &f.tens[t]
 		// The expected measured arrivals plus four standard deviations
 		// of the Poisson count, so the sample slice rarely regrows.
-		n := ten.Rate * window
-		ts.samples = make([]float64, 0, int64(math.Min(n+4*math.Sqrt(n)+16, float64(maxSamples))))
-		ts.rng = trace.StreamRNG(spec.Seed, t)
-		ts.meanIA = 1e9 / ten.Rate
-		f.schedule(event{at: units.Duration(ts.rng.Exp(ts.meanIA)), tenant: int32(t), host: -1})
+		n := spec.Tenants[t].Rate * window
+		f.tens[t].samples = make([]float64, 0, int64(math.Min(n+4*math.Sqrt(n)+16, float64(maxSamples))))
 	}
 	return f
-}
-
-// schedule stamps e with the next sequence number and inserts it, into
-// the consumed root's place if the event being handled left it free.
-func (f *fleet) schedule(e event) {
-	e.seq = f.seq
-	f.seq++
-	if f.rootDone {
-		f.rootDone = false
-		f.heap.replaceTop(e)
-		return
-	}
-	f.heap.push(e)
 }
 
 func (f *fleet) maxEvents() int64 {
@@ -265,13 +253,14 @@ func (f *fleet) maxEvents() int64 {
 	return defaultMaxEvents
 }
 
-// run handles events in (at, seq) order until the heap drains. The
-// root stays in place while its handler runs; it is popped only if the
-// handler scheduled nothing to overwrite it with. Keys are unique, so
-// the handled order is the same as popping first.
+// run merges the arrival stream with the completion heap, whose events
+// leave in (at, seq) order, until both drain. An arrival is handled only
+// when strictly earlier than heap[0]: on equal timestamps the completion
+// goes first, so a slot freed at t is free for a request arriving at t.
 func (f *fleet) run(ctx context.Context) error {
 	limit := f.maxEvents()
-	for len(f.heap) > 0 {
+	a, more := f.arr.Next()
+	for more || len(f.heap) > 0 {
 		if f.events%ctxCheckEvents == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -281,53 +270,47 @@ func (f *fleet) run(ctx context.Context) error {
 			return fmt.Errorf("%w: cluster event budget exceeded (%d events; shrink duration or rates)",
 				model.ErrInvalidPlatform, limit)
 		}
-		e := f.heap[0]
-		f.rootDone = true
 		f.events++
-		if e.host < 0 { // arrival
+		if at := units.Duration(a.At * 1e9); more && (len(f.heap) == 0 || at < f.heap[0].at) {
 			f.hash.Fold(0)
-			f.hash.Fold(uint64(e.tenant))
-			f.hash.Fold(math.Float64bits(float64(e.at)))
-			f.arrive(&e)
-		} else {
-			f.hash.Fold(1)
-			f.hash.Fold(uint64(e.tenant))
-			f.hash.Fold(uint64(e.host))
-			f.hash.Fold(math.Float64bits(float64(e.at)))
-			f.complete(&e)
+			f.hash.Fold(uint64(a.Client))
+			f.hash.Fold(math.Float64bits(float64(at)))
+			f.arrive(int32(a.Client), at)
+			a, more = f.arr.Next()
+			continue
 		}
-		if f.rootDone {
-			f.rootDone = false
-			f.heap.pop()
-		}
+		e := f.heap[0]
+		f.heap.pop()
+		f.hash.Fold(1)
+		f.hash.Fold(uint64(e.tenant))
+		f.hash.Fold(uint64(e.host))
+		f.hash.Fold(math.Float64bits(float64(e.at)))
+		f.complete(&e)
 	}
 	return nil
 }
 
-// arrive routes, admits, and either starts or queues one request, then
-// schedules the tenant's next arrival inside the horizon.
-func (f *fleet) arrive(e *event) {
-	ts := &f.tens[e.tenant]
-	if next := e.at + units.Duration(ts.rng.Exp(ts.meanIA)); next < f.spec.Duration {
-		f.schedule(event{at: next, tenant: e.tenant, host: -1})
-	}
-	measured := e.at >= f.spec.Warmup
+// arrive routes, admits, and either starts or queues one request of
+// tenant t arriving at now.
+func (f *fleet) arrive(t int32, now units.Duration) {
+	ts := &f.tens[t]
+	measured := now >= f.spec.Warmup
 	if measured {
 		ts.offered++
 	}
 
-	h := f.route(int(e.tenant))
+	h := f.route(int(t))
 	hs := &f.hosts[h]
-	if hs.spec.AdmitRate > 0 && !hs.admit(e.at) {
+	if hs.spec.AdmitRate > 0 && !hs.admit(now) {
 		hs.shed++
 		if measured {
 			ts.shed++
 		}
 		return
 	}
-	req := pending{tenant: e.tenant, arrived: e.at}
+	req := pending{tenant: t, arrived: now}
 	if hs.inflight < hs.slots {
-		f.startService(h, req, e.at)
+		f.startService(h, req, now)
 		return
 	}
 	hs.enqueue(req)
@@ -369,7 +352,8 @@ func (f *fleet) startService(h int, req pending, now units.Duration) {
 	}
 	dur := units.Duration(pr.service.Nanoseconds() * stretch)
 	hs.busy += dur
-	f.schedule(event{at: now + dur, arrived: req.arrived, tenant: req.tenant, host: int32(h)})
+	f.heap.push(event{at: now + dur, seq: f.seq, arrived: req.arrived, tenant: req.tenant, host: int32(h)})
+	f.seq++
 }
 
 // complete frees the slot, records the request, and dispatches the next

@@ -35,9 +35,17 @@ type Process interface {
 	CDF(x float64) float64
 }
 
-// maxShape bounds the gamma/weibull shape parameter; far outside it the
-// samplers lose accuracy and no serving workload is that regular.
-const maxShape = 64.0
+// minShape and maxShape bound the gamma/weibull shape parameter. Far
+// above maxShape the samplers lose accuracy and no serving workload is
+// that regular. Below minShape both samplers raise a uniform draw to
+// the power 1/shape, so nearly every gap rounds to zero: a trace
+// collapses into bursts of simultaneous arrivals far beyond rate ×
+// duration (weibull at shape 0.018 passed 10⁶ arrivals for 696
+// expected), or never advances.
+const (
+	minShape = 0.1
+	maxShape = 64.0
+)
 
 // NewProcess builds the process an ArrivalSpec names at the given mean
 // rate (arrivals/second). Errors wrap model.ErrInvalidParams.
@@ -49,9 +57,9 @@ func NewProcess(spec api.ArrivalSpec, rate float64) (Process, error) {
 	if shape == 0 {
 		shape = 1
 	}
-	if shape < 0 || shape > maxShape || math.IsNaN(shape) {
-		return nil, fmt.Errorf("%w: arrival shape must be in (0,%g], got %g",
-			model.ErrInvalidParams, maxShape, spec.Shape)
+	if !(shape >= minShape && shape <= maxShape) {
+		return nil, fmt.Errorf("%w: arrival shape must be in [%g,%g], got %g",
+			model.ErrInvalidParams, minShape, maxShape, spec.Shape)
 	}
 	mean := 1 / rate
 	switch strings.ToLower(spec.Process) {

@@ -112,6 +112,9 @@ func TestNewProcessValidation(t *testing.T) {
 		{"unknown-process", api.ArrivalSpec{Process: "pareto"}, 10},
 		{"negative-shape", api.ArrivalSpec{Process: "gamma", Shape: -1}, 10},
 		{"huge-shape", api.ArrivalSpec{Process: "weibull", Shape: 1e6}, 10},
+		{"tiny-weibull-shape", api.ArrivalSpec{Process: "weibull", Shape: 0.018}, 10},
+		{"tiny-gamma-shape", api.ArrivalSpec{Process: "gamma", Shape: 1e-300}, 10},
+		{"nan-shape", api.ArrivalSpec{Process: "gamma", Shape: math.NaN()}, 10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

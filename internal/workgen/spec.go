@@ -47,14 +47,14 @@ type Client struct {
 	cum []float64
 }
 
-// draw picks a scenario index from the client's mix.
+// draw picks a scenario index from the client's mix: the first whose
+// cumulative edge exceeds u, else the last (0 for an empty mix).
 func (c *Client) draw(u float64) int {
-	for i, edge := range c.cum {
-		if u < edge {
-			return i
-		}
+	i := 0
+	for i < len(c.cum)-1 && u >= c.cum[i] {
+		i++
 	}
-	return len(c.cum) - 1
+	return i
 }
 
 // Spec is a compiled, validated workload ready to generate traces.
@@ -131,13 +131,13 @@ func Compile(ws api.WorkloadSpec) (*Spec, error) {
 	if s.Duration == 0 {
 		s.Duration = 2
 	}
-	if s.Duration < 0 || s.Duration > MaxDurationS {
+	if !(s.Duration > 0 && s.Duration <= MaxDurationS) { // also rejects NaN
 		return nil, fmt.Errorf("%w: duration_s must be in (0,%g]", model.ErrInvalidParams, MaxDurationS)
 	}
 	if s.Warmup == 0 {
 		s.Warmup = s.Duration / 8
 	}
-	if s.Warmup < 0 || s.Warmup >= s.Duration {
+	if !(s.Warmup >= 0 && s.Warmup < s.Duration) {
 		return nil, fmt.Errorf("%w: warmup_s must be in [0,duration_s)", model.ErrInvalidParams)
 	}
 	if s.TotalRPS*s.Duration > MaxArrivals {
@@ -159,8 +159,8 @@ func Compile(ws api.WorkloadSpec) (*Spec, error) {
 		if share == 0 {
 			share = 1
 		}
-		if share < 0 || math.IsNaN(share) {
-			return nil, fmt.Errorf("%w: client %d share must be positive", model.ErrInvalidParams, i)
+		if !(share > 0 && share < math.Inf(1)) {
+			return nil, fmt.Errorf("%w: client %d share must be positive and finite", model.ErrInvalidParams, i)
 		}
 		shares[i] = share
 		shareSum += share
@@ -201,8 +201,8 @@ func Compile(ws api.WorkloadSpec) (*Spec, error) {
 			if w == 0 {
 				w = 1
 			}
-			if w < 0 || math.IsNaN(w) {
-				return nil, fmt.Errorf("%w: client %s scenario %d weight must be positive",
+			if !(w > 0 && w < math.Inf(1)) {
+				return nil, fmt.Errorf("%w: client %s scenario %d weight must be positive and finite",
 					model.ErrInvalidParams, name, j)
 			}
 			weights[j] = w

@@ -3,7 +3,6 @@ package workgen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -31,40 +30,54 @@ type Trace struct {
 // HashHex renders the determinism witness the way reports carry it.
 func (t *Trace) HashHex() string { return fmt.Sprintf("%016x", t.Hash) }
 
-// Trace generates the spec's arrival schedule. Each client draws its
-// gaps and scenario picks from its own trace.StreamRNG stream (as the
-// tenants of internal/cluster do), so adding or reordering clients
-// never perturbs another client's arrivals; the per-client streams are
-// then merged by (time, client).
-func (s *Spec) Trace() *Trace {
-	tr := &Trace{}
-	for ci := range s.Clients {
-		c := &s.Clients[ci]
-		rng := trace.StreamRNG(s.Seed, ci)
-		t := 0.0
-		for {
-			t += c.Process.Next(rng)
-			if t >= s.Duration {
-				break
-			}
-			tr.Arrivals = append(tr.Arrivals, Arrival{
-				At:       t,
-				Client:   ci,
-				Scenario: c.draw(rng.Float64()),
-			})
+// Stream is the one arrival generator: it yields the clients' merged
+// arrivals in (time, client) order, holding one RNG and one pending
+// arrival time per client, so its state is O(clients).
+type Stream struct {
+	spec *Spec
+	rngs []*trace.RNG
+	next []float64 // pending arrival per client, seconds; >= Duration once done
+}
+
+// Stream starts the arrival stream of the spec's Seed, Duration and
+// Clients. Client i draws from trace.StreamRNG(Seed, i), so no client
+// perturbs another's arrivals; one with no scenario mix reports 0.
+func (s *Spec) Stream() *Stream {
+	st := &Stream{spec: s, rngs: make([]*trace.RNG, len(s.Clients)), next: make([]float64, len(s.Clients))}
+	for i := range s.Clients {
+		st.rngs[i] = trace.StreamRNG(s.Seed, i)
+		st.next[i] = s.Clients[i].Process.Next(st.rngs[i])
+	}
+	return st
+}
+
+// Next returns the earliest pending arrival, the lower client index
+// first on equal times, and false once every client is past Duration.
+// A client's draws interleave as gap, pick, gap, pick, ...
+func (st *Stream) Next() (Arrival, bool) {
+	ci := -1
+	for i, t := range st.next {
+		if t < st.spec.Duration && (ci < 0 || t < st.next[ci]) {
+			ci = i
 		}
 	}
-	// Per-client streams are time-sorted already; a stable sort keyed by
-	// (time, client) gives one deterministic merged order.
-	sort.SliceStable(tr.Arrivals, func(i, j int) bool {
-		a, b := tr.Arrivals[i], tr.Arrivals[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Client < b.Client
-	})
+	if ci < 0 {
+		return Arrival{}, false
+	}
+	c, rng := &st.spec.Clients[ci], st.rngs[ci]
+	a := Arrival{At: st.next[ci], Client: ci, Scenario: c.draw(rng.Float64())}
+	st.next[ci] += c.Process.Next(rng)
+	return a, true
+}
+
+// Trace drains the spec's arrival stream into a schedule and folds its
+// determinism witness.
+func (s *Spec) Trace() *Trace {
+	tr := &Trace{}
 	h := trace.NewHash64()
-	for _, a := range tr.Arrivals {
+	st := s.Stream()
+	for a, ok := st.Next(); ok; a, ok = st.Next() {
+		tr.Arrivals = append(tr.Arrivals, a)
 		h.Fold(math.Float64bits(a.At))
 		h.Fold(uint64(a.Client))
 		h.Fold(uint64(a.Scenario))

@@ -12,6 +12,7 @@ import (
 
 	"repro/api"
 	"repro/client"
+	"repro/internal/model"
 )
 
 func mustCompile(t *testing.T, ws api.WorkloadSpec) *Spec {
@@ -83,11 +84,30 @@ func TestCompileRejects(t *testing.T) {
 			Arrival: api.ArrivalSpec{Process: "uniform"},
 		}}}},
 		{"negative-share", api.WorkloadSpec{Clients: []api.WorkloadClientSpec{{Share: -2}}}},
+		// Non-finite values: a NaN duration used to compile, and its
+		// Trace never terminated.
+		{"nan-duration", api.WorkloadSpec{DurationS: math.NaN()}},
+		{"inf-duration", api.WorkloadSpec{DurationS: math.Inf(1)}},
+		{"minus-inf-duration", api.WorkloadSpec{DurationS: math.Inf(-1)}},
+		{"nan-warmup", api.WorkloadSpec{DurationS: 2, WarmupS: math.NaN()}},
+		{"inf-warmup", api.WorkloadSpec{DurationS: 2, WarmupS: math.Inf(1)}},
+		{"minus-inf-warmup", api.WorkloadSpec{DurationS: 2, WarmupS: math.Inf(-1)}},
+		{"inf-share", api.WorkloadSpec{Clients: []api.WorkloadClientSpec{{Share: math.Inf(1)}, {Share: 1}}}},
+		{"inf-weight", api.WorkloadSpec{Clients: []api.WorkloadClientSpec{{
+			Scenarios: []api.WorkloadScenarioSpec{
+				{Weight: math.Inf(1), Params: api.ParamsSpec{Class: "hpc"}},
+				{Weight: 1, Params: api.ParamsSpec{Class: "bigdata"}},
+			},
+		}}}},
+		{"tiny-weibull-shape", api.WorkloadSpec{Clients: []api.WorkloadClientSpec{{
+			Arrival: api.ArrivalSpec{Process: "weibull", Shape: 0.018},
+		}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Compile(tc.ws); err == nil {
-				t.Fatal("Compile accepted an invalid spec")
+			_, err := Compile(tc.ws)
+			if !errors.Is(err, model.ErrInvalidParams) && !errors.Is(err, model.ErrInvalidPlatform) {
+				t.Fatalf("Compile err = %v, want a typed invalid-spec error", err)
 			}
 		})
 	}
