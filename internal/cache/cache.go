@@ -243,6 +243,16 @@ func (l *level) reset() {
 	clear(l.readyAt)
 }
 
+// copyFrom makes l an exact copy of src, reusing l's arrays where they
+// have capacity.
+func (l *level) copyFrom(src *level) {
+	hdr, tags, readyAt := l.hdr, l.tags, l.readyAt
+	*l = *src
+	l.hdr = append(hdr[:0], src.hdr...)
+	l.tags = append(tags[:0], src.tags...)
+	l.readyAt = append(readyAt[:0], src.readyAt...)
+}
+
 // set returns line's set. Every default geometry has a power-of-two set
 // count, masking away the division.
 func (l *level) set(line uint64) uint64 {

@@ -135,6 +135,34 @@ func (h *Hierarchy) Reset(cfg Config) error {
 	return nil
 }
 
+// CopyFrom makes h an exact copy of src — configuration, every level's
+// headers, tags and in-flight arrival times, the prefetcher's streams
+// and clock, and the counters — reusing h's arrays where they have
+// capacity. h keeps its own memory backend. src is only read, so
+// several hierarchies may copy one source concurrently.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.cfg = src.cfg
+	h.lineShift = src.lineShift
+	for len(h.levels) < len(src.levels) {
+		h.levels = append(h.levels, new(level))
+	}
+	h.levels = h.levels[:len(src.levels)]
+	for i, l := range src.levels {
+		h.levels[i].copyFrom(l)
+	}
+	if src.pf == nil {
+		h.pf = nil
+	} else {
+		if h.pf == nil {
+			h.pf = new(prefetcher)
+		}
+		h.pf.copyFrom(src.pf)
+	}
+	levels := append(h.ctr.Levels[:0], src.ctr.Levels...)
+	h.ctr = src.ctr
+	h.ctr.Levels = levels
+}
+
 // lineShift is log2 of cfg's LineSize, which Validate holds to a power
 // of two.
 func lineShift(cfg Config) uint { return uint(bits.TrailingZeros64(uint64(cfg.LineSize))) }

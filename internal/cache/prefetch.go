@@ -37,6 +37,13 @@ func (p *prefetcher) reset(cfg PrefetchConfig) {
 	p.clock = 0
 }
 
+// copyFrom makes p an exact copy of src, reusing its stream table.
+func (p *prefetcher) copyFrom(src *prefetcher) {
+	p.cfg = src.cfg
+	p.streams = append(p.streams[:0], src.streams...)
+	p.clock = src.clock
+}
+
 // observe trains on a demand access to line and issues prefetches through
 // h when a stream is established.
 func (p *prefetcher) observe(h *Hierarchy, now units.Duration, line uint64) {

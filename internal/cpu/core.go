@@ -151,6 +151,16 @@ func (c *Core) Reset(cfg Config) error {
 	return nil
 }
 
+// CopyFrom makes c an exact copy of src — configuration, clock,
+// counters and cache contents — keeping c's own cache hierarchy object,
+// memory backend and I/O sink. src is only read.
+func (c *Core) CopyFrom(src *Core) {
+	c.cfg = src.cfg
+	c.now = src.now
+	c.ctr = src.ctr
+	c.caches.CopyFrom(src.caches)
+}
+
 // SetFrequency changes the core clock (the OS-governor knob of §V.A).
 func (c *Core) SetFrequency(f units.Hertz) { c.cfg.Freq = f }
 

@@ -41,6 +41,9 @@ type ExperimentResult struct {
 	// simulated measurements or run without a cache.
 	SimCacheHits   int64
 	SimCacheMisses int64
+	// SimInstr counts the aggregate instructions simulated while this
+	// experiment ran (recorded via RecordSimInstr).
+	SimInstr uint64
 	// Solver telemetry aggregated across every fixed-point solve the
 	// experiment ran (recorded via the solve.Recorder the scheduler
 	// plants in the experiment's context).
@@ -55,6 +58,9 @@ type ResourceResult struct {
 	Name string
 	Err  error
 	Wall time.Duration
+	// SimInstr counts the aggregate instructions simulated while the
+	// resource was prepared (recorded via RecordSimInstr).
+	SimInstr uint64
 }
 
 // RunResult aggregates a whole scheduler run.
@@ -76,15 +82,18 @@ func (rr RunResult) Failed() int {
 	return n
 }
 
-// Metrics accumulates fit-cache counters and solver telemetry for one
-// scheduled experiment. The scheduler plants a Metrics in each
-// experiment's context; the experiment layer reports fit-cache events
-// via RecordFitCacheHit/Miss, and the solve kernel reports every
+// Metrics accumulates fit-cache counters, measurement counters and
+// solver telemetry for one scheduled node. The scheduler plants a
+// Metrics in each experiment's and each resource's context; the
+// experiment layer reports fit-cache events via RecordFitCacheHit/Miss,
+// simulation-cache events via RecordSimCacheHit/Miss and simulated
+// instructions via RecordSimInstr, and the solve kernel reports every
 // fixed-point outcome through the solve.Recorder interface Metrics
 // implements.
 type Metrics struct {
 	hits, misses       atomic.Int64
 	simHits, simMisses atomic.Int64
+	simInstr           atomic.Uint64
 
 	// The embedded Aggregate accumulates the solver telemetry and
 	// promotes RecordSolve, which is what makes Metrics a
@@ -134,6 +143,15 @@ func RecordSimCacheHit(ctx context.Context) {
 func RecordSimCacheMiss(ctx context.Context) {
 	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
 		m.simMisses.Add(1)
+	}
+}
+
+// RecordSimInstr adds n aggregate instructions simulated on a machine
+// (warm-ups, re-warms and measured phases alike). No-op when the
+// context carries no recorder.
+func RecordSimInstr(ctx context.Context, n uint64) {
+	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
+		m.simInstr.Add(n)
 	}
 }
 
@@ -268,10 +286,13 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		}
 		t0 := time.Now()
 		if n.res != nil {
+			var simInstr uint64
 			if nodeErr == nil {
-				nodeErr = n.res.Prepare(ctx)
+				mctx, m := WithMetrics(ctx)
+				nodeErr = n.res.Prepare(mctx)
+				simInstr = m.simInstr.Load()
 			}
-			res := ResourceResult{Name: n.name, Err: nodeErr, Wall: time.Since(t0)}
+			res := ResourceResult{Name: n.name, Err: nodeErr, Wall: time.Since(t0), SimInstr: simInstr}
 			resMu.Lock()
 			rr.Resources = append(rr.Resources, res)
 			resMu.Unlock()
@@ -292,6 +313,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			result.FitCacheMisses = m.misses.Load()
 			result.SimCacheHits = m.simHits.Load()
 			result.SimCacheMisses = m.simMisses.Load()
+			result.SimInstr = m.simInstr.Load()
 			st := m.Aggregate.Stats()
 			result.Solves = st.Solves
 			result.SolveIterations = st.Iterations

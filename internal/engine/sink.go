@@ -44,6 +44,9 @@ type ManifestEntry struct {
 	// nothing.
 	SimCacheHits   int64 `json:"sim_cache_hits,omitempty"`
 	SimCacheMisses int64 `json:"sim_cache_misses,omitempty"`
+	// SimInstr is the aggregate instruction count simulated while this
+	// experiment ran. Absent when it simulated nothing.
+	SimInstr uint64 `json:"sim_instr,omitempty"`
 	// Solver telemetry: how the experiment's fixed points converged
 	// (counts of solves, total kernel iterations, bandwidth-limited
 	// outcomes, and the worst converged residual).
@@ -60,9 +63,10 @@ type ManifestEntry struct {
 
 // ManifestResource is one shared-dependency record in manifest.json.
 type ManifestResource struct {
-	Name   string `json:"name"`
-	WallMS int64  `json:"wall_ms"`
-	Error  string `json:"error,omitempty"`
+	Name     string `json:"name"`
+	WallMS   int64  `json:"wall_ms"`
+	SimInstr uint64 `json:"sim_instr,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // Manifest is the machine-readable run record written next to the
@@ -122,6 +126,7 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		FitCacheMisses:  res.FitCacheMisses,
 		SimCacheHits:    res.SimCacheHits,
 		SimCacheMisses:  res.SimCacheMisses,
+		SimInstr:        res.SimInstr,
 		Solves:          res.Solves,
 		SolveIterations: res.SolveIterations,
 		SolveBWLimited:  res.SolveBWLimited,
@@ -188,7 +193,7 @@ func (s *DirSink) Close() error {
 		m.WallMS = s.run.Wall.Milliseconds()
 		m.MaxParallel = s.run.MaxParallel
 		for _, r := range s.run.Resources {
-			mr := ManifestResource{Name: r.Name, WallMS: r.Wall.Milliseconds()}
+			mr := ManifestResource{Name: r.Name, WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr}
 			if r.Err != nil {
 				mr.Error = r.Err.Error()
 			}

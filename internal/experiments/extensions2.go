@@ -91,32 +91,23 @@ func (s *Suite) PrefetchDepthSweep(ctx context.Context) (Artifact, error) {
 	var xs, ys []float64
 
 	for _, depth := range []int{0, 2, 4, 8, 16} {
-		configs := PaperScalingConfigs()
-		runs, err := runGrid(ctx, s.Scale, len(configs), func(ctx context.Context, i int) (sim.Measurement, error) {
-			cfg := machineConfig(w, configs[i])
+		fit, runs, err := fitGrid(ctx, fmt.Sprintf("%s-d%d", name, depth), w, PaperScalingConfigs(), s.Scale, func(cfg *sim.Config) {
 			if depth == 0 {
 				cfg.Cache.Prefetch.Enabled = false
 			} else {
 				cfg.Cache.Prefetch.Depth = depth
 			}
-			return measureOne(ctx, cfg, name, w, s.Scale)
 		})
 		if err != nil {
 			return Artifact{}, err
 		}
-		var points []model.FitPoint
 		var covSum float64
 		var covN int
 		for _, meas := range runs {
-			points = append(points, fitPoint(meas))
 			if total := meas.Cache.MemDemandReads + meas.Cache.MemPrefReads; total > 0 {
 				covSum += float64(meas.Cache.MemPrefReads) / float64(total)
 				covN++
 			}
-		}
-		fit, err := model.FitScaling(fmt.Sprintf("%s-d%d", name, depth), points)
-		if err != nil {
-			return Artifact{}, err
 		}
 		cov := 0.0
 		if covN > 0 {

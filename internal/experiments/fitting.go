@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/memsys"
 	"repro/internal/model"
@@ -52,9 +51,10 @@ func machineConfig(w workloads.Workload, sc ScalingConfig) sim.Config {
 // block buffers and PMU sampler, so a pooled machine costs generator
 // state instead of full construction — the dominant allocation source of
 // the fit grids. Reset restores construction state bit-exactly (asserted
-// in sim/reset_test.go), even after a cancelled run, so pooled machines
-// are interchangeable with fresh ones and cache keys (computed from the
-// config alone) are unaffected.
+// in sim/reset_test.go), even after a cancelled run, and CopyFrom
+// overwrites every piece of simulated state (sim/copy_test.go), so pooled
+// machines are interchangeable with fresh ones and cache keys (computed
+// from configs alone) are unaffected.
 var machinePool sync.Pool
 
 // acquireMachine Resets a pooled machine for cfg, or builds a fresh one.
@@ -89,6 +89,7 @@ func measureOne(ctx context.Context, cfg sim.Config, name string, factory sim.Ge
 		return sim.Measurement{}, err
 	}
 	meas, err := m.Run(ctx, scale.WarmupInstr, scale.MeasureInstr)
+	engine.RecordSimInstr(ctx, m.Retired())
 	// Measurements never alias machine internals (Series and counters are
 	// copied out), so the machine can be recycled immediately — including
 	// after a cancelled run, which the next Reset wipes.
@@ -184,20 +185,111 @@ func RunWorkload(ctx context.Context, w workloads.Workload, sc ScalingConfig, sc
 	return measureOne(ctx, cfg, w.Name(), w, scale)
 }
 
-// FitWorkload runs the full scaling grid for one workload and fits
-// Eq. 1's constants (Fig. 3 / Tables 2, 4, 5). The grid's configs run
-// concurrently (bounded by Scale.SimWorkers) with the measurements
-// reassembled in grid order, so the fit is byte-identical to a
-// sequential run.
-func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale) (model.Fit, []sim.Measurement, error) {
-	runs, err := runGrid(ctx, scale, len(configs), func(ctx context.Context, i int) (sim.Measurement, error) {
-		sc := configs[i]
-		m, err := RunWorkload(ctx, w, sc, scale, false)
+// rewarmInstr is the aggregate instructions a grid point re-warms after
+// its copy of the warm baseline machine is retimed, before it measures:
+// long enough for the caches, streams and channel queues to settle at
+// the new core speed and memory grade. It was picked from a measured
+// sweep of 0–4M (CHANGES.md).
+const rewarmInstr = 2_000_000
+
+// warmScaling is where every fit grid warms its machine: the paper's
+// baseline platform, 2.5 GHz with DDR3-1867.
+var warmScaling = ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}
+
+// measureGrid measures workload w at every scaling point of configs,
+// with tweak (when non-nil) applied to each point's machine config. Like
+// the paper's §V.A method of turning the knobs of one running server, it
+// warms one machine once at warmScaling; each point then measures a copy
+// of that warm machine, retimed to its core speed and memory grade and
+// re-warmed for rewarmInstr. Every point measures the same instruction
+// window from the same warm state, so workload phase effects are common
+// to all points and cancel in the fit. The points fan out over runGrid
+// and read the warm machine concurrently; a grid whose points all hit
+// the measurement cache does not warm at all.
+func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) ([]sim.Measurement, error) {
+	cfgAt := func(sc ScalingConfig) sim.Config {
+		cfg := machineConfig(w, sc)
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		return cfg
+	}
+	base := cfgAt(warmScaling)
+	out := make([]sim.Measurement, len(configs))
+	keys := make([]string, len(configs))
+	var todo []int
+	c := scale.SimCache
+	for i, sc := range configs {
+		if c != nil {
+			keys[i] = simcache.CopyKey(cfgAt(sc), base, w.Name(), scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)
+			if m, ok := c.Get(keys[i]); ok {
+				engine.RecordSimCacheHit(ctx)
+				out[i] = m
+				continue
+			}
+			engine.RecordSimCacheMiss(ctx)
+		}
+		todo = append(todo, i)
+	}
+	if len(todo) == 0 {
+		return out, nil
+	}
+
+	warm, err := acquireMachine(base, w.Name(), w)
+	if err != nil {
+		return nil, err
+	}
+	// The warm machine goes back to the pool only after every copy of it
+	// is done (runGrid waits for all of its workers).
+	defer machinePool.Put(warm)
+	err = warm.Warm(ctx, scale.WarmupInstr)
+	engine.RecordSimInstr(ctx, warm.Retired())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
+	}
+	runs, err := runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
+		sc := configs[todo[j]]
+		meas, err := measureCopy(ctx, warm, sc, scale)
 		if err != nil {
 			return sim.Measurement{}, fmt.Errorf("experiments: fit %s at %.1fGHz/%v: %w", w.Name(), sc.CoreGHz, sc.Grade, err)
 		}
-		return m, nil
+		return meas, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range todo {
+		out[i] = runs[j]
+		if c != nil {
+			_ = c.Put(keys[i], runs[j]) // a failed disk write only loses reuse
+		}
+	}
+	return out, nil
+}
+
+// measureCopy copies the warm machine into a pooled one, retimes it to
+// sc, re-warms it for rewarmInstr and measures MeasureInstr.
+func measureCopy(ctx context.Context, warm *sim.Machine, sc ScalingConfig, scale Scale) (sim.Measurement, error) {
+	m, _ := machinePool.Get().(*sim.Machine)
+	if m == nil {
+		m = new(sim.Machine)
+	}
+	defer machinePool.Put(m)
+	if err := m.CopyFrom(warm); err != nil {
+		return sim.Measurement{}, err
+	}
+	if err := m.Retime(units.GHzOf(sc.CoreGHz), sc.Grade); err != nil {
+		return sim.Measurement{}, err
+	}
+	meas, err := m.Run(ctx, rewarmInstr, scale.MeasureInstr)
+	engine.RecordSimInstr(ctx, m.Retired())
+	return meas, err
+}
+
+// fitGrid measures workload w over configs (measureGrid, with tweak) and
+// fits Eq. 1's constants under fitName.
+func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) (model.Fit, []sim.Measurement, error) {
+	runs, err := measureGrid(ctx, w, configs, scale, tweak)
 	if err != nil {
 		return model.Fit{}, nil, err
 	}
@@ -206,25 +298,20 @@ func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingCon
 	for i, m := range runs {
 		(*points)[i] = fitPoint(m)
 	}
-	fit, err := model.FitScaling(w.Name(), *points)
+	fit, err := model.FitScaling(fitName, *points)
 	if err != nil {
 		return model.Fit{}, nil, err
 	}
 	return fit, runs, nil
 }
 
-// FitClass fits every workload of a class and returns the fits in
-// registry order.
-func FitClass(ctx context.Context, c workloads.Class, scale Scale) ([]model.Fit, error) {
-	var fits []model.Fit
-	for _, w := range workloads.ByClass(c) {
-		fit, _, err := FitWorkload(ctx, w, PaperScalingConfigs(), scale)
-		if err != nil {
-			return nil, err
-		}
-		fits = append(fits, fit)
-	}
-	return fits, nil
+// FitWorkload runs the full scaling grid for one workload and fits
+// Eq. 1's constants (Fig. 3 / Tables 2, 4, 5). The grid's points run
+// concurrently (bounded by Scale.SimWorkers) with the measurements
+// reassembled in grid order, so the fit is byte-identical to a
+// sequential run.
+func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale) (model.Fit, []sim.Measurement, error) {
+	return fitGrid(ctx, w.Name(), w, configs, scale, nil)
 }
 
 // fitWithoutPrefetch reruns a workload's scaling grid with the hardware
@@ -234,23 +321,8 @@ func fitWithoutPrefetch(ctx context.Context, name string, scale Scale) (model.Fi
 	if err != nil {
 		return model.Fit{}, err
 	}
-	configs := PaperScalingConfigs()
-	runs, err := runGrid(ctx, scale, len(configs), func(ctx context.Context, i int) (sim.Measurement, error) {
-		cfg := machineConfig(w, configs[i])
+	fit, _, err := fitGrid(ctx, name+"-nopf", w, PaperScalingConfigs(), scale, func(cfg *sim.Config) {
 		cfg.Cache.Prefetch.Enabled = false
-		return measureOne(ctx, cfg, w.Name(), w, scale)
 	})
-	if err != nil {
-		return model.Fit{}, err
-	}
-	points := borrowFitPoints(len(runs))
-	defer fitPointPool.Put(points)
-	for i, m := range runs {
-		(*points)[i] = fitPoint(m)
-	}
-	return model.FitScaling(name+"-nopf", *points)
+	return fit, err
 }
-
-// DefaultCacheConfig is re-exported for tools that want the measurement
-// hierarchy.
-func DefaultCacheConfig() cache.Config { return cache.DefaultConfig() }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/memsys"
 	"repro/internal/simcache"
 	"repro/internal/workloads"
@@ -111,5 +112,45 @@ func TestSimCacheDiskReplayMatchesDriftHash(t *testing.T) {
 	}
 	if warmStats.DiskHits == 0 {
 		t.Fatal("warm run recorded no disk hits")
+	}
+}
+
+// TestGridAllHitsSkipsWarm: a fit grid whose every point is already in
+// the measurement cache replays them without warming a machine, so the
+// fit resource reports no simulated instructions the second time; the
+// first time it reports the warm-up plus each point's re-warm and
+// measured phase.
+func TestGridAllHitsSkipsWarm(t *testing.T) {
+	c, err := simcache.New(64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SimCache: c}
+	n := uint64(len(PaperScalingConfigs()))
+	minCold := scale.WarmupInstr + n*(rewarmInstr+scale.MeasureInstr)
+	for run, want := range []string{"cold", "replayed"} {
+		rr, err := engine.Run(context.Background(), NewSuite(scale).Registry(), []string{"table3"}, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *engine.ResourceResult
+		for i := range rr.Resources {
+			if rr.Resources[i].Name == FitResource("columnstore") {
+				got = &rr.Resources[i]
+			}
+		}
+		if got == nil || got.Err != nil {
+			t.Fatalf("run %d: fit resource missing or failed: %+v", run, got)
+		}
+		t.Logf("%s grid: %d instructions simulated, %v", want, got.SimInstr, got.Wall)
+		switch {
+		case want == "cold" && got.SimInstr < minCold:
+			t.Fatalf("cold grid simulated %d instructions, want at least %d", got.SimInstr, minCold)
+		case want == "replayed" && got.SimInstr != 0:
+			t.Fatalf("fully cached grid simulated %d instructions, want 0", got.SimInstr)
+		}
+	}
+	if st := c.Stats(); st.Misses != int64(n) || st.Hits != int64(n) {
+		t.Fatalf("cache stats %+v, want %d misses then %d hits", st, n, n)
 	}
 }

@@ -166,6 +166,30 @@ func (s *Simulator) Reset(cfg Config) error {
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
+// SetGrade retimes the channels to another DDR grade (the BIOS
+// memory-speed knob of §V.A): later requests pay the grade's line
+// transfer time, while channel backlogs, arrival clocks, the bank RNG
+// and the counters carry over.
+func (s *Simulator) SetGrade(g Grade) {
+	s.cfg.Grade = g
+	s.transfer = g.LineTransferTime(s.cfg.LineSize)
+}
+
+// CopyFrom makes s an exact copy of src — configuration, per-channel
+// state, bank RNG and counters — reusing s's slices when they have
+// capacity. src is only read, so concurrent copies of one source are
+// safe.
+func (s *Simulator) CopyFrom(src *Simulator) {
+	s.cfg = src.cfg
+	s.lastSeen = append(s.lastSeen[:0], src.lastSeen...)
+	s.backlog = append(s.backlog[:0], src.backlog...)
+	s.lastOp = append(s.lastOp[:0], src.lastOp...)
+	s.gapEWMA = append(s.gapEWMA[:0], src.gapEWMA...)
+	s.rng = src.rng
+	s.counters = src.counters
+	s.transfer = src.transfer
+}
+
 // Result describes the outcome of one request.
 type Result struct {
 	// Latency is arrival→data for reads (includes compulsory latency) and

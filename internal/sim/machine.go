@@ -113,16 +113,27 @@ type Measurement struct {
 // penalty per instruction in core cycles.
 func (m Measurement) MPIxMP() float64 { return m.MPI * float64(m.MPCycles) }
 
-// Machine is a runnable simulated platform.
+// Machine is a runnable simulated platform. The zero value is ready for
+// Reset or CopyFrom.
 type Machine struct {
 	cfg     Config
 	mem     *memsys.Simulator
 	cores   []*cpu.Core
 	gens    []trace.Generator
+	factory GeneratorFactory
 	name    string
 	blocks  []trace.Block
-	ioAddr  uint64
 	ioLines uint64
+
+	// drawn counts the blocks each thread's generator has produced since
+	// Reset. Generators are pure functions of (thread, seed), so CopyFrom
+	// rebuilds a source's generators and skips each forward by this count
+	// instead of deep-copying generator state. Unlike the cores' counters
+	// it survives the measured phase's counter reset.
+	drawn []uint64
+	// retired counts the aggregate instructions this machine simulated
+	// since Reset or CopyFrom: warm-ups, re-warms and measured phases.
+	retired uint64
 
 	// heap holds thread indices ordered by (core timestamp, index): the
 	// root is always the least-advanced thread, with ties broken toward
@@ -150,15 +161,17 @@ const (
 )
 
 // ioSink adapts the shared memory simulator to cpu.IOSink: DMA writes the
-// incoming data to successive memory lines, consuming channel bandwidth
-// the way the paper's SSD traffic does.
+// incoming data to successive memory lines from ioBase up, consuming
+// channel bandwidth the way the paper's SSD traffic does.
 type ioSink struct{ m *Machine }
+
+const ioBase uint64 = 1 << 44
 
 func (s ioSink) DMA(now units.Duration, bytes float64) {
 	lineSize := uint64(s.m.cfg.Mem.LineSize)
 	n := uint64(math.Ceil(bytes / float64(lineSize)))
 	for i := uint64(0); i < n; i++ {
-		addr := s.m.ioAddr + (s.m.ioLines%(1<<18))*lineSize
+		addr := ioBase + (s.m.ioLines%(1<<18))*lineSize
 		s.m.ioLines++
 		s.m.mem.Access(now, addr, memsys.Write)
 	}
@@ -172,11 +185,7 @@ func New(cfg Config, name string, factory GeneratorFactory) (*Machine, error) {
 	if factory == nil {
 		return nil, errors.New("sim: nil generator factory")
 	}
-	mem, err := memsys.NewSimulator(cfg.Mem)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{mem: mem, ioAddr: 1 << 44}
+	m := new(Machine)
 	if err := m.Reset(cfg, name, factory); err != nil {
 		return nil, err
 	}
@@ -197,7 +206,13 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 	if factory == nil {
 		return errors.New("sim: nil generator factory")
 	}
-	if err := m.mem.Reset(cfg.Mem); err != nil {
+	if m.mem == nil {
+		mem, err := memsys.NewSimulator(cfg.Mem)
+		if err != nil {
+			return err
+		}
+		m.mem = mem
+	} else if err := m.mem.Reset(cfg.Mem); err != nil {
 		return err
 	}
 	if cfg.Threads > len(m.cores) && cfg.Threads <= cap(m.cores) {
@@ -251,12 +266,74 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 		// All cores start at time zero, so index order is a valid heap.
 		m.heap[t] = t
 	}
+	if cap(m.drawn) >= cfg.Threads {
+		m.drawn = m.drawn[:cfg.Threads]
+		clear(m.drawn)
+	} else {
+		m.drawn = make([]uint64, cfg.Threads)
+	}
 	m.cfg = cfg
 	m.name = name
+	m.factory = factory
 	m.instr = 0
+	m.retired = 0
 	m.ioLines = 0
 	return nil
 }
+
+// CopyFrom makes m an exact copy of src's simulated state: m is Reset to
+// src's configuration and workload, then takes src's memory simulator,
+// cores (clocks, counters and cache contents), event heap, instruction
+// count and I/O cursor. Generators are not deep-copied: each is rebuilt
+// from its (thread, seed) and skipped forward by the blocks src's
+// generator has drawn, which reproduces its state exactly. Running m then
+// proceeds exactly as src would. src is only read, so several machines
+// may copy one source concurrently. Retired restarts at zero.
+func (m *Machine) CopyFrom(src *Machine) error {
+	if err := m.Reset(src.cfg, src.name, src.factory); err != nil {
+		return err
+	}
+	m.mem.CopyFrom(src.mem)
+	for t, c := range m.cores {
+		c.CopyFrom(src.cores[t])
+	}
+	copy(m.heap, src.heap)
+	m.instr = src.instr
+	m.ioLines = src.ioLines
+	for t, g := range m.gens {
+		b := &m.blocks[t]
+		for n := src.drawn[t]; n > 0; n-- {
+			b.Reset()
+			g.NextBlock(b)
+		}
+		m.drawn[t] = src.drawn[t]
+	}
+	return nil
+}
+
+// Retime turns the two §V.A knobs on a live machine: every core's clock
+// and the memory's DDR grade change, while cache contents, prefetcher
+// training, channel state and clocks carry over.
+func (m *Machine) Retime(freq units.Hertz, grade memsys.Grade) error {
+	core, mem := m.cfg.Core, m.cfg.Mem
+	core.Freq, mem.Grade = freq, grade
+	if err := core.Validate(); err != nil {
+		return err
+	}
+	if err := mem.Validate(); err != nil {
+		return err
+	}
+	m.cfg.Core, m.cfg.Mem = core, mem
+	for _, c := range m.cores {
+		c.SetFrequency(freq)
+	}
+	m.mem.SetGrade(grade)
+	return nil
+}
+
+// Retired returns the aggregate instructions simulated since Reset or
+// CopyFrom.
+func (m *Machine) Retired() uint64 { return m.retired }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -302,7 +379,9 @@ func (m *Machine) step() int {
 		panic(fmt.Sprintf("sim: workload %q produced an empty block", m.name))
 	}
 	m.cores[min].RunBlock(b)
+	m.drawn[min]++
 	m.instr += b.Instructions
+	m.retired += b.Instructions
 	m.siftDown(0)
 	return min
 }
@@ -335,24 +414,34 @@ func (m *Machine) snapshot(start units.Duration) pmu.Snapshot {
 // so cancellation is prompt without a per-step atomic load.
 const ctxCheckSteps = 1024
 
-// Run executes warmupInstr then measureInstr aggregate instructions and
-// returns the measured-phase Measurement. Cancelling ctx stops the run
-// promptly (the loop polls every ctxCheckSteps blocks) and returns the
-// context's error; counters are left as they were at the interrupted
-// step, so a fresh machine is required for a retry.
+// Warm runs n more aggregate instructions (caches fill, streams train)
+// without touching the counters. Cancelling ctx stops it promptly and
+// returns the context's error.
+func (m *Machine) Warm(ctx context.Context, n uint64) error {
+	target := m.instr + n
+	for steps := 0; m.instr < target; steps++ {
+		if steps%ctxCheckSteps == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		m.step()
+	}
+	return nil
+}
+
+// Run warms for warmupInstr aggregate instructions, then measures
+// measureInstr more and returns the measured-phase Measurement.
+// Cancelling ctx stops the run promptly (the loop polls every
+// ctxCheckSteps blocks) and returns the context's error; counters are
+// left as they were at the interrupted step, so a fresh machine is
+// required for a retry.
 func (m *Machine) Run(ctx context.Context, warmupInstr, measureInstr uint64) (Measurement, error) {
 	if measureInstr == 0 {
 		return Measurement{}, errors.New("sim: measureInstr must be positive")
 	}
-	steps := 0
-	for m.instr < warmupInstr {
-		if steps%ctxCheckSteps == 0 {
-			if err := ctx.Err(); err != nil {
-				return Measurement{}, err
-			}
-		}
-		m.step()
-		steps++
+	if err := m.Warm(ctx, warmupInstr); err != nil {
+		return Measurement{}, err
 	}
 	// Reset counters for the measured phase; cache/stream state persists.
 	for _, c := range m.cores {
@@ -372,7 +461,7 @@ func (m *Machine) Run(ctx context.Context, warmupInstr, measureInstr uint64) (Me
 	sampler.Record(start, m.snapshot(start))
 	next := start + m.cfg.SampleInterval
 
-	steps = 0
+	steps := 0
 	for m.instr < measureInstr {
 		if steps%ctxCheckSteps == 0 {
 			if err := ctx.Err(); err != nil {

@@ -66,6 +66,18 @@ func Key(cfg sim.Config, workload string, warmupInstr, measureInstr uint64) stri
 		strconv.FormatUint(warmupInstr, 10), strconv.FormatUint(measureInstr, 10))
 }
 
+// CopyKey addresses a measurement taken on a copy of a warm machine:
+// the source warmed warmupInstr aggregate instructions at base, and the
+// copy was retimed to cfg's core speed and memory grade, re-warmed
+// rewarmInstr and measured measureInstr. A copy does not depend on which
+// other points share its base or in what order they run, so the key
+// names no grid position; it never equals a cold run's Key.
+func CopyKey(cfg, base sim.Config, workload string, warmupInstr, rewarmInstr, measureInstr uint64) string {
+	return model.ScenarioKey(CanonicalConfig(cfg), workload,
+		strconv.FormatUint(warmupInstr, 10), strconv.FormatUint(measureInstr, 10),
+		"copy", CanonicalConfig(base), strconv.FormatUint(rewarmInstr, 10))
+}
+
 // Cache is an in-process LRU over measurements with an optional disk
 // layer. All methods are safe for concurrent use. The zero value is not
 // usable; call New.

@@ -75,7 +75,10 @@ parse "$TMP/suite.txt" >"$TMP/suite.tsv"
 # check_allocs fails the run when a benchmark's allocs/op exceeds its
 # ceiling — the allocation-regression gate for the zero-alloc
 # measurement path. Ceilings live here, next to the harness; raise one
-# only with a justification in the commit that does it.
+# only with a justification in the commit that does it. The tier-1
+# TestAllocs* tests in alloc_test.go apply the CacheAccess,
+# CacheAccessStream, MemsysAccess and MachineSimulation ceilings too;
+# keep the two in step.
 check_allocs() {
 	local name="$1" ceiling="$2" got
 	got="$(awk -F'\t' -v n="$name" '$1 == n { print $5; exit }' "$TMP/suite.tsv")"
