@@ -163,7 +163,7 @@ func BenchmarkHierarchicalEq5(b *testing.B) {
 // dual-socket baseline at a uniform two-socket interleave.
 func BenchmarkNUMAStudy(b *testing.B) {
 	curve := queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95}
-	benchTopology(b, model.DualSocketBaseline(curve).WithRemoteFraction(model.UniformInterleave(2)))
+	benchTopology(b, model.DualSocketBaseline(curve).WithRemoteFraction(0.5))
 }
 
 // ---- Ablations (DESIGN.md §5) ----

@@ -137,9 +137,9 @@ func (h *Hierarchy) Reset(cfg Config) error {
 
 // CopyFrom makes h an exact copy of src — configuration, every level's
 // headers, tags and in-flight arrival times, the prefetcher's streams
-// and clock, and the counters — reusing h's arrays where they have
-// capacity. h keeps its own memory backend. src is only read, so
-// several hierarchies may copy one source concurrently.
+// with their index and recency list, and the counters — reusing h's
+// arrays where they have capacity. h keeps its own memory backend. src
+// is only read, so several hierarchies may copy one source concurrently.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	h.cfg = src.cfg
 	h.lineShift = src.lineShift
@@ -182,6 +182,9 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 			if w := l.find(s, line); w >= 0 {
 				l.invalidate(s, w)
 			}
+		}
+		if h.pf != nil {
+			h.pf.forget(line) // the LLC copy, if there was one, is gone
 		}
 		h.mem.Access(now, ref.Addr, memsys.Write)
 		h.ctr.MemNTWrites++
@@ -319,6 +322,9 @@ func (h *Hierarchy) evict(now units.Duration, li int, s uint64, v int) {
 			if wi := inner.find(si, tag); wi >= 0 {
 				inner.invalidate(si, wi)
 			}
+		}
+		if h.pf != nil {
+			h.pf.forget(tag)
 		}
 	}
 	if l.hdr[s].flags[v]&flagDirty == 0 {

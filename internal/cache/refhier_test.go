@@ -95,7 +95,7 @@ func newRefHierarchy(t *testing.T, cfg Config, mem Memory) *refHierarchy {
 	}
 	h.ctr.Levels = make([]LevelCounters, len(cfg.Levels))
 	if cfg.Prefetch.Enabled {
-		h.pf = &refPrefetcher{cfg: cfg.Prefetch, streams: make([]stream, cfg.Prefetch.Streams)}
+		h.pf = &refPrefetcher{cfg: cfg.Prefetch, streams: make([]refStream, cfg.Prefetch.Streams)}
 	}
 	return h
 }
@@ -245,11 +245,25 @@ func (h *refHierarchy) prefetchFill(now units.Duration, line uint64) {
 	}
 }
 
-// refPrefetcher mirrors prefetcher exactly, targeting refHierarchy.
+// refPrefetcher is the prefetcher's policy in its plainest form,
+// targeting refHierarchy: a stream table found by a linear scan, a victim
+// chosen by the smallest last-observed stamp, and a fill probe for every
+// line ahead of a trained stream. It keeps no record of which lines the
+// LLC holds, so it witnesses that the production prefetcher's
+// known-resident bitmap only skips probes that would have been no-ops.
 type refPrefetcher struct {
 	cfg     PrefetchConfig
-	streams []stream
+	streams []refStream
 	clock   uint64
+}
+
+type refStream struct {
+	valid bool
+	page  uint64
+	last  uint64
+	dir   int64
+	hits  int
+	lru   uint64
 }
 
 func (p *refPrefetcher) observe(h *refHierarchy, now units.Duration, line uint64) {
@@ -294,7 +308,7 @@ func (p *refPrefetcher) observe(h *refHierarchy, now units.Duration, line uint64
 	}
 }
 
-func (p *refPrefetcher) lookup(page uint64) *stream {
+func (p *refPrefetcher) lookup(page uint64) *refStream {
 	for i := range p.streams {
 		if p.streams[i].valid && p.streams[i].page == page {
 			return &p.streams[i]
@@ -303,8 +317,8 @@ func (p *refPrefetcher) lookup(page uint64) *stream {
 	return nil
 }
 
-func (p *refPrefetcher) allocate(page, line uint64) *stream {
-	var v *stream
+func (p *refPrefetcher) allocate(page, line uint64) *refStream {
+	var v *refStream
 	for i := range p.streams {
 		if !p.streams[i].valid {
 			v = &p.streams[i]
@@ -314,7 +328,7 @@ func (p *refPrefetcher) allocate(page, line uint64) *stream {
 			v = &p.streams[i]
 		}
 	}
-	*v = stream{valid: true, page: page, last: line, lru: p.clock}
+	*v = refStream{valid: true, page: page, last: line, lru: p.clock}
 	return v
 }
 
@@ -437,6 +451,12 @@ func TestSoAMatchesReference(t *testing.T) {
 						r.NonTemporal = rng.Bernoulli(0.1)
 					}
 					r.NoPrefetch = rng.Bernoulli(0.05)
+					if rng.Bernoulli(0.02) {
+						// NT-store a line the sequential stream has
+						// already prefetched; the stream then walks into
+						// it and must probe it again.
+						r = trace.Ref{Addr: (1 << 30) + (seq+1+rng.Uint64n(6))*64, Write: true, NonTemporal: true}
+					}
 					now := units.Duration(i) * 7
 					got := soa.Access(now, r, units.GHzOf(2.5))
 					want := ref.access(now, r, units.GHzOf(2.5))
@@ -453,6 +473,83 @@ func TestSoAMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzHierarchyMatchesReference drives Hierarchy and the reference
+// hierarchy with one short op sequence over four 4 KiB pages and demands
+// identical Outcomes and Counters, on a small LLC the prefetcher evicts
+// from constantly and on a direct-mapped stack. Each op is two bytes
+// (ops past the first maxOps are ignored). The first holds the page
+// (bits 0–1) and the write (bit 2), non-temporal store (bit 3),
+// no-prefetch (bit 4) and step (bit 5) flags. The second picks the line
+// in the page or, with the step flag set, steps one line down (bit 0
+// set) or up from the previous op's line, so streams train and walk.
+func FuzzHierarchyMatchesReference(f *testing.F) {
+	var walk []byte
+	for line := byte(0); line < 24; line++ {
+		walk = append(walk, 0, line) // load line after line of page 0
+		if line == 6 {
+			walk = append(walk, 8, 10) // NT-store line 10, already prefetched
+		}
+	}
+	f.Add(walk)
+	var revisit []byte
+	for _, run := range []struct{ page, lines byte }{{0, 12}, {1, 36}, {0, 12}} {
+		for line := byte(0); line < run.lines; line++ {
+			revisit = append(revisit, run.page, line) // page 1 evicts page 0's prefetched lines
+		}
+	}
+	f.Add(revisit)
+	f.Add([]byte{0, 60, 32, 0, 32, 0, 32, 0, 33, 1, 32, 1, 32, 1, 36, 5, 16, 7, 9, 63})
+	configs := map[string]Config{"tiny-16way": tinyWideConfig(), "direct": directMappedConfig()}
+	const pages, maxOps = 4, 64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2*maxOps {
+			data = data[:2*maxOps] // keep each run short: bugs show within a few pages of traffic
+		}
+		for name, cfg := range configs {
+			memA, err := memsys.NewSimulator(memsys.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			memB, err := memsys.NewSimulator(memsys.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			soa, err := New(cfg, memA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefHierarchy(t, cfg, memB)
+			var line uint64 // within the pages·64 lines
+			for i := 0; i+1 < len(data); i += 2 {
+				op, arg := data[i], data[i+1]
+				switch {
+				case op&32 == 0:
+					line = uint64(op&3)*linesPerPage + uint64(arg%linesPerPage)
+				case arg&1 != 0:
+					line = (line + pages*linesPerPage - 1) % (pages * linesPerPage)
+				default:
+					line = (line + 1) % (pages * linesPerPage)
+				}
+				r := trace.Ref{
+					Addr:        (1 << 30) + line*64,
+					Write:       op&(4|8) != 0,
+					NonTemporal: op&8 != 0,
+					NoPrefetch:  op&16 != 0,
+				}
+				now := units.Duration(i) * 7
+				got := soa.Access(now, r, units.GHzOf(2.5))
+				want := ref.access(now, r, units.GHzOf(2.5))
+				if got != want {
+					t.Fatalf("%s op %d (%+v): Hierarchy %+v != reference %+v", name, i/2, r, got, want)
+				}
+			}
+			if got, want := soa.Counters(), ref.counters(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: counters diverged:\nHierarchy %+v\nreference %+v", name, got, want)
+			}
+		}
+	})
 }
 
 // TestHierarchyResetMatchesFresh: traffic → Reset → traffic must equal a

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
+	"slices"
 
-	"repro/internal/memsys"
 	"repro/internal/params"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Figure1 reproduces the Fig. 1 narrative: the widening gap between CPU
@@ -33,8 +32,27 @@ func (s *Suite) Figure1(ctx context.Context) (Artifact, error) {
 	return Artifact{ID: "fig1", Tables: []*report.Table{table}, Charts: []*report.Chart{chart}}, nil
 }
 
-// timeSeries runs one workload with sampling on and renders its CPU
-// utilization / CPI / bandwidth time series — the panels of Figs. 2/4/5.
+// The workloads each time-series figure plots. Their fit grids also
+// measure the baseline run the figures render (Suite.Fit).
+var (
+	fig2Workloads = []string{"columnstore", "nits", "proximity", "spark"}
+	fig4Workloads = []string{"oltp", "jvm", "virtualization", "webcache"}
+	fig5Workloads = []string{"bwaves", "milc", "soplex", "wrf"}
+)
+
+// plotted reports whether a time-series figure plots workload name.
+func plotted(name string) bool {
+	for _, names := range [][]string{fig2Workloads, fig4Workloads, fig5Workloads} {
+		if slices.Contains(names, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// timeSeries renders each workload's sampled baseline run (Suite.baseline)
+// as CPU utilization / CPI / bandwidth time series — the panels of Figs.
+// 2/4/5.
 func (s *Suite) timeSeries(ctx context.Context, names []string, figID, title string) (Artifact, error) {
 	a := Artifact{ID: figID}
 	cpiChart := report.NewChart(title+": CPI vs time", "sample", "CPI")
@@ -42,11 +60,7 @@ func (s *Suite) timeSeries(ctx context.Context, names []string, figID, title str
 	table := report.NewTable(title+" summary", "workload", "util", "CPI mean", "CPI p5", "CPI p95", "BW mean (GB/s)", "IO (GB/s)")
 
 	for _, name := range names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return Artifact{}, err
-		}
-		m, err := RunWorkload(ctx, w, ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}, s.Scale, true)
+		m, err := s.baseline(ctx, name)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -84,20 +98,17 @@ func percentileOr(xs []float64, p float64) float64 {
 // Figure2 reproduces Fig. 2: characterization time series for the four
 // big-data workloads.
 func (s *Suite) Figure2(ctx context.Context) (Artifact, error) {
-	return s.timeSeries(ctx, []string{"columnstore", "nits", "proximity", "spark"},
-		"fig2", "Figure 2 (big data)")
+	return s.timeSeries(ctx, fig2Workloads, "fig2", "Figure 2 (big data)")
 }
 
 // Figure4 reproduces Fig. 4: enterprise workload time series.
 func (s *Suite) Figure4(ctx context.Context) (Artifact, error) {
-	return s.timeSeries(ctx, []string{"oltp", "jvm", "virtualization", "webcache"},
-		"fig4", "Figure 4 (enterprise)")
+	return s.timeSeries(ctx, fig4Workloads, "fig4", "Figure 4 (enterprise)")
 }
 
 // Figure5 reproduces Fig. 5: HPC proxy time series.
 func (s *Suite) Figure5(ctx context.Context) (Artifact, error) {
-	return s.timeSeries(ctx, []string{"bwaves", "milc", "soplex", "wrf"},
-		"fig5", "Figure 5 (HPC)")
+	return s.timeSeries(ctx, fig5Workloads, "fig5", "Figure 5 (HPC)")
 }
 
 // Figure3 reproduces Fig. 3: measured CPI_eff vs MPI×MP with linear fits

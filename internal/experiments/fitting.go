@@ -206,7 +206,14 @@ var warmScaling = ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}
 // to all points and cancel in the fit. The points fan out over runGrid
 // and read the warm machine concurrently; a grid whose points all hit
 // the measurement cache does not warm at all.
-func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) ([]sim.Measurement, error) {
+//
+// With baseline set, one more copy of the warm machine is measured as it
+// stands — sampled, not retimed, not re-warmed — and returned as base:
+// the §V.B characterization run of Figs. 2/4/5 on the same server.
+// Warm-ups never sample and CopyFrom is exact, so base equals a cold
+// sampled run at warmScaling (RunWorkload with sample) and is cached
+// under that run's key.
+func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config), baseline bool) (runs []sim.Measurement, base sim.Measurement, err error) {
 	cfgAt := func(sc ScalingConfig) sim.Config {
 		cfg := machineConfig(w, sc)
 		if tweak != nil {
@@ -214,14 +221,26 @@ func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingCon
 		}
 		return cfg
 	}
-	base := cfgAt(warmScaling)
-	out := make([]sim.Measurement, len(configs))
-	keys := make([]string, len(configs))
+	warmCfg := cfgAt(warmScaling)
+	// Slot i < len(configs) is grid point i; the slot after them, when
+	// baseline is set, is the baseline copy.
+	n := len(configs)
+	if baseline {
+		n++
+	}
+	out := make([]sim.Measurement, n)
+	keys := make([]string, n)
 	var todo []int
 	c := scale.SimCache
-	for i, sc := range configs {
+	for i := range out {
 		if c != nil {
-			keys[i] = simcache.CopyKey(cfgAt(sc), base, w.Name(), scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)
+			if i < len(configs) {
+				keys[i] = simcache.CopyKey(cfgAt(configs[i]), warmCfg, w.Name(), scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)
+			} else {
+				sampled := warmCfg
+				sampled.SampleInterval = scale.SampleInterval
+				keys[i] = simcache.Key(sampled, w.Name(), scale.WarmupInstr, scale.MeasureInstr)
+			}
 			if m, ok := c.Get(keys[i]); ok {
 				engine.RecordSimCacheHit(ctx)
 				out[i] = m
@@ -231,13 +250,29 @@ func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingCon
 		}
 		todo = append(todo, i)
 	}
-	if len(todo) == 0 {
-		return out, nil
+	if len(todo) > 0 {
+		if err := measureCopies(ctx, w, warmCfg, configs, scale, todo, out); err != nil {
+			return nil, sim.Measurement{}, err
+		}
+		for _, i := range todo {
+			if c != nil {
+				_ = c.Put(keys[i], out[i]) // a failed disk write only loses reuse
+			}
+		}
 	}
+	if baseline {
+		base = out[len(configs)]
+	}
+	return out[:len(configs)], base, nil
+}
 
-	warm, err := acquireMachine(base, w.Name(), w)
+// measureCopies warms one machine at warmCfg and fills out's slots todo
+// from copies of it (measureCopy): slot i < len(configs) at grid point
+// configs[i], the slot after them as the baseline copy.
+func measureCopies(ctx context.Context, w workloads.Workload, warmCfg sim.Config, configs []ScalingConfig, scale Scale, todo []int, out []sim.Measurement) error {
+	warm, err := acquireMachine(warmCfg, w.Name(), w)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The warm machine goes back to the pool only after every copy of it
 	// is done (runGrid waits for all of its workers).
@@ -245,31 +280,37 @@ func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingCon
 	err = warm.Warm(ctx, scale.WarmupInstr)
 	engine.RecordSimInstr(ctx, warm.Retired())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
+		return fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
 	}
 	runs, err := runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
-		sc := configs[todo[j]]
-		meas, err := measureCopy(ctx, warm, sc, scale)
+		if i := todo[j]; i < len(configs) {
+			sc := configs[i]
+			meas, err := measureCopy(ctx, warm, &sc, scale)
+			if err != nil {
+				return sim.Measurement{}, fmt.Errorf("experiments: fit %s at %.1fGHz/%v: %w", w.Name(), sc.CoreGHz, sc.Grade, err)
+			}
+			return meas, nil
+		}
+		meas, err := measureCopy(ctx, warm, nil, scale)
 		if err != nil {
-			return sim.Measurement{}, fmt.Errorf("experiments: fit %s at %.1fGHz/%v: %w", w.Name(), sc.CoreGHz, sc.Grade, err)
+			return sim.Measurement{}, fmt.Errorf("experiments: baseline %s: %w", w.Name(), err)
 		}
 		return meas, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for j, i := range todo {
 		out[i] = runs[j]
-		if c != nil {
-			_ = c.Put(keys[i], runs[j]) // a failed disk write only loses reuse
-		}
 	}
-	return out, nil
+	return nil
 }
 
-// measureCopy copies the warm machine into a pooled one, retimes it to
-// sc, re-warms it for rewarmInstr and measures MeasureInstr.
-func measureCopy(ctx context.Context, warm *sim.Machine, sc ScalingConfig, scale Scale) (sim.Measurement, error) {
+// measureCopy copies the warm machine into a pooled one and measures
+// MeasureInstr on it. A grid point (sc non-nil) is first retimed to *sc
+// and re-warmed for rewarmInstr; the baseline copy (sc nil) samples at
+// Scale.SampleInterval and measures at once.
+func measureCopy(ctx context.Context, warm *sim.Machine, sc *ScalingConfig, scale Scale) (sim.Measurement, error) {
 	m, _ := machinePool.Get().(*sim.Machine)
 	if m == nil {
 		m = new(sim.Machine)
@@ -278,27 +319,38 @@ func measureCopy(ctx context.Context, warm *sim.Machine, sc ScalingConfig, scale
 	if err := m.CopyFrom(warm); err != nil {
 		return sim.Measurement{}, err
 	}
-	if err := m.Retime(units.GHzOf(sc.CoreGHz), sc.Grade); err != nil {
-		return sim.Measurement{}, err
+	var rewarm uint64
+	if sc == nil {
+		m.SetSampleInterval(scale.SampleInterval)
+	} else {
+		if err := m.Retime(units.GHzOf(sc.CoreGHz), sc.Grade); err != nil {
+			return sim.Measurement{}, err
+		}
+		rewarm = rewarmInstr
 	}
-	meas, err := m.Run(ctx, rewarmInstr, scale.MeasureInstr)
+	meas, err := m.Run(ctx, rewarm, scale.MeasureInstr)
 	engine.RecordSimInstr(ctx, m.Retired())
 	return meas, err
 }
 
-// fitGrid measures workload w over configs (measureGrid, with tweak) and
-// fits Eq. 1's constants under fitName.
-func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) (model.Fit, []sim.Measurement, error) {
-	runs, err := measureGrid(ctx, w, configs, scale, tweak)
-	if err != nil {
-		return model.Fit{}, nil, err
-	}
+// fitRuns fits Eq. 1's constants under fitName to a grid's measurements.
+func fitRuns(fitName string, runs []sim.Measurement) (model.Fit, error) {
 	points := borrowFitPoints(len(runs))
 	defer fitPointPool.Put(points)
 	for i, m := range runs {
 		(*points)[i] = fitPoint(m)
 	}
-	fit, err := model.FitScaling(fitName, *points)
+	return model.FitScaling(fitName, *points)
+}
+
+// fitGrid measures workload w over configs (measureGrid, with tweak) and
+// fits Eq. 1's constants under fitName.
+func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) (model.Fit, []sim.Measurement, error) {
+	runs, _, err := measureGrid(ctx, w, configs, scale, tweak, false)
+	if err != nil {
+		return model.Fit{}, nil, err
+	}
+	fit, err := fitRuns(fitName, runs)
 	if err != nil {
 		return model.Fit{}, nil, err
 	}

@@ -150,7 +150,68 @@ func TestGridAllHitsSkipsWarm(t *testing.T) {
 			t.Fatalf("fully cached grid simulated %d instructions, want 0", got.SimInstr)
 		}
 	}
-	if st := c.Stats(); st.Misses != int64(n) || st.Hits != int64(n) {
-		t.Fatalf("cache stats %+v, want %d misses then %d hits", st, n, n)
+	// Fig. 2 plots columnstore, so its grid also measures the baseline copy.
+	if st := c.Stats(); st.Misses != int64(n+1) || st.Hits != int64(n+1) {
+		t.Fatalf("cache stats %+v, want %d misses then %d hits", st, n+1, n+1)
+	}
+}
+
+// TestFitBaselineMatchesColdRun: the baseline a plotted workload's fit
+// grid measures on a copy of its warm machine equals, Series included,
+// the cold sampled run at the baseline platform.
+func TestFitBaselineMatchesColdRun(t *testing.T) {
+	const name = "proximity"
+	if !plotted(name) {
+		t.Fatalf("%s is not plotted by a time-series figure", name)
+	}
+	s := testSuite()
+	got, err := s.baseline(bg, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunWorkload(bg, w, warmScaling, s.Scale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Series.Samples) < 2 {
+		t.Fatalf("cold run recorded %d samples, want a series", len(want.Series.Samples))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("baseline copy differs from the cold run: copy CPI %v over %d samples, cold CPI %v over %d samples",
+			got.CPI, len(got.Series.Samples), want.CPI, len(want.Series.Samples))
+	}
+}
+
+// TestFitBaselineKeepsColdKey: the baseline copy is cached under the cold
+// sampled run's key, so that run replays it.
+func TestFitBaselineKeepsColdKey(t *testing.T) {
+	c, err := simcache.New(64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SampleInterval: Quick().SampleInterval, SimCache: c}
+	s := NewSuite(scale)
+	got, err := s.baseline(bg, "webcache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	w, err := workloads.ByName("webcache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunWorkload(bg, w, warmScaling, scale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("cold sampled run after the fit: stats %+v -> %+v, want one hit", before, st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("replayed cold run differs from the baseline copy")
 	}
 }

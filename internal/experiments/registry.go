@@ -69,12 +69,12 @@ func (s *Suite) Registry() *engine.Registry {
 	curve := []string{CurveResource}
 
 	add("fig1", "Figure 1: CPU vs DRAM scaling trend", "§I / Fig. 1", nil, s.Figure1)
-	add("fig2", "Figure 2: big-data time series", "§V.B / Fig. 2", nil, s.Figure2)
+	add("fig2", "Figure 2: big-data time series", "§V.B / Fig. 2", fits(fig2Workloads...), s.Figure2)
 	add("fig3", "Figure 3: CPI vs MPI×MP fits (big data)", "§V.A–B / Fig. 3", bigData, s.Figure3)
 	add("table2", "Table 2: workload parameters for big data", "§V.B / Tab. 2", bigData, s.Table2)
 	add("table3", "Table 3: computed vs measured CPI (Structured Data)", "§V.A / Tab. 3", fits("columnstore"), s.Table3)
-	add("fig4", "Figure 4: enterprise time series", "§V.C / Fig. 4", nil, s.Figure4)
-	add("fig5", "Figure 5: HPC time series", "§V.D / Fig. 5", nil, s.Figure5)
+	add("fig4", "Figure 4: enterprise time series", "§V.C / Fig. 4", fits(fig4Workloads...), s.Figure4)
+	add("fig5", "Figure 5: HPC time series", "§V.D / Fig. 5", fits(fig5Workloads...), s.Figure5)
 	add("table4", "Table 4: workload parameters for enterprise", "§V.C / Tab. 4", fitDeps(workloads.Enterprise), s.Table4)
 	add("table5", "Table 5: workload parameters for HPC", "§V.D / Tab. 5", fitDeps(workloads.HPC), s.Table5)
 	add("table6", "Table 6: workload class parameters", "§VI.B / Tab. 6", fitDeps(workloads.Enterprise, workloads.BigData, workloads.HPC), s.Table6)

@@ -44,7 +44,11 @@ type fitEntry struct {
 	once sync.Once
 	fit  model.Fit
 	runs []sim.Measurement
-	err  error
+	// baseline is the sampled run at warmScaling that a time-series
+	// figure renders, measured on a copy of the grid's warm machine; zero
+	// for a workload no such figure plots.
+	baseline sim.Measurement
+	err      error
 }
 
 // curveEntry computes the calibrated queuing curve exactly once, even
@@ -92,7 +96,9 @@ func isCtxErr(err error) bool {
 }
 
 // Fit returns the cached scaling fit for a workload, running the grid on
-// first use. Safe for concurrent use; the grid runs once per workload.
+// first use. Safe for concurrent use; the grid runs once per workload,
+// and for a workload a time-series figure plots it also measures that
+// figure's baseline run (measureGrid).
 // Cache hits and misses are reported to the engine's per-experiment
 // metrics when the context carries a recorder.
 func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
@@ -105,7 +111,15 @@ func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 			e.err = err
 			return
 		}
-		e.fit, e.runs, e.err = FitWorkload(ctx, w, PaperScalingConfigs(), s.Scale)
+		runs, base, err := measureGrid(ctx, w, PaperScalingConfigs(), s.Scale, nil, plotted(name))
+		if err == nil {
+			e.fit, err = fitRuns(name, runs)
+		}
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.runs, e.baseline = runs, base
 	})
 	if ran {
 		engine.RecordFitCacheMiss(ctx)
@@ -128,6 +142,23 @@ func (s *Suite) FitRuns(ctx context.Context, name string) ([]sim.Measurement, er
 		return nil, err
 	}
 	return s.entry(name).runs, nil
+}
+
+// baseline returns a workload's sampled run at warmScaling. A workload a
+// time-series figure plots takes it from its fit grid (Suite.Fit); any
+// other runs it cold.
+func (s *Suite) baseline(ctx context.Context, name string) (sim.Measurement, error) {
+	if !plotted(name) {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return sim.Measurement{}, err
+		}
+		return RunWorkload(ctx, w, warmScaling, s.Scale, true)
+	}
+	if _, err := s.Fit(ctx, name); err != nil {
+		return sim.Measurement{}, err
+	}
+	return s.entry(name).baseline, nil
 }
 
 // Prefit computes the named workloads' fits concurrently (bounded by

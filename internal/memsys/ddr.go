@@ -29,8 +29,6 @@ const (
 	DDR3_1333 Grade = 1333
 	DDR3_1600 Grade = 1600
 	DDR3_1867 Grade = 1867
-	DDR4_2133 Grade = 2133
-	DDR4_2400 Grade = 2400
 )
 
 // String returns e.g. "DDR3-1867".

@@ -8,6 +8,9 @@ import (
 	"repro/internal/units"
 )
 
+// DDR4_2400 is a grade no experiment runs; String names it by generation.
+const DDR4_2400 Grade = 2400
+
 func TestGradeString(t *testing.T) {
 	if DDR3_1867.String() != "DDR3-1867" {
 		t.Fatalf("got %q", DDR3_1867.String())

@@ -1,16 +1,9 @@
 package model
 
-import (
-	"context"
-	"errors"
-	"fmt"
+import "repro/internal/units"
 
-	"repro/internal/units"
-)
-
-// §IV.A and §IV.D of the paper: converting CPI into workload performance
-// through the pathlength, and applying the model to multi-phase programs
-// by instruction-weighted combination.
+// §IV.A of the paper: converting CPI into workload performance through
+// the pathlength.
 
 // Pathlength is the number of instructions per unit of work ("the
 // required number of instructions to complete a unit of work", §IV.A).
@@ -36,87 +29,4 @@ func (pl Pathlength) RunTime(n float64, cpi float64, cps units.Hertz) units.Dura
 		return 0
 	}
 	return units.Duration(n / t * 1e9)
-}
-
-// Phase is one program phase with its own model parameters and its
-// instruction share ("a weight to each phase based on the relative
-// number of instructions contained in that phase", §IV.D).
-type Phase struct {
-	Params Params
-	// Weight is the phase's fraction of retired instructions. Weights
-	// must sum to 1 across the phase list.
-	Weight float64
-}
-
-// CombinePhases builds the instruction-weighted aggregate parameters for
-// a multi-phase workload. CPI-like components (CPI_cache) combine
-// linearly in instruction weight; rate components (MPKI, IOPI) likewise;
-// BF and WBR combine weighted by their associated traffic (a phase with
-// more misses contributes proportionally more of the blended blocking
-// factor and writeback rate).
-func CombinePhases(name string, phases []Phase) (Params, error) {
-	if len(phases) == 0 {
-		return Params{}, errors.New("model: CombinePhases of no phases")
-	}
-	var wSum float64
-	for _, ph := range phases {
-		if ph.Weight < 0 {
-			return Params{}, fmt.Errorf("model: phase %q has negative weight", ph.Params.Name)
-		}
-		if err := ph.Params.Validate(); err != nil {
-			return Params{}, err
-		}
-		wSum += ph.Weight
-	}
-	if wSum < 0.999 || wSum > 1.001 {
-		return Params{}, fmt.Errorf("model: phase weights sum to %.3f, want 1", wSum)
-	}
-
-	var out Params
-	out.Name = name
-	var missW, bfAcc, wbrAcc float64
-	for _, ph := range phases {
-		p := ph.Params
-		out.CPICache += ph.Weight * p.CPICache
-		out.MPKI += ph.Weight * p.MPKI
-		out.IOPI += ph.Weight * p.IOPI
-		out.IOSZ += ph.Weight * p.IOSZ // approximation: weighted event size
-		mw := ph.Weight * p.MPKI
-		missW += mw
-		bfAcc += mw * p.BF
-		wbrAcc += mw * p.WBR
-	}
-	if missW > 0 {
-		out.BF = bfAcc / missW
-		out.WBR = wbrAcc / missW
-	}
-	return out, nil
-}
-
-// PhaseCPI evaluates each phase independently on a platform and combines
-// the phase CPIs by instruction weight — the §IV.D procedure when the
-// single-steady-state assumption does not hold. It returns the weighted
-// CPI and the per-phase operating points. Each phase is one scenario of
-// the shared solve kernel (via Evaluate), so a solve.Recorder in ctx
-// observes every phase's telemetry.
-func PhaseCPI(ctx context.Context, phases []Phase, pl Platform) (float64, []OperatingPoint, error) {
-	if len(phases) == 0 {
-		return 0, nil, errors.New("model: PhaseCPI of no phases")
-	}
-	var cpi float64
-	var ops []OperatingPoint
-	var wSum float64
-	for _, ph := range phases {
-		op, err := Evaluate(ctx, ph.Params, pl)
-		if err != nil {
-			return 0, nil, err
-		}
-		ops = append(ops, op)
-		cpi += ph.Weight * op.CPI
-		wSum += ph.Weight
-	}
-	if wSum < 0.999 || wSum > 1.001 {
-		return 0, nil, fmt.Errorf("model: phase weights sum to %.3f, want 1", wSum)
-	}
-	return cpi, ops, nil
 }

@@ -454,3 +454,12 @@ func TestNUMALatencySensitivityOrdering(t *testing.T) {
 		t.Fatalf("enterprise NUMA cost (%v) must exceed HPC's (%v)", ent, hpc)
 	}
 }
+
+// UniformInterleave returns the remote fraction of an address space
+// interleaved evenly across sockets: (sockets−1)/sockets.
+func UniformInterleave(sockets int) float64 {
+	if sockets <= 1 {
+		return 0
+	}
+	return float64(sockets-1) / float64(sockets)
+}

@@ -270,15 +270,6 @@ func (top Topology) WithRemoteFraction(f float64) Topology {
 	return top
 }
 
-// UniformInterleave returns the remote fraction of an address space
-// interleaved evenly across sockets: (sockets−1)/sockets.
-func UniformInterleave(sockets int) float64 {
-	if sockets <= 1 {
-		return 0
-	}
-	return float64(sockets-1) / float64(sockets)
-}
-
 // TopologyTierPoint is one tier's share of a solved topology point.
 type TopologyTierPoint struct {
 	Name string

@@ -1,9 +1,6 @@
 package regress
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Point is a point in a small-dimensional feature space. Fig. 6 uses two
 // dimensions: blocking factor (latency sensitivity) on x and memory
@@ -160,15 +157,4 @@ func Mean(points []Point) Point {
 		m[d] /= float64(len(points))
 	}
 	return m
-}
-
-// SortedByDim returns index order of points sorted ascending by dimension d,
-// used for stable, reproducible report output.
-func SortedByDim(points []Point, d int) []int {
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return points[idx[a]][d] < points[idx[b]][d] })
-	return idx
 }

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -129,4 +130,15 @@ func TestSortedByDim(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{1, 2, 0}) {
 		t.Fatalf("SortedByDim = %v", got)
 	}
+}
+
+// SortedByDim returns index order of points sorted ascending by dimension d,
+// used for stable, reproducible report output.
+func SortedByDim(points []Point, d int) []int {
+	idx := make([]int, len(points))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return points[idx[a]][d] < points[idx[b]][d] })
+	return idx
 }

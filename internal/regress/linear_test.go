@@ -189,3 +189,54 @@ func TestStandardErrorsNeedThreePoints(t *testing.T) {
 		t.Fatal("n=2 has no residual degrees of freedom; SEs must be 0")
 	}
 }
+
+// Fit variants the paper describes but no fit path uses, kept with their
+// tests.
+
+// FitThroughIntercept performs least squares for y = c + s*x with the
+// intercept c held fixed, returning the slope and R². The paper's §V.A
+// alternative when CPI_cache is known from a separate core-bound run.
+func FitThroughIntercept(xs, ys []float64, intercept float64) (Line, error) {
+	if len(xs) != len(ys) || len(xs) < 1 {
+		return Line{}, ErrInsufficientData
+	}
+	var sxx, sxy float64
+	for i := range xs {
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * (ys[i] - intercept)
+	}
+	if sxx == 0 {
+		return Line{}, ErrInsufficientData
+	}
+	l := Line{Intercept: intercept, Slope: sxy / sxx, N: len(xs)}
+
+	var my float64
+	for _, y := range ys {
+		my += y
+	}
+	my /= float64(len(ys))
+	var ssRes, ssTot float64
+	for i := range xs {
+		r := ys[i] - l.Eval(xs[i])
+		ssRes += r * r
+		d := ys[i] - my
+		ssTot += d * d
+	}
+	if ssTot == 0 {
+		if ssRes == 0 {
+			l.R2 = 1
+		}
+		return l, nil
+	}
+	l.R2 = 1 - ssRes/ssTot
+	return l, nil
+}
+
+// Residuals returns ys[i] - line.Eval(xs[i]).
+func Residuals(l Line, xs, ys []float64) []float64 {
+	rs := make([]float64, len(xs))
+	for i := range xs {
+		rs[i] = ys[i] - l.Eval(xs[i])
+	}
+	return rs
+}

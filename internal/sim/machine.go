@@ -331,6 +331,13 @@ func (m *Machine) Retime(freq units.Hertz, grade memsys.Grade) error {
 	return nil
 }
 
+// SetSampleInterval sets the PMU sampling interval of the machine's next
+// measured phase (0 disables sampling). Warm-ups never sample, so a warm
+// machine sampled this way and then run with no further warm-up measures
+// exactly what a machine built with that interval measures after the
+// same warm-up.
+func (m *Machine) SetSampleInterval(d units.Duration) { m.cfg.SampleInterval = d }
+
 // Retired returns the aggregate instructions simulated since Reset or
 // CopyFrom.
 func (m *Machine) Retired() uint64 { return m.retired }

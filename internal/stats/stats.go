@@ -32,23 +32,6 @@ func MeanErr(xs []float64) (float64, error) {
 	return s / float64(len(xs)), nil
 }
 
-// WeightedMean returns sum(w_i*x_i)/sum(w_i). The paper weights per-phase
-// model components by the number of instructions in each phase (§IV.D).
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 || len(xs) != len(ws) {
-		return 0, ErrEmpty
-	}
-	var sw, swx float64
-	for i, x := range xs {
-		sw += ws[i]
-		swx += ws[i] * x
-	}
-	if sw == 0 {
-		return 0, ErrEmpty
-	}
-	return swx / sw, nil
-}
-
 // Variance returns the population variance of xs (0 for n < 2).
 func Variance(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -191,16 +174,6 @@ func RelError(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return (got - want) / want
-}
-
-// CoefficientOfVariation returns StdDev/Mean, the run-to-run variation
-// measure the paper uses to validate the fixed-pathlength assumption.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
 }
 
 // Pearson returns the sample Pearson correlation coefficient between

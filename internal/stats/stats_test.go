@@ -274,3 +274,33 @@ func TestMAPE(t *testing.T) {
 		t.Fatal("MAPE of empty input should error")
 	}
 }
+
+// Statistics the paper names but no code path computes, kept with their
+// tests.
+
+// WeightedMean returns sum(w_i*x_i)/sum(w_i). The paper weights per-phase
+// model components by the number of instructions in each phase (§IV.D).
+func WeightedMean(xs, ws []float64) (float64, error) {
+	if len(xs) == 0 || len(xs) != len(ws) {
+		return 0, ErrEmpty
+	}
+	var sw, swx float64
+	for i, x := range xs {
+		sw += ws[i]
+		swx += ws[i] * x
+	}
+	if sw == 0 {
+		return 0, ErrEmpty
+	}
+	return swx / sw, nil
+}
+
+// CoefficientOfVariation returns StdDev/Mean, the run-to-run variation
+// measure the paper uses to validate the fixed-pathlength assumption.
+func CoefficientOfVariation(xs []float64) float64 {
+	m := Mean(xs)
+	if m == 0 {
+		return 0
+	}
+	return StdDev(xs) / m
+}

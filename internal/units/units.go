@@ -134,7 +134,6 @@ type BytesPerSecond float64
 
 // Bandwidth constructors.
 const (
-	KBps BytesPerSecond = 1e3
 	MBps BytesPerSecond = 1e6
 	GBps BytesPerSecond = 1e9
 )
