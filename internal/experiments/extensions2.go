@@ -134,10 +134,15 @@ func (s *Suite) GradeSweep(ctx context.Context, workload string) (Artifact, erro
 	}
 	table := report.NewTable("Measured machine across DDR grades: "+workload,
 		"grade", "CPI", "MP (ns)", "bandwidth", "channel util")
+	// One machine warms at warmScaling; each grade is a copy of it
+	// retimed to that grade at the same core speed.
 	grades := []memsys.Grade{memsys.DDR3_1067, memsys.DDR3_1333, memsys.DDR3_1600, memsys.DDR3_1867}
-	runs, err := runGrid(ctx, s.Scale, len(grades), func(ctx context.Context, i int) (sim.Measurement, error) {
-		return RunWorkload(ctx, w, ScalingConfig{CoreGHz: 2.5, Grade: grades[i]}, s.Scale, false)
-	})
+	configs := make([]ScalingConfig, len(grades))
+	for i, g := range grades {
+		configs[i] = ScalingConfig{CoreGHz: warmScaling.CoreGHz, Grade: g}
+	}
+	warm := machineConfig(w, warmScaling)
+	runs, err := measure(ctx, w, warm, gridProbes(workload, warm, configs, s.Scale), s.Scale)
 	if err != nil {
 		return Artifact{}, err
 	}

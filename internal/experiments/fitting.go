@@ -69,42 +69,6 @@ func acquireMachine(cfg sim.Config, name string, factory sim.GeneratorFactory) (
 	return sim.New(cfg, name, factory)
 }
 
-// measureOne runs one simulated machine — or replays it from the
-// content-addressed measurement cache when the scale carries one. Every
-// measurement path in the package funnels through here, so cache keying,
-// hit/miss telemetry, and machine pooling live in one place.
-func measureOne(ctx context.Context, cfg sim.Config, name string, factory sim.GeneratorFactory, scale Scale) (sim.Measurement, error) {
-	c := scale.SimCache
-	var key string
-	if c != nil {
-		key = simcache.Key(cfg, name, scale.WarmupInstr, scale.MeasureInstr)
-		if m, ok := c.Get(key); ok {
-			engine.RecordSimCacheHit(ctx)
-			return m, nil
-		}
-		engine.RecordSimCacheMiss(ctx)
-	}
-	m, err := acquireMachine(cfg, name, factory)
-	if err != nil {
-		return sim.Measurement{}, err
-	}
-	meas, err := m.Run(ctx, scale.WarmupInstr, scale.MeasureInstr)
-	engine.RecordSimInstr(ctx, m.Retired())
-	// Measurements never alias machine internals (Series and counters are
-	// copied out), so the machine can be recycled immediately — including
-	// after a cancelled run, which the next Reset wipes.
-	machinePool.Put(m)
-	if err != nil {
-		return sim.Measurement{}, err
-	}
-	if c != nil {
-		// The measurement stands regardless; a failed disk write only
-		// loses future reuse.
-		_ = c.Put(key, meas)
-	}
-	return meas, nil
-}
-
 // fitPointPool recycles the per-grid FitPoint staging slices;
 // model.FitScaling copies the points it retains, so the staging buffer
 // is a true temporary.
@@ -175,73 +139,66 @@ func runGrid(ctx context.Context, scale Scale, n int, run func(ctx context.Conte
 	return out, nil
 }
 
-// RunWorkload performs a single measured run of a workload at one scaling
-// point — the unit of data collection behind Figs. 2–5.
-func RunWorkload(ctx context.Context, w workloads.Workload, sc ScalingConfig, scale Scale, sample bool) (sim.Measurement, error) {
-	cfg := machineConfig(w, sc)
-	if sample {
-		cfg.SampleInterval = scale.SampleInterval
-	}
-	return measureOne(ctx, cfg, w.Name(), w, scale)
-}
-
-// rewarmInstr is the aggregate instructions a grid point re-warms after
-// its copy of the warm baseline machine is retimed, before it measures:
-// long enough for the caches, streams and channel queues to settle at
-// the new core speed and memory grade. It was picked from a measured
-// sweep of 0–4M (CHANGES.md).
+// rewarmInstr is the aggregate instructions a grid probe re-warms after
+// its copy of the warm machine is retimed, before it measures: long
+// enough for the caches, streams and channel queues to settle at the new
+// core speed and memory grade. It was picked from a measured sweep of
+// 0–4M (CHANGES.md).
 const rewarmInstr = 2_000_000
 
 // warmScaling is where every fit grid warms its machine: the paper's
 // baseline platform, 2.5 GHz with DDR3-1867.
 var warmScaling = ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}
 
-// measureGrid measures workload w at every scaling point of configs,
-// with tweak (when non-nil) applied to each point's machine config. Like
-// the paper's §V.A method of turning the knobs of one running server, it
-// warms one machine once at warmScaling; each point then measures a copy
-// of that warm machine, retimed to its core speed and memory grade and
-// re-warmed for rewarmInstr. Every point measures the same instruction
-// window from the same warm state, so workload phase effects are common
-// to all points and cancel in the fit. The points fan out over runGrid
-// and read the warm machine concurrently; a grid whose points all hit
-// the measurement cache does not warm at all.
-//
-// With baseline set, one more copy of the warm machine is measured as it
-// stands — sampled, not retimed, not re-warmed — and returned as base:
-// the §V.B characterization run of Figs. 2/4/5 on the same server.
-// Warm-ups never sample and CopyFrom is exact, so base equals a cold
-// sampled run at warmScaling (RunWorkload with sample) and is cached
-// under that run's key.
-func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config), baseline bool) (runs []sim.Measurement, base sim.Measurement, err error) {
-	cfgAt := func(sc ScalingConfig) sim.Config {
-		cfg := machineConfig(w, sc)
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		return cfg
+// probe is one measurement on a copy of a warm machine (measure): the
+// copy is retimed to cfg's core speed and memory grade, samples at cfg's
+// interval, re-warms rewarm aggregate instructions and then measures
+// Scale.MeasureInstr. key names the measurement in the simcache.
+type probe struct {
+	cfg    sim.Config
+	rewarm uint64
+	key    string
+}
+
+// gridProbes are the points of a scaling grid: the warm machine retimed
+// to each of configs and re-warmed for rewarmInstr.
+func gridProbes(name string, warm sim.Config, configs []ScalingConfig, scale Scale) []probe {
+	probes := make([]probe, len(configs))
+	for i, sc := range configs {
+		cfg := warm
+		cfg.Core.Freq = units.GHzOf(sc.CoreGHz)
+		cfg.Mem.Grade = sc.Grade
+		probes[i] = probe{cfg: cfg, rewarm: rewarmInstr,
+			key: simcache.CopyKey(cfg, warm, name, scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)}
 	}
-	warmCfg := cfgAt(warmScaling)
-	// Slot i < len(configs) is grid point i; the slot after them, when
-	// baseline is set, is the baseline copy.
-	n := len(configs)
-	if baseline {
-		n++
-	}
-	out := make([]sim.Measurement, n)
-	keys := make([]string, n)
-	var todo []int
+	return probes
+}
+
+// asIsProbe is the warm machine measured as it stands, sampled at
+// interval (0 samples nothing). Warm-ups never sample and CopyFrom is
+// exact, so it equals the cold run of a machine built with that interval
+// — warmed and measured in one Run — and shares that run's key.
+func asIsProbe(name string, warm sim.Config, interval units.Duration, scale Scale) probe {
+	cfg := warm
+	cfg.SampleInterval = interval
+	return probe{cfg: cfg, key: simcache.Key(cfg, name, scale.WarmupInstr, scale.MeasureInstr)}
+}
+
+// measure takes probes of workload w on copies of one machine warmed for
+// Scale.WarmupInstr at warm — the paper's §V.A method of turning the
+// knobs of one running server. Every probe measures from the same warm
+// state, so workload phase effects are common to all of them and cancel
+// in a fit. Each probe is looked up in the measurement cache first; a
+// machine warms only if one misses, and the missing probes fan out over
+// runGrid, each on a pooled copy that reads the warm machine
+// concurrently. Results come back in probe order.
+func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes []probe, scale Scale) ([]sim.Measurement, error) {
+	out := make([]sim.Measurement, len(probes))
 	c := scale.SimCache
-	for i := range out {
+	var todo []int
+	for i, p := range probes {
 		if c != nil {
-			if i < len(configs) {
-				keys[i] = simcache.CopyKey(cfgAt(configs[i]), warmCfg, w.Name(), scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)
-			} else {
-				sampled := warmCfg
-				sampled.SampleInterval = scale.SampleInterval
-				keys[i] = simcache.Key(sampled, w.Name(), scale.WarmupInstr, scale.MeasureInstr)
-			}
-			if m, ok := c.Get(keys[i]); ok {
+			if m, ok := c.Get(p.key); ok {
 				engine.RecordSimCacheHit(ctx)
 				out[i] = m
 				continue
@@ -250,87 +207,68 @@ func measureGrid(ctx context.Context, w workloads.Workload, configs []ScalingCon
 		}
 		todo = append(todo, i)
 	}
-	if len(todo) > 0 {
-		if err := measureCopies(ctx, w, warmCfg, configs, scale, todo, out); err != nil {
-			return nil, sim.Measurement{}, err
-		}
-		for _, i := range todo {
-			if c != nil {
-				_ = c.Put(keys[i], out[i]) // a failed disk write only loses reuse
-			}
-		}
+	if len(todo) == 0 {
+		return out, nil
 	}
-	if baseline {
-		base = out[len(configs)]
-	}
-	return out[:len(configs)], base, nil
-}
-
-// measureCopies warms one machine at warmCfg and fills out's slots todo
-// from copies of it (measureCopy): slot i < len(configs) at grid point
-// configs[i], the slot after them as the baseline copy.
-func measureCopies(ctx context.Context, w workloads.Workload, warmCfg sim.Config, configs []ScalingConfig, scale Scale, todo []int, out []sim.Measurement) error {
-	warm, err := acquireMachine(warmCfg, w.Name(), w)
+	src, err := acquireMachine(warm, w.Name(), w)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The warm machine goes back to the pool only after every copy of it
 	// is done (runGrid waits for all of its workers).
-	defer machinePool.Put(warm)
-	err = warm.Warm(ctx, scale.WarmupInstr)
-	engine.RecordSimInstr(ctx, warm.Retired())
+	defer machinePool.Put(src)
+	err = src.Warm(ctx, scale.WarmupInstr)
+	engine.RecordSimInstr(ctx, src.Retired())
 	if err != nil {
-		return fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
+		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
 	}
 	runs, err := runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
-		if i := todo[j]; i < len(configs) {
-			sc := configs[i]
-			meas, err := measureCopy(ctx, warm, &sc, scale)
-			if err != nil {
-				return sim.Measurement{}, fmt.Errorf("experiments: fit %s at %.1fGHz/%v: %w", w.Name(), sc.CoreGHz, sc.Grade, err)
-			}
-			return meas, nil
+		p := probes[todo[j]]
+		m, _ := machinePool.Get().(*sim.Machine)
+		if m == nil {
+			m = new(sim.Machine)
 		}
-		meas, err := measureCopy(ctx, warm, nil, scale)
+		defer machinePool.Put(m)
+		if err := m.CopyFrom(src); err != nil {
+			return sim.Measurement{}, err
+		}
+		if err := m.Retime(p.cfg.Core.Freq, p.cfg.Mem.Grade); err != nil {
+			return sim.Measurement{}, err
+		}
+		m.SetSampleInterval(p.cfg.SampleInterval)
+		meas, err := m.Run(ctx, p.rewarm, scale.MeasureInstr)
+		engine.RecordSimInstr(ctx, m.Retired())
 		if err != nil {
-			return sim.Measurement{}, fmt.Errorf("experiments: baseline %s: %w", w.Name(), err)
+			return sim.Measurement{}, fmt.Errorf("experiments: measure %s at %v/%v: %w", w.Name(), p.cfg.Core.Freq, p.cfg.Mem.Grade, err)
 		}
 		return meas, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for j, i := range todo {
 		out[i] = runs[j]
+		if c != nil {
+			_ = c.Put(probes[i].key, out[i]) // a failed disk write only loses reuse
+		}
 	}
-	return nil
+	return out, nil
 }
 
-// measureCopy copies the warm machine into a pooled one and measures
-// MeasureInstr on it. A grid point (sc non-nil) is first retimed to *sc
-// and re-warmed for rewarmInstr; the baseline copy (sc nil) samples at
-// Scale.SampleInterval and measures at once.
-func measureCopy(ctx context.Context, warm *sim.Machine, sc *ScalingConfig, scale Scale) (sim.Measurement, error) {
-	m, _ := machinePool.Get().(*sim.Machine)
-	if m == nil {
-		m = new(sim.Machine)
+// RunWorkload performs a single measured run of a workload at one scaling
+// point — the unit of data collection behind Figs. 2–5: a machine warmed
+// at sc and measured as it stands, sampled when sample is set.
+func RunWorkload(ctx context.Context, w workloads.Workload, sc ScalingConfig, scale Scale, sample bool) (sim.Measurement, error) {
+	var interval units.Duration
+	if sample {
+		interval = scale.SampleInterval
 	}
-	defer machinePool.Put(m)
-	if err := m.CopyFrom(warm); err != nil {
+	warm := machineConfig(w, sc)
+	runs, err := measure(ctx, w, warm, []probe{asIsProbe(w.Name(), warm, interval, scale)}, scale)
+	if err != nil {
 		return sim.Measurement{}, err
 	}
-	var rewarm uint64
-	if sc == nil {
-		m.SetSampleInterval(scale.SampleInterval)
-	} else {
-		if err := m.Retime(units.GHzOf(sc.CoreGHz), sc.Grade); err != nil {
-			return sim.Measurement{}, err
-		}
-		rewarm = rewarmInstr
-	}
-	meas, err := m.Run(ctx, rewarm, scale.MeasureInstr)
-	engine.RecordSimInstr(ctx, m.Retired())
-	return meas, err
+	return runs[0], nil
 }
 
 // fitRuns fits Eq. 1's constants under fitName to a grid's measurements.
@@ -343,10 +281,15 @@ func fitRuns(fitName string, runs []sim.Measurement) (model.Fit, error) {
 	return model.FitScaling(fitName, *points)
 }
 
-// fitGrid measures workload w over configs (measureGrid, with tweak) and
-// fits Eq. 1's constants under fitName.
+// fitGrid measures workload w over configs on copies of one machine
+// warmed at warmScaling, with tweak (when non-nil) applied to its config,
+// and fits Eq. 1's constants under fitName.
 func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) (model.Fit, []sim.Measurement, error) {
-	runs, _, err := measureGrid(ctx, w, configs, scale, tweak, false)
+	warm := machineConfig(w, warmScaling)
+	if tweak != nil {
+		tweak(&warm)
+	}
+	runs, err := measure(ctx, w, warm, gridProbes(w.Name(), warm, configs, scale), scale)
 	if err != nil {
 		return model.Fit{}, nil, err
 	}

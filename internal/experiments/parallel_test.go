@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memsys"
+	"repro/internal/sim"
 	"repro/internal/simcache"
+	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
@@ -213,5 +215,59 @@ func TestFitBaselineKeepsColdKey(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("replayed cold run differs from the baseline copy")
+	}
+}
+
+// TestRunWorkloadMatchesColdMachine anchors the copy path to the plain
+// machine: RunWorkload, which measures a copy of a warm machine, equals —
+// Series included — a machine built with sim.New and measured by one Run,
+// sampled or not, at the baseline and at a slower point, whether the run
+// is simulated (a cache miss) or replayed (a hit).
+func TestRunWorkloadMatchesColdMachine(t *testing.T) {
+	w, err := workloads.ByName("webcache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := simcache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SampleInterval: Quick().SampleInterval, SimCache: c}
+	for _, sc := range []ScalingConfig{warmScaling, {CoreGHz: 2.1, Grade: memsys.DDR3_1333}} {
+		for _, sample := range []bool{false, true} {
+			cfg := sim.DefaultConfig()
+			cfg.Threads = w.FitThreads()
+			cfg.Core.Freq = units.GHzOf(sc.CoreGHz)
+			cfg.Mem.Grade = sc.Grade
+			if sample {
+				cfg.SampleInterval = scale.SampleInterval
+			}
+			m, err := sim.New(cfg, w.Name(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Run(bg, scale.WarmupInstr, scale.MeasureInstr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sample && len(want.Series.Samples) < 2 {
+				t.Fatalf("cold run recorded %d samples, want a series", len(want.Series.Samples))
+			}
+			for _, lookup := range []string{"miss", "hit"} {
+				before := c.Stats()
+				got, err := RunWorkload(bg, w, sc, scale, sample)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := c.Stats()
+				if hit := st.Hits > before.Hits; hit != (lookup == "hit") {
+					t.Fatalf("%v sample=%v: stats %+v -> %+v, want a cache %s", sc, sample, before, st, lookup)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v sample=%v (%s): RunWorkload CPI %v over %d samples, cold machine CPI %v over %d samples",
+						sc, sample, lookup, got.CPI, len(got.Series.Samples), want.CPI, len(want.Series.Samples))
+				}
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ type Artifact = engine.Artifact
 // results: workload fits are reused across Fig. 3, Tables 2/4/5 and
 // Fig. 6, and the calibrated queuing curve is reused across Figs. 8–11
 // and Table 7. Fits for different workloads may be computed concurrently
-// (Prefit, or the engine's fit resources); each workload's grid runs
+// (the engine's fit resources); each workload's grid runs
 // exactly once per suite. All heavy methods take a context and return
 // early when it is cancelled; a cancelled computation is evicted from
 // the cache so a later call can retry.
@@ -96,9 +96,9 @@ func isCtxErr(err error) bool {
 }
 
 // Fit returns the cached scaling fit for a workload, running the grid on
-// first use. Safe for concurrent use; the grid runs once per workload,
-// and for a workload a time-series figure plots it also measures that
-// figure's baseline run (measureGrid).
+// first use. Safe for concurrent use; the grid runs once per workload.
+// For a workload a time-series figure plots, the grid also measures that
+// figure's baseline run: its warm machine as it stands, sampled.
 // Cache hits and misses are reported to the engine's per-experiment
 // metrics when the context carries a recorder.
 func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
@@ -111,15 +111,25 @@ func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 			e.err = err
 			return
 		}
-		runs, base, err := measureGrid(ctx, w, PaperScalingConfigs(), s.Scale, nil, plotted(name))
-		if err == nil {
-			e.fit, err = fitRuns(name, runs)
+		warm := machineConfig(w, warmScaling)
+		configs := PaperScalingConfigs()
+		probes := gridProbes(name, warm, configs, s.Scale)
+		if plotted(name) {
+			probes = append(probes, asIsProbe(name, warm, s.Scale.SampleInterval, s.Scale))
 		}
+		runs, err := measure(ctx, w, warm, probes, s.Scale)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.runs, e.baseline = runs, base
+		// The grid is clipped so that appending to FitRuns' slice cannot
+		// overwrite the baseline behind it.
+		n := len(configs)
+		e.runs = runs[:n:n]
+		if plotted(name) {
+			e.baseline = runs[n]
+		}
+		e.fit, e.err = fitRuns(name, e.runs)
 	})
 	if ran {
 		engine.RecordFitCacheMiss(ctx)
@@ -146,7 +156,7 @@ func (s *Suite) FitRuns(ctx context.Context, name string) ([]sim.Measurement, er
 
 // baseline returns a workload's sampled run at warmScaling. A workload a
 // time-series figure plots takes it from its fit grid (Suite.Fit); any
-// other runs it cold.
+// other measures it alone (RunWorkload).
 func (s *Suite) baseline(ctx context.Context, name string) (sim.Measurement, error) {
 	if !plotted(name) {
 		w, err := workloads.ByName(name)
@@ -159,32 +169,6 @@ func (s *Suite) baseline(ctx context.Context, name string) (sim.Measurement, err
 		return sim.Measurement{}, err
 	}
 	return s.entry(name).baseline, nil
-}
-
-// Prefit computes the named workloads' fits concurrently (bounded by
-// parallelism; ≤0 means one worker per workload). Subsequent Fit calls
-// hit the cache. The first error is returned after all workers finish.
-func (s *Suite) Prefit(ctx context.Context, names []string, parallelism int) error {
-	if parallelism <= 0 || parallelism > len(names) {
-		parallelism = len(names)
-	}
-	sem := make(chan struct{}, parallelism)
-	errs := make(chan error, len(names))
-	var wg sync.WaitGroup
-	for _, name := range names {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if _, err := s.Fit(ctx, name); err != nil {
-				errs <- fmt.Errorf("prefit %s: %w", name, err)
-			}
-		}(name)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
 }
 
 // ClassFits returns the fits for every workload of a class.
