@@ -116,3 +116,29 @@ func TestAllocsMachineSimulation(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocsMachineCopy gates a copy of a warm 16-thread machine into a
+// pooled machine, the step every probe of a fit grid takes: the pooled
+// machine's memory, caches and cores are overwritten in place, so the
+// copy allocates only its generator clones — five allocations per
+// columnstore thread (the generator, its RNG, two scan cursors and its
+// pending buffer), 80 in all.
+func TestAllocsMachineCopy(t *testing.T) {
+	w, err := workloads.ByName("columnstore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := sim.New(sim.DefaultConfig(), w.Name(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Warm(context.Background(), 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	var dst sim.Machine
+	checkAllocs(t, "MachineCopy", 20, 80, func() {
+		if err := dst.CopyFrom(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -189,9 +189,10 @@ func asIsProbe(name string, warm sim.Config, interval units.Duration, scale Scal
 // knobs of one running server. Every probe measures from the same warm
 // state, so workload phase effects are common to all of them and cancel
 // in a fit. Each probe is looked up in the measurement cache first; a
-// machine warms only if one misses, and the missing probes fan out over
-// runGrid, each on a pooled copy that reads the warm machine
-// concurrently. Results come back in probe order.
+// machine warms only if one misses. A lone missing probe runs on the warm
+// machine itself (CopyFrom is exact, so a copy would measure the same);
+// several fan out over runGrid, each on a pooled copy that reads the
+// warm machine concurrently. Results come back in probe order.
 func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes []probe, scale Scale) ([]sim.Measurement, error) {
 	out := make([]sim.Measurement, len(probes))
 	c := scale.SimCache
@@ -222,27 +223,23 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
 	}
-	runs, err := runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
-		p := probes[todo[j]]
-		m, _ := machinePool.Get().(*sim.Machine)
-		if m == nil {
-			m = new(sim.Machine)
-		}
-		defer machinePool.Put(m)
-		if err := m.CopyFrom(src); err != nil {
-			return sim.Measurement{}, err
-		}
-		if err := m.Retime(p.cfg.Core.Freq, p.cfg.Mem.Grade); err != nil {
-			return sim.Measurement{}, err
-		}
-		m.SetSampleInterval(p.cfg.SampleInterval)
-		meas, err := m.Run(ctx, p.rewarm, scale.MeasureInstr)
-		engine.RecordSimInstr(ctx, m.Retired())
-		if err != nil {
-			return sim.Measurement{}, fmt.Errorf("experiments: measure %s at %v/%v: %w", w.Name(), p.cfg.Core.Freq, p.cfg.Mem.Grade, err)
-		}
-		return meas, nil
-	})
+	var runs []sim.Measurement
+	if len(todo) == 1 {
+		runs = make([]sim.Measurement, 1)
+		runs[0], err = probes[todo[0]].run(ctx, w, src, scale)
+	} else {
+		runs, err = runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
+			m, _ := machinePool.Get().(*sim.Machine)
+			if m == nil {
+				m = new(sim.Machine)
+			}
+			defer machinePool.Put(m)
+			if err := m.CopyFrom(src); err != nil {
+				return sim.Measurement{}, err
+			}
+			return probes[todo[j]].run(ctx, w, m, scale)
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +250,23 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 		}
 	}
 	return out, nil
+}
+
+// run takes probe p on m, a warm machine or a copy of one: it retimes m
+// to p's core speed and memory grade, sets p's sampling interval,
+// re-warms and measures, and records the instructions it simulated.
+func (p probe) run(ctx context.Context, w workloads.Workload, m *sim.Machine, scale Scale) (sim.Measurement, error) {
+	if err := m.Retime(p.cfg.Core.Freq, p.cfg.Mem.Grade); err != nil {
+		return sim.Measurement{}, err
+	}
+	m.SetSampleInterval(p.cfg.SampleInterval)
+	before := m.Retired()
+	meas, err := m.Run(ctx, p.rewarm, scale.MeasureInstr)
+	engine.RecordSimInstr(ctx, m.Retired()-before)
+	if err != nil {
+		return sim.Measurement{}, fmt.Errorf("experiments: measure %s at %v/%v: %w", w.Name(), p.cfg.Core.Freq, p.cfg.Mem.Grade, err)
+	}
+	return meas, nil
 }
 
 // RunWorkload performs a single measured run of a workload at one scaling

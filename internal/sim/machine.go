@@ -37,6 +37,13 @@ type GeneratorFactory interface {
 	NewGenerator(thread int, seed uint64) trace.Generator
 }
 
+// Cloner is a generator CopyFrom can copy. Clone returns an exact,
+// independent copy: it draws the blocks the original would draw next,
+// and drawing from either leaves the other unchanged.
+type Cloner interface {
+	Clone() trace.Generator
+}
+
 // Config describes a machine.
 type Config struct {
 	// Threads is the number of hardware threads (logical processors).
@@ -120,17 +127,10 @@ type Machine struct {
 	mem     *memsys.Simulator
 	cores   []*cpu.Core
 	gens    []trace.Generator
-	factory GeneratorFactory
 	name    string
 	blocks  []trace.Block
 	ioLines uint64
 
-	// drawn counts the blocks each thread's generator has produced since
-	// Reset. Generators are pure functions of (thread, seed), so CopyFrom
-	// rebuilds a source's generators and skips each forward by this count
-	// instead of deep-copying generator state. Unlike the cores' counters
-	// it survives the measured phase's counter reset.
-	drawn []uint64
 	// retired counts the aggregate instructions this machine simulated
 	// since Reset or CopyFrom: warm-ups, re-warms and measured phases.
 	retired uint64
@@ -195,10 +195,11 @@ func New(cfg Config, name string, factory GeneratorFactory) (*Machine, error) {
 // Reset rebuilds the machine in place for a new run — typically a
 // different workload, thread count, frequency, or memory grade — reusing
 // the memory simulator, per-thread cores/hierarchies, block buffers, and
-// heap wherever geometry allows. A Reset machine is bit-identical to a
-// freshly constructed one (reset_test.go asserts this measurement-for-
-// measurement), which is what lets internal/experiments pool machines
-// across grid points instead of re-paying construction per measurement.
+// heap wherever geometry allows, and builds each thread's generator from
+// the factory. A Reset machine is bit-identical to a freshly constructed
+// one (reset_test.go asserts this measurement-for-measurement), which is
+// what lets internal/experiments pool machines across grid points
+// instead of re-paying construction per measurement.
 func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -206,48 +207,73 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 	if factory == nil {
 		return errors.New("sim: nil generator factory")
 	}
+	if err := m.fit(cfg); err != nil {
+		return err
+	}
+	if err := m.mem.Reset(cfg.Mem); err != nil {
+		return err
+	}
+	for _, c := range m.cores {
+		if err := c.Caches().Reset(cfg.Cache); err != nil {
+			return err
+		}
+		if err := c.Reset(cfg.Core); err != nil {
+			return err
+		}
+	}
+	for t := range m.heap {
+		// All cores start at time zero, so index order is a valid heap.
+		m.heap[t] = t
+	}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = defaultSeed
+	}
+	for t := 0; t < cfg.Threads; t++ {
+		m.gens = append(m.gens, factory.NewGenerator(t, seed+uint64(t)*seedStride))
+	}
+	m.cfg = cfg
+	m.name = name
+	m.instr = 0
+	m.retired = 0
+	m.ioLines = 0
+	return nil
+}
+
+// fit gives m cfg.Threads cores, block buffers and heap slots, building
+// the memory simulator and any core it lacks for cfg (already validated)
+// and keeping the rest as they are, and empties m.gens. Reset and
+// CopyFrom then overwrite the state they need; neither pays to clear
+// what the other sets.
+func (m *Machine) fit(cfg Config) error {
 	if m.mem == nil {
 		mem, err := memsys.NewSimulator(cfg.Mem)
 		if err != nil {
 			return err
 		}
 		m.mem = mem
-	} else if err := m.mem.Reset(cfg.Mem); err != nil {
-		return err
 	}
 	if cfg.Threads > len(m.cores) && cfg.Threads <= cap(m.cores) {
 		// Recover cores parked beyond len by an earlier shrink.
 		m.cores = m.cores[:cfg.Threads]
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	m.gens = m.gens[:0]
 	for t := 0; t < cfg.Threads; t++ {
 		if t < len(m.cores) && m.cores[t] != nil {
-			if err := m.cores[t].Caches().Reset(cfg.Cache); err != nil {
-				return err
-			}
-			if err := m.cores[t].Reset(cfg.Core); err != nil {
-				return err
-			}
-		} else {
-			h, err := cache.New(cfg.Cache, m.mem)
-			if err != nil {
-				return err
-			}
-			core, err := cpu.New(cfg.Core, h, ioSink{m})
-			if err != nil {
-				return err
-			}
-			if t < len(m.cores) {
-				m.cores[t] = core
-			} else {
-				m.cores = append(m.cores, core)
-			}
+			continue
 		}
-		m.gens = append(m.gens, factory.NewGenerator(t, seed+uint64(t)*seedStride))
+		h, err := cache.New(cfg.Cache, m.mem)
+		if err != nil {
+			return err
+		}
+		core, err := cpu.New(cfg.Core, h, ioSink{m})
+		if err != nil {
+			return err
+		}
+		if t < len(m.cores) {
+			m.cores[t] = core
+		} else {
+			m.cores = append(m.cores, core)
+		}
 	}
 	m.cores = m.cores[:cfg.Threads]
 	if cap(m.blocks) >= cfg.Threads {
@@ -262,35 +288,26 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 	} else {
 		m.heap = make([]int, cfg.Threads)
 	}
-	for t := range m.heap {
-		// All cores start at time zero, so index order is a valid heap.
-		m.heap[t] = t
-	}
-	if cap(m.drawn) >= cfg.Threads {
-		m.drawn = m.drawn[:cfg.Threads]
-		clear(m.drawn)
-	} else {
-		m.drawn = make([]uint64, cfg.Threads)
-	}
-	m.cfg = cfg
-	m.name = name
-	m.factory = factory
-	m.instr = 0
-	m.retired = 0
-	m.ioLines = 0
+	clear(m.gens) // let the old generators go
+	m.gens = m.gens[:0]
 	return nil
 }
 
-// CopyFrom makes m an exact copy of src's simulated state: m is Reset to
-// src's configuration and workload, then takes src's memory simulator,
-// cores (clocks, counters and cache contents), event heap, instruction
-// count and I/O cursor. Generators are not deep-copied: each is rebuilt
-// from its (thread, seed) and skipped forward by the blocks src's
-// generator has drawn, which reproduces its state exactly. Running m then
-// proceeds exactly as src would. src is only read, so several machines
-// may copy one source concurrently. Retired restarts at zero.
+// CopyFrom makes m an exact copy of src's simulated state: m takes src's
+// configuration and workload, src's memory simulator, cores (clocks,
+// counters and cache contents), event heap, instruction count and I/O
+// cursor, and a Clone of each thread's generator. Every generator of
+// src must implement Cloner: if one does not, CopyFrom fails, naming the
+// workload, before it touches m. Running m then proceeds exactly as src
+// would. src is only read, so several machines may copy one source
+// concurrently. Retired restarts at zero.
 func (m *Machine) CopyFrom(src *Machine) error {
-	if err := m.Reset(src.cfg, src.name, src.factory); err != nil {
+	for _, g := range src.gens {
+		if _, ok := g.(Cloner); !ok {
+			return fmt.Errorf("sim: cannot copy workload %q: its generator %T has no Clone", src.name, g)
+		}
+	}
+	if err := m.fit(src.cfg); err != nil {
 		return err
 	}
 	m.mem.CopyFrom(src.mem)
@@ -298,16 +315,14 @@ func (m *Machine) CopyFrom(src *Machine) error {
 		c.CopyFrom(src.cores[t])
 	}
 	copy(m.heap, src.heap)
-	m.instr = src.instr
-	m.ioLines = src.ioLines
-	for t, g := range m.gens {
-		b := &m.blocks[t]
-		for n := src.drawn[t]; n > 0; n-- {
-			b.Reset()
-			g.NextBlock(b)
-		}
-		m.drawn[t] = src.drawn[t]
+	for _, g := range src.gens {
+		m.gens = append(m.gens, g.(Cloner).Clone())
 	}
+	m.cfg = src.cfg
+	m.name = src.name
+	m.instr = src.instr
+	m.retired = 0
+	m.ioLines = src.ioLines
 	return nil
 }
 
@@ -386,7 +401,6 @@ func (m *Machine) step() int {
 		panic(fmt.Sprintf("sim: workload %q produced an empty block", m.name))
 	}
 	m.cores[min].RunBlock(b)
-	m.drawn[min]++
 	m.instr += b.Instructions
 	m.retired += b.Instructions
 	m.siftDown(0)
