@@ -12,12 +12,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// Allocation gates for the measurement hot path. The ceilings match the
-// check_allocs lines of scripts/bench.sh, which apply them to the
-// benchmarks of the same names; these tests apply them in tier-1, so an
-// accidental allocation on the path fails `go test ./...` too.
-// testing.AllocsPerRun measures at GOMAXPROCS 1, without the runtime
-// thread allocations a multi-CPU benchmark run adds.
+// The measurement hot path's operations, each written once: its
+// Benchmark* in bench_test.go times the op, and its TestAllocs* here
+// gates the op's allocations in tier-1, so an accidental allocation on
+// the path fails `go test ./...`. testing.AllocsPerRun measures at
+// GOMAXPROCS 1, without runtime thread allocations, so the counts are
+// stable and each ceiling sits just above its measurement.
 
 func checkAllocs(t *testing.T, name string, runs int, ceiling float64, f func()) {
 	t.Helper()
@@ -28,39 +28,40 @@ func checkAllocs(t *testing.T, name string, runs int, ceiling float64, f func())
 	t.Logf("%s: %.1f allocs/op (ceiling %.0f)", name, got, ceiling)
 }
 
-func newHierarchy(t *testing.T) *cache.Hierarchy {
-	t.Helper()
+func newHierarchy(tb testing.TB) *cache.Hierarchy {
+	tb.Helper()
 	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	h, err := cache.New(cache.DefaultConfig(), mem)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return h
 }
 
-// TestAllocsCacheAccess gates BenchmarkCacheAccess: random demand
-// traffic through the hierarchy allocates nothing.
-func TestAllocsCacheAccess(t *testing.T) {
-	h := newHierarchy(t)
+// cacheAccessOp is one random demand access through the hierarchy.
+func cacheAccessOp(tb testing.TB) func() {
+	h := newHierarchy(tb)
 	rng := trace.NewRNG(1)
 	i := 0
-	checkAllocs(t, "CacheAccess", 10_000, 0, func() {
+	return func() {
 		h.Access(units.Duration(i), trace.Ref{Addr: rng.Uint64n(1<<24) * 64}, units.GHzOf(2.5))
 		i++
-	})
+	}
 }
 
-// TestAllocsCacheAccessStream gates BenchmarkCacheAccessStream: trained
-// prefetch streams (ascending, descending and sub-line stride) allocate
-// nothing.
-func TestAllocsCacheAccessStream(t *testing.T) {
-	h := newHierarchy(t)
-	const span = 1 << 26
+// cacheAccessStreamOp interleaves the streams the prefetcher trains on:
+// ascending and descending line-by-line scans and a 16-byte stride
+// scan, each over a footprint far beyond the LLC. Trained accesses run
+// prefetchFill's window of lookups and fills, which the random traffic
+// of cacheAccessOp never reaches.
+func cacheAccessStreamOp(tb testing.TB) func() {
+	h := newHierarchy(tb)
+	const span = 1 << 26 // bytes per stream
 	i := 0
-	checkAllocs(t, "CacheAccessStream", 30_000, 0, func() {
+	return func() {
 		k := uint64(i / 3)
 		var addr uint64
 		switch i % 3 {
@@ -73,48 +74,76 @@ func TestAllocsCacheAccessStream(t *testing.T) {
 		}
 		h.Access(units.Duration(i), trace.Ref{Addr: addr}, units.GHzOf(2.5))
 		i++
-	})
+	}
 }
 
-// TestAllocsMemsysAccess gates BenchmarkMemsysAccess.
-func TestAllocsMemsysAccess(t *testing.T) {
+// memsysAccessOp is one random read through the memory system.
+func memsysAccessOp(tb testing.TB) func() {
 	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := trace.NewRNG(2)
 	i := 0
-	checkAllocs(t, "MemsysAccess", 10_000, 0, func() {
+	return func() {
 		mem.Access(units.Duration(i)*3, rng.Uint64n(1<<26)*64, memsys.Read)
 		i++
-	})
+	}
 }
 
-// TestAllocsMachineSimulation gates BenchmarkMachineSimulation: a pooled
-// machine's Reset and a 2M-instruction run allocate little beyond the
-// workload generators Reset builds.
-func TestAllocsMachineSimulation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates 2M instructions per run")
-	}
+// machineSimInstr is the run length of one machineSimulationOp.
+const machineSimInstr = 2_000_000
+
+// machineSimulationOp resets one 8-thread columnstore machine and runs
+// it for machineSimInstr instructions. Reusing the machine is the
+// production configuration (the experiments layer pools machines), so
+// the op measures simulation, not construction.
+func machineSimulationOp(tb testing.TB) func() {
 	w, err := workloads.ByName("columnstore")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Threads = 8
 	m, err := sim.New(cfg, w.Name(), w)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	checkAllocs(t, "MachineSimulation", 3, 220, func() {
+	return func() {
 		if err := m.Reset(cfg, w.Name(), w); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := m.Run(context.Background(), 0, 2_000_000); err != nil {
-			t.Fatal(err)
+		if _, err := m.Run(context.Background(), 0, machineSimInstr); err != nil {
+			tb.Fatal(err)
 		}
-	})
+	}
+}
+
+// TestAllocsCacheAccess: random demand traffic through the hierarchy
+// allocates nothing.
+func TestAllocsCacheAccess(t *testing.T) {
+	checkAllocs(t, "CacheAccess", 10_000, 0, cacheAccessOp(t))
+}
+
+// TestAllocsCacheAccessStream: trained prefetch streams (ascending,
+// descending and sub-line stride) allocate nothing.
+func TestAllocsCacheAccessStream(t *testing.T) {
+	checkAllocs(t, "CacheAccessStream", 30_000, 0, cacheAccessStreamOp(t))
+}
+
+// TestAllocsMemsysAccess: a memory-system access allocates nothing.
+func TestAllocsMemsysAccess(t *testing.T) {
+	checkAllocs(t, "MemsysAccess", 10_000, 0, memsysAccessOp(t))
+}
+
+// TestAllocsMachineSimulation: a pooled machine's Reset and run allocate
+// little beyond the workload generators Reset builds. It measures 102
+// allocs/op; the ceiling of 110 leaves ~8% headroom.
+func TestAllocsMachineSimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 2M instructions per run")
+	}
+	checkAllocs(t, "MachineSimulation", 3, 110, machineSimulationOp(t))
 }
 
 // TestAllocsMachineCopy gates a copy of a warm 16-thread machine into a

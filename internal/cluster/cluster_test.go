@@ -415,11 +415,15 @@ func TestJainFairness(t *testing.T) {
 	}
 }
 
-// TestClusterSimulateAllocs is the tier-1 copy of the ClusterSimulate
-// allocation gate in scripts/bench.sh: the reference fleet under the
-// weighted policy, with the same ceiling.
+// TestClusterSimulateAllocs gates the allocations of one Simulate of
+// the reference fleet under the weighted policy, the spec
+// BenchmarkSimulate times. It measures 984 allocs/op (the pricing pass's
+// canonical strings and solves dominate), and 1020–1060 under the race
+// detector, whose sync.Pool drops a share of Puts at random. The
+// ceiling of 1100 leaves ~4% over the race worst and ~12% over a plain
+// run.
 func TestClusterSimulateAllocs(t *testing.T) {
-	const ceiling = 1500
+	const ceiling = 1100
 	spec := defaultSpec(WeightedScore)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := Simulate(bg, spec); err != nil {
@@ -429,14 +433,22 @@ func TestClusterSimulateAllocs(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("Simulate: %.0f allocs/op, ceiling %d", allocs, ceiling)
 	}
+	t.Logf("Simulate: %.0f allocs/op (ceiling %d)", allocs, ceiling)
 }
 
+// BenchmarkSimulate runs the reference 8-host fleet under the
+// model-aware weighted policy: the (tenant, host) pricing pass plus
+// the discrete-event loop end to end.
 func BenchmarkSimulate(b *testing.B) {
 	spec := defaultSpec(WeightedScore)
+	var events int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(bg, spec); err != nil {
+		res, err := Simulate(bg, spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events = res.Events
 	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

@@ -100,9 +100,6 @@ func NewDirSink(dir string) (*DirSink, error) {
 	return &DirSink{dir: dir}, nil
 }
 
-// Dir returns the output directory.
-func (s *DirSink) Dir() string { return s.dir }
-
 // RecordRun attaches scheduler-level stats (total wall time, worker
 // high-water mark, resource timings) for the manifest. Call before Close.
 func (s *DirSink) RecordRun(rr RunResult, workers int) {

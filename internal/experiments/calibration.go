@@ -103,45 +103,41 @@ func SweepCombo(ctx context.Context, combo Fig7Combo, scale Scale, seed uint64) 
 	return out, nil
 }
 
-// CalibrateQueueCurve runs the four-combo sweep and returns the composite
-// (averaged) curve plus the baseline-grade efficiency measured from the
-// 100%-read DDR3-1867 case.
-func CalibrateQueueCurve(ctx context.Context, scale Scale) (queueing.Curve, float64, error) {
+// CalibrateQueueCurve runs the four-combo sweep and returns each combo's
+// measured curve plus their composite (pointwise average), the curve the
+// §VI.C sensitivity studies run over.
+func CalibrateQueueCurve(ctx context.Context, scale Scale) ([]Fig7Curve, queueing.Curve, error) {
+	var fig7 []Fig7Curve
 	var curves []queueing.Curve
-	eff := 0.0
 	for i, combo := range PaperFig7Combos() {
 		c, err := SweepCombo(ctx, combo, scale, 0xF16+uint64(i)*131)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
+		fig7 = append(fig7, c)
 		curves = append(curves, c.Curve)
-		if combo.Grade == memsys.DDR3_1867 && combo.ReadFraction == 1.0 {
-			cfg := memsysConfigFor(combo.Grade)
-			eff = float64(c.MaxBW) / float64(cfg.RawBandwidth())
-		}
 	}
 	comp, err := queueing.NewComposite(curves...)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return comp, eff, nil
+	return fig7, comp, nil
 }
 
 // Figure7 reproduces Fig. 7: queuing delay vs bandwidth utilization for
-// the four combos plus the composite model curve.
+// the four combos plus the composite model curve, rendered from the
+// suite's calibration.
 func (s *Suite) Figure7(ctx context.Context) (Artifact, error) {
+	cal, err := s.calibration(ctx)
+	if err != nil {
+		return Artifact{}, err
+	}
 	chart := report.NewChart("Figure 7: memory channel queuing delay vs bandwidth utilization",
 		"bandwidth utilization", "queuing delay (ns)")
 	table := report.NewTable("Figure 7 data", "case", "utilization", "queue delay (ns)", "loaded latency (ns)", "bandwidth")
 
-	var curves []queueing.Curve
-	for i, combo := range PaperFig7Combos() {
-		c, err := SweepCombo(ctx, combo, s.Scale, 0xF16+uint64(i)*131)
-		if err != nil {
-			return Artifact{}, err
-		}
-		curves = append(curves, c.Curve)
-		label := fmt.Sprintf("%v %.0f%%R", combo.Grade, combo.ReadFraction*100)
+	for _, c := range cal.fig7 {
+		label := fmt.Sprintf("%v %.0f%%R", c.Combo.Grade, c.Combo.ReadFraction*100)
 		var xs, ys []float64
 		for _, pt := range c.Points {
 			xs = append(xs, pt.Utilization)
@@ -152,14 +148,10 @@ func (s *Suite) Figure7(ctx context.Context) (Artifact, error) {
 			return Artifact{}, err
 		}
 	}
-	comp, err := queueing.NewComposite(curves...)
-	if err != nil {
-		return Artifact{}, err
-	}
 	var xs, ys []float64
 	for u := 0.05; u <= 0.95; u += 0.05 {
 		xs = append(xs, u)
-		ys = append(ys, comp.Delay(u).Nanoseconds())
+		ys = append(ys, cal.curve.Delay(u).Nanoseconds())
 	}
 	if err := chart.AddSeries("composite", xs, ys); err != nil {
 		return Artifact{}, err

@@ -56,11 +56,17 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestFigure7CurveShape(t *testing.T) {
-	curve, eff, err := CalibrateQueueCurve(bg, Quick())
+	fig7, curve, err := CalibrateQueueCurve(bg, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper's baseline efficiency: ~70%.
+	// The paper's baseline efficiency, from the 100%-read DDR3-1867
+	// case: ~70%.
+	base := fig7[0]
+	if base.Combo != (Fig7Combo{memsys.DDR3_1867, 1}) {
+		t.Fatalf("first combo = %+v, want DDR3-1867 100%% read", base.Combo)
+	}
+	eff := float64(base.MaxBW) / float64(memsysConfigFor(base.Combo.Grade).RawBandwidth())
 	if eff < 0.64 || eff > 0.76 {
 		t.Fatalf("efficiency = %v, want ≈0.70", eff)
 	}

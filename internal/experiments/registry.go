@@ -79,7 +79,7 @@ func (s *Suite) Registry() *engine.Registry {
 	add("table5", "Table 5: workload parameters for HPC", "§V.D / Tab. 5", fitDeps(workloads.HPC), s.Table5)
 	add("table6", "Table 6: workload class parameters", "§VI.B / Tab. 6", fitDeps(workloads.Enterprise, workloads.BigData, workloads.HPC), s.Table6)
 	add("fig6", "Figure 6: bandwidth demand vs latency sensitivity", "§VI.A / Fig. 6", fitDeps(workloads.BigData, workloads.Enterprise, workloads.HPC, workloads.Micro), s.Figure6)
-	add("fig7", "Figure 7: queuing delay vs bandwidth utilization", "§VI.C.1 / Fig. 7", nil, s.Figure7)
+	add("fig7", "Figure 7: queuing delay vs bandwidth utilization", "§VI.C.1 / Fig. 7", curve, s.Figure7)
 	add("efficiency", "Measured channel efficiency (MLC saturation)", "§VI.C.1", nil, s.EfficiencyTable)
 	add("fig8", "Figure 8: CPI increase vs per-core bandwidth reduction", "§VI.C.3 / Fig. 8", curve, s.Figure8)
 	add("fig9", "Figure 9: marginal CPI impact of bandwidth", "§VI.C.3 / Fig. 9", curve, s.Figure9)

@@ -24,7 +24,7 @@ type Artifact = engine.Artifact
 
 // Suite runs the paper's experiments with shared, cached intermediate
 // results: workload fits are reused across Fig. 3, Tables 2/4/5 and
-// Fig. 6, and the calibrated queuing curve is reused across Figs. 8–11
+// Fig. 6, and the queuing-curve calibration is reused across Figs. 7–11
 // and Table 7. Fits for different workloads may be computed concurrently
 // (the engine's fit resources); each workload's grid runs
 // exactly once per suite. All heavy methods take a context and return
@@ -51,13 +51,13 @@ type fitEntry struct {
 	err      error
 }
 
-// curveEntry computes the calibrated queuing curve exactly once, even
+// curveEntry computes the queuing-curve calibration exactly once, even
 // under concurrent callers — the same once-cell shape as fitEntry, so
 // Curve no longer holds the suite mutex across the whole calibration.
 type curveEntry struct {
 	once  sync.Once
+	fig7  []Fig7Curve // the four measured combos Figure 7 plots
 	curve queueing.Curve
-	eff   float64
 	err   error
 }
 
@@ -185,12 +185,21 @@ func (s *Suite) ClassFits(ctx context.Context, c workloads.Class) ([]model.Fit, 
 }
 
 // Curve returns the composite queuing curve calibrated from the Fig. 7
-// MLC sweep, cached after the first call. Concurrent callers share one
-// calibration without blocking the suite's fit cache.
+// MLC sweep, cached after the first call.
 func (s *Suite) Curve(ctx context.Context) (queueing.Curve, error) {
+	c, err := s.calibration(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return c.curve, nil
+}
+
+// calibration runs the Fig. 7 MLC sweep once per suite. Concurrent
+// callers share one calibration without blocking the suite's fit cache.
+func (s *Suite) calibration(ctx context.Context) (*curveEntry, error) {
 	c := s.curveCell()
 	c.once.Do(func() {
-		c.curve, c.eff, c.err = CalibrateQueueCurve(ctx, s.Scale)
+		c.fig7, c.curve, c.err = CalibrateQueueCurve(ctx, s.Scale)
 	})
 	if isCtxErr(c.err) {
 		s.mu.Lock()
@@ -199,17 +208,7 @@ func (s *Suite) Curve(ctx context.Context) (queueing.Curve, error) {
 		}
 		s.mu.Unlock()
 	}
-	return c.curve, c.err
-}
-
-// BaseEfficiency returns the measured baseline channel efficiency from
-// the Fig. 7 calibration (calibrating first if needed).
-func (s *Suite) BaseEfficiency(ctx context.Context) (float64, error) {
-	c := s.curveCell()
-	if _, err := s.Curve(ctx); err != nil {
-		return 0, err
-	}
-	return c.eff, nil
+	return c, c.err
 }
 
 // BaselinePlatform returns the paper's §VI.C.2 baseline over the

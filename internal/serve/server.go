@@ -91,9 +91,6 @@ func (s *Server) Handler() http.Handler {
 // job). Draining is one-way.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // StatsLine renders a one-line operational summary — the "flush stats"
 // record the daemon prints after a graceful drain.
 func (s *Server) StatsLine() string {

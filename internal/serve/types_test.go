@@ -147,9 +147,11 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{"ghz":-3}}`))
+	f.Add([]byte(`{"duration_s":1,"policies":["weighted","round-robin"],"seed":7,"rate_scale":1.5}`))
+	f.Add([]byte(`{"spec":{"name":"mix","total_rps":2000,"duration_s":5,"seed":42},"service_us":150,"slots":8}`))
 
 	s := New()
-	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep}
+	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep, s.prepareCluster, s.prepareWorkload}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, prepare := range preps {
 			prep, err := prepare(jsonDecoder(body))

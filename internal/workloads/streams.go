@@ -24,10 +24,6 @@ func (s *seqStream) next() uint64 {
 	return addr
 }
 
-// skip jumps the stream forward by n lines (phase changes, segment
-// boundaries); jumping breaks prefetch trains like a real pointer jump.
-func (s *seqStream) skip(n uint64) { s.line += n }
-
 // stridedStream walks a region with a fixed line stride, as stencil codes
 // sweeping a non-unit dimension do. Stride 1 degenerates to seqStream.
 type stridedStream struct {
