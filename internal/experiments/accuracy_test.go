@@ -45,6 +45,12 @@ const (
 	pinTable3Max   = 0.03
 )
 
+// pinSEBFMax bounds every workload's in-fit OLS standard error of BF at
+// full scale. It was set from the first measurement at the 6 M-instruction
+// window, where the largest was oltp's 0.0021, as a third of the BF pin:
+// the same precision target that sized Full().MeasureInstr.
+const pinSEBFMax = 0.0033
+
 func TestFullScaleAccuracyPins(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("fits every workload at full scale")
@@ -99,6 +105,21 @@ func TestFullScaleAccuracyPins(t *testing.T) {
 	if n != len(pinnedBF) {
 		t.Errorf("checked %d workloads, %d pinned", n, len(pinnedBF))
 	}
+
+	worst, worstName := 0.0, ""
+	for _, w := range workloads.All() {
+		fit, err := s.Fit(bg, w.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se := fit.Line.SESlope; se > worst {
+			worst, worstName = se, w.Name()
+		}
+	}
+	if worst > pinSEBFMax {
+		t.Errorf("%s SE(BF) = %.4f, bound %v", worstName, worst, pinSEBFMax)
+	}
+	t.Logf("largest SE(BF): %s %.4f", worstName, worst)
 
 	fit, err := s.Fit(bg, "columnstore")
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment is a pure function from a Scale (run
-// length) to a result struct that cmd/repro renders and bench_test.go
-// times; the per-experiment index lives in DESIGN.md §4.
+// length) to a result struct that cmd/repro renders (and, with
+// -only <id> -cpuprofile, profiles); the per-experiment index lives in
+// DESIGN.md §4.
 package experiments
 
 import (
@@ -40,12 +41,20 @@ type Scale struct {
 	SimCache *simcache.Cache
 }
 
-// Full is the scale used by cmd/repro: enough work for fitted parameters
-// to stabilize to within a few percent.
+// Full is the scale used by cmd/repro. MeasureInstr is the smallest
+// window w (of 12, 8, 6 and 4 M) that passes, with every larger window,
+// this rule over 8 workload seeds of all 14 workloads: each workload's
+// mean BF at w is within max(0.001, 2·√((SD_w² + SD_12M²)/8)) of its mean
+// at 12 M, and its seed SD of BF at w is at most 0.0033, a third of the
+// 0.01 BF accuracy pin. At 6 M the largest seed SD is 0.0023 (oltp) and
+// the largest in-fit OLS standard error is 0.0029 (oltp's mean); 4 M
+// fails on oltp's mean shift (0.0028 > 0.0026). EXPERIMENTS.md has the
+// table. The 30 M warm-up is load-bearing: at 15 M the class means leave
+// their pins.
 func Full() Scale {
 	return Scale{
 		WarmupInstr:    30_000_000,
-		MeasureInstr:   12_000_000,
+		MeasureInstr:   6_000_000,
 		SampleInterval: 40 * units.Microsecond,
 		MLCDuration:    150 * units.Microsecond,
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -48,6 +49,36 @@ func TestRegistryCatalog(t *testing.T) {
 	}
 	if _, ok := reg.Resource(CurveResource); !ok {
 		t.Fatal("missing queue-curve resource")
+	}
+}
+
+// TestCommittedManifestMatchesRegistry checks the full-scale manifest
+// committed under results/ against the registry, without simulating: the
+// same experiments in the same order, each with the dependencies it
+// declares. A registry change that is not followed by a re-capture of
+// results/ fails here.
+func TestCommittedManifestMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m engine.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	exps := NewSuite(Full()).Registry().Experiments()
+	if len(m.Experiments) != len(exps) {
+		t.Errorf("results/manifest.json has %d experiments, registry %d", len(m.Experiments), len(exps))
+	}
+	for i := range min(len(m.Experiments), len(exps)) {
+		got, want := m.Experiments[i], exps[i]
+		if got.ID != want.ID {
+			t.Errorf("experiment %d: results/manifest.json has %q, registry %q", i, got.ID, want.ID)
+			continue
+		}
+		if !slices.Equal(got.Deps, want.Deps) {
+			t.Errorf("%s: results/manifest.json deps %v, registry %v", got.ID, got.Deps, want.Deps)
+		}
 	}
 }
 

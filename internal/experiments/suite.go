@@ -280,5 +280,9 @@ func memsysConfigFor(grade memsys.Grade) memsys.Config {
 // fmtPct renders a fraction as a percentage string.
 func fmtPct(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }
 
+// fmtSE renders a standard error to four decimals: a default float cell
+// would round a BF error of 0.0021 to 0.002.
+func fmtSE(se float64) string { return fmt.Sprintf("%.4f", se) }
+
 // fmtNS renders a duration in ns.
 func fmtNS(d units.Duration) string { return fmt.Sprintf("%.1f", d.Nanoseconds()) }

@@ -12,10 +12,11 @@ import (
 )
 
 // paramsTable renders fitted workload parameters next to the paper's
-// values (Tables 2, 4, 5).
+// values (Tables 2, 4, 5), with the OLS standard errors of the fitted
+// CPI_cache (intercept) and BF (slope).
 func (s *Suite) paramsTable(ctx context.Context, id, title string, class workloads.Class) (Artifact, error) {
 	table := report.NewTable(title,
-		"workload", "CPI_cache", "BF", "MPKI", "WBR", "R2",
+		"workload", "CPI_cache", "SE CPI_cache", "BF", "SE BF", "MPKI", "WBR", "R2",
 		"paper CPI_cache", "paper BF", "paper MPKI", "paper WBR")
 	for _, w := range workloads.ByClass(class) {
 		fit, err := s.Fit(ctx, w.Name())
@@ -23,7 +24,8 @@ func (s *Suite) paramsTable(ctx context.Context, id, title string, class workloa
 			return Artifact{}, err
 		}
 		p := fit.Params
-		row := []interface{}{w.Name(), p.CPICache, p.BF, p.MPKI, fmtPct(p.WBR), fit.R2}
+		row := []interface{}{w.Name(), p.CPICache, fmtSE(fit.Line.SEIntercept), p.BF, fmtSE(fit.Line.SESlope),
+			p.MPKI, fmtPct(p.WBR), fit.R2}
 		if t, ok := params.ByWorkload(w.Name()); ok {
 			row = append(row, t.CPICache, t.BF, t.MPKI, fmtPct(t.WBR))
 		} else {
@@ -31,6 +33,7 @@ func (s *Suite) paramsTable(ctx context.Context, id, title string, class workloa
 		}
 		table.AddRow(row...)
 	}
+	table.AddNote("SE: ordinary-least-squares standard error over the %d-point scaling grid; it and the spread across workload seeds differ by up to ~4x (EXPERIMENTS.md)", len(PaperScalingConfigs()))
 	return Artifact{ID: id, Tables: []*report.Table{table}}, nil
 }
 

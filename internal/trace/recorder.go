@@ -65,13 +65,16 @@ func NewRecorder(gen Generator, w io.Writer) (*Recorder, error) {
 	return r, nil
 }
 
-// NextBlock implements Generator: it delegates and records.
+// NextBlock implements Generator: it delegates and records. A block the
+// replayer would reject stops the recording with ErrBadTrace (see Err).
 func (r *Recorder) NextBlock(dst *Block) {
 	r.gen.NextBlock(dst)
 	if r.err != nil {
 		return
 	}
-	r.err = r.writeBlock(dst)
+	if r.err = checkBlock(dst); r.err == nil {
+		r.err = r.writeBlock(dst)
+	}
 }
 
 // Err reports the first write error, if any.
@@ -172,12 +175,18 @@ func NewReplayer(rd io.Reader) (*Replayer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 		}
+		if chains > maxInt {
+			return nil, fmt.Errorf("%w: chain count %d overflows int", ErrBadTrace, chains)
+		}
 		b.Chains = int(chains)
 		if b.IOBytes, err = readF64(br); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 		}
 		if b.IdleNS, err = readF64(br); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		}
+		if err := checkBlock(&b); err != nil {
+			return nil, err
 		}
 		nrefs, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -186,8 +195,10 @@ func NewReplayer(rd io.Reader) (*Replayer, error) {
 		if nrefs > 1<<20 {
 			return nil, fmt.Errorf("%w: implausible ref count %d", ErrBadTrace, nrefs)
 		}
-		b.Refs = make([]Ref, nrefs)
-		for i := range b.Refs {
+		// Grow the refs as they parse: a count claimed by a short stream
+		// allocates no more than the stream holds.
+		b.Refs = make([]Ref, 0, min(nrefs, 4096))
+		for range nrefs {
 			zz, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
@@ -198,12 +209,12 @@ func NewReplayer(rd io.Reader) (*Replayer, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 			}
-			b.Refs[i] = Ref{
+			b.Refs = append(b.Refs, Ref{
 				Addr:        addr,
 				Write:       flags&flagWrite != 0,
 				NonTemporal: flags&flagNonTemporal != 0,
 				NoPrefetch:  flags&flagNoPrefetch != 0,
-			}
+			})
 		}
 		blocks = append(blocks, b)
 	}
@@ -211,6 +222,27 @@ func NewReplayer(rd io.Reader) (*Replayer, error) {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadTrace)
 	}
 	return &Replayer{blocks: blocks}, nil
+}
+
+// checkBlock reports, as ErrBadTrace, a block header no generator emits:
+// zero instructions (the stream terminator), a negative chain count, or a
+// BaseCPI, IOBytes or IdleNS that is NaN, infinite or negative.
+func checkBlock(b *Block) error {
+	if b.Instructions == 0 {
+		return fmt.Errorf("%w: zero-instruction block", ErrBadTrace)
+	}
+	if b.Chains < 0 {
+		return fmt.Errorf("%w: negative chain count %d", ErrBadTrace, b.Chains)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"BaseCPI", b.BaseCPI}, {"IOBytes", b.IOBytes}, {"IdleNS", b.IdleNS}} {
+		if !finiteNonNeg(f.v) {
+			return fmt.Errorf("%w: %s = %v", ErrBadTrace, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Len reports the number of recorded blocks.

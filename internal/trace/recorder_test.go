@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -38,7 +40,7 @@ func (g *synthGen) NextBlock(b *Block) {
 	}
 }
 
-func record(t *testing.T, n int, seed uint64) ([]Block, []byte) {
+func record(t testing.TB, n int, seed uint64) ([]Block, []byte) {
 	t.Helper()
 	gen := &synthGen{rng: NewRNG(seed)}
 	var buf bytes.Buffer
@@ -109,18 +111,128 @@ func TestReplayerLoops(t *testing.T) {
 }
 
 func TestReplayerRejectsGarbage(t *testing.T) {
+	if _, err := NewReplayer(bytes.NewReader(rawTrace(100, 1, 2, 4096, 250))); err != nil {
+		t.Fatalf("well-formed header rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX\x01\x00"),
 		[]byte("MMTR\x09\x00"),     // wrong version
 		[]byte("MMTR\x01\x00\x05"), // truncated block
 		[]byte("MMTR\x01\x00\x00"), // empty trace (terminator only)
+		// Block headers no generator emits.
+		rawTrace(100, nan, 0, 0, 0),
+		rawTrace(100, inf, 0, 0, 0),
+		rawTrace(100, -1, 0, 0, 0),
+		rawTrace(100, 1, 0, nan, 0),
+		rawTrace(100, 1, 0, -inf, 0),
+		rawTrace(100, 1, 0, -4096, 0),
+		rawTrace(100, 1, 0, 0, nan),
+		rawTrace(100, 1, 0, 0, inf),
+		rawTrace(100, 1, 0, 0, -250),
+		rawTrace(100, 1, math.MaxInt+1, 0, 0), // chain count overflows int
+		rawTrace(100, 1, math.MaxUint64, 0, 0),
 	}
 	for i, data := range cases {
 		if _, err := NewReplayer(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
 			t.Errorf("case %d: err = %v, want ErrBadTrace", i, err)
 		}
 	}
+}
+
+// rawTrace encodes one refless block with the given header fields,
+// bypassing the recorder's checks, followed by the terminator.
+func rawTrace(instr uint64, baseCPI float64, chains uint64, ioBytes, idleNS float64) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	w.WriteString(traceMagic)
+	w.Write([]byte{traceVersion, 0})
+	writeUvarint(w, instr)
+	writeF64(w, baseCPI)
+	writeUvarint(w, chains)
+	writeF64(w, ioBytes)
+	writeF64(w, idleNS)
+	writeUvarint(w, 0) // no refs
+	writeUvarint(w, 0) // terminator
+	w.Flush()
+	return buf.Bytes()
+}
+
+// badGen emits one block the replayer would reject.
+type badGen struct{}
+
+func (badGen) NextBlock(b *Block) {
+	b.Instructions = 100
+	b.BaseCPI = math.NaN()
+}
+
+func TestRecorderRejectsBadBlock(t *testing.T) {
+	var buf bytes.Buffer
+	rec, err := NewRecorder(badGen{}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Block
+	rec.NextBlock(&b)
+	if !errors.Is(rec.Err(), ErrBadTrace) {
+		t.Fatalf("Err = %v, want ErrBadTrace", rec.Err())
+	}
+	if err := rec.Close(); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Close = %v, want ErrBadTrace", err)
+	}
+}
+
+// rerecord replays every block of rep once through a Recorder and
+// returns the stream it writes.
+func rerecord(t *testing.T, rep *Replayer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec, err := NewRecorder(rep, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Block
+	for range rep.Len() {
+		b.Reset()
+		rec.NextBlock(&b)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatalf("re-recording an accepted trace: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReplayer feeds arbitrary bytes to NewReplayer. It must never panic,
+// must reject with ErrBadTrace, and every trace it accepts must round-trip:
+// re-recorded, it parses back to the same blocks, so recording it once
+// more writes the same bytes.
+func FuzzReplayer(f *testing.F) {
+	_, valid := record(f, 5, 7)
+	f.Add(valid)
+	f.Add(rawTrace(100, 1, 2, 4096, 250))
+	f.Add(rawTrace(100, math.NaN(), 0, 0, 0))
+	f.Add([]byte("MMTR\x01\x00\x05"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := NewReplayer(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("err = %v, want ErrBadTrace", err)
+			}
+			return
+		}
+		once := rerecord(t, rep)
+		again, err := NewReplayer(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-recorded trace rejected: %v", err)
+		}
+		if again.Len() != rep.Len() {
+			t.Fatalf("round trip has %d blocks, want %d", again.Len(), rep.Len())
+		}
+		if twice := rerecord(t, again); !bytes.Equal(twice, once) {
+			t.Fatal("re-recording a round-tripped trace changed its bytes")
+		}
+	})
 }
 
 func TestRecorderNilGenerator(t *testing.T) {
