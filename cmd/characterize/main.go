@@ -11,7 +11,7 @@
 // Usage:
 //
 //	characterize [-workload name] [-fit] [-ghz 2.5] [-grade 1867]
-//	             [-instr 3000000] [-out dir]
+//	             [-instr N] [-out dir]
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 		fit      = flag.Bool("fit", false, "run the full scaling grid and fit CPI_cache/BF")
 		ghz      = flag.Float64("ghz", 2.5, "core speed in GHz")
 		grade    = flag.Int("grade", 1867, "DDR speed grade in MT/s")
-		instr    = flag.Uint64("instr", 3_000_000, "measured instructions")
+		instr    = flag.Uint64("instr", experiments.Full().MeasureInstr, "measured instructions")
 		verbose  = flag.Bool("v", false, "print per-run measurements during fits")
 		counters = flag.Bool("counters", false, "dump the full counter set per run")
 		outDir   = flag.String("out", "", "also write the artifact (txt/csv + manifest.json) to this directory")

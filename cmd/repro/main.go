@@ -12,7 +12,7 @@
 // Usage:
 //
 //	repro [-out results] [-quick] [-only fig7,table2,...]
-//	      [-workers N] [-sim-workers N] [-sim-cache off|mem|disk]
+//	      [-workers N] [-sim-cache off|mem|disk]
 //	      [-timeout 30m] [-cpuprofile cpu.prof] [-memprofile mem.prof] [-v]
 //	repro -list [-json]
 package main
@@ -52,7 +52,6 @@ func run() int {
 		list       = flag.Bool("list", false, "print the experiment registry and exit")
 		asJSON     = flag.Bool("json", false, "with -list, print the registry as JSON")
 		workers    = flag.Int("workers", runtime.NumCPU(), "max experiments/fits in flight")
-		simWorkers = flag.Int("sim-workers", 0, "concurrent measurement runs per fit grid (0 = GOMAXPROCS)")
 		simCache   = flag.String("sim-cache", "mem", "measurement cache: off, mem, or disk (disk persists under <out>/simcache)")
 		timeout    = flag.Duration("timeout", 0, "overall run deadline (0 = none)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -95,7 +94,6 @@ func run() int {
 	if *quick {
 		scale = experiments.Quick()
 	}
-	scale.SimWorkers = *simWorkers
 	switch *simCache {
 	case "off":
 	case "mem", "disk":

@@ -16,11 +16,11 @@ import (
 // fidelity does not need long runs — steady-state statistics converge
 // quickly — but tests want shorter ones still.
 //
-// Scale also carries the measurement engine's scheduling knobs
-// (SimWorkers, SimCache). They change how fast a grid runs, never what
+// Scale also carries the measurement cache (SimCache). Like the grid's
+// worker count (GOMAXPROCS), it changes how fast a grid runs, never what
 // it measures: each sim.Machine is independent and seeded
 // deterministically, results are reassembled in grid order, and the
-// cache key excludes both knobs — so fits are bit-identical across any
+// cache key is content only — so fits are bit-identical across any
 // worker count and cache state.
 type Scale struct {
 	// WarmupInstr and MeasureInstr are aggregate instruction counts per
@@ -32,9 +32,6 @@ type Scale struct {
 	// MLCDuration is the simulated injection time per MLC point.
 	MLCDuration units.Duration
 
-	// SimWorkers bounds how many measurement runs of one grid execute
-	// concurrently; <= 0 means runtime.GOMAXPROCS(0).
-	SimWorkers int
 	// SimCache, when non-nil, replays measurement runs addressed by
 	// content (machine config, workload, run length) instead of
 	// re-simulating them.

@@ -2,83 +2,12 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/queueing"
 	"repro/internal/report"
 	"repro/internal/units"
 )
-
-// TieredMemory demonstrates the §VII extension (Eq. 5): a two-tier memory
-// system with a fast DRAM cache in front of a larger, slower
-// emerging-memory pool, evaluated across DRAM-tier hit fractions for each
-// workload class.
-func (s *Suite) TieredMemory(ctx context.Context) (Artifact, error) {
-	base, err := s.BaselinePlatform(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	classes, err := s.ClassParams(ctx, false)
-	if err != nil {
-		return Artifact{}, err
-	}
-
-	// Far tier: 3× the latency, 40% of the bandwidth — typical published
-	// characteristics of persistent-memory-class technologies (§VII:
-	// "higher latencies and lower bandwidth").
-	farCompulsory := base.Compulsory * 3
-	farBW := base.PeakBW * units.BytesPerSecond(0.4)
-
-	table := report.NewTable("§VII / Eq. 5: two-tier memory (DRAM cache + emerging memory)",
-		"DRAM-tier hit fraction", "Enterprise CPI", "Big Data CPI", "HPC CPI",
-		"Enterprise vs all-DRAM", "Big Data vs all-DRAM", "HPC vs all-DRAM")
-	chart := report.NewChart("Eq. 5: CPI vs DRAM-tier hit fraction", "near-tier hit fraction", "CPI")
-
-	baseCPI := map[string]float64{}
-	grid, err := model.EvaluateAll(ctx, classes, []model.Platform{base})
-	if err != nil {
-		return Artifact{}, err
-	}
-	for i, c := range classes {
-		baseCPI[c.Name] = grid[i][0].CPI
-	}
-
-	series := map[string][]float64{}
-	var xs []float64
-	for _, hit := range []float64{1.0, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.0} {
-		tp := base.Topology()
-		tp.Name = fmt.Sprintf("tiered-%.0f%%", hit*100)
-		tp.Tiers = []model.MemTier{
-			{Name: "DRAM", Share: hit, Compulsory: base.Compulsory, PeakBW: base.PeakBW, Queue: base.Queue},
-			{Name: "PMEM", Share: 1 - hit, Compulsory: farCompulsory, PeakBW: farBW, Queue: base.Queue},
-		}
-		row := []interface{}{fmtPct(hit)}
-		cpis := map[string]float64{}
-		for _, c := range classes {
-			op, err := model.EvaluateTopology(ctx, c, tp)
-			if err != nil {
-				return Artifact{}, err
-			}
-			cpis[c.Name] = op.CPI
-			series[c.Name] = append(series[c.Name], op.CPI)
-		}
-		xs = append(xs, hit)
-		row = append(row, cpis["Enterprise"], cpis["Big Data"], cpis["HPC"],
-			fmtPct(cpis["Enterprise"]/baseCPI["Enterprise"]-1),
-			fmtPct(cpis["Big Data"]/baseCPI["Big Data"]-1),
-			fmtPct(cpis["HPC"]/baseCPI["HPC"]-1))
-		table.AddRow(row...)
-	}
-	for _, c := range classes {
-		if err := chart.AddSeries(c.Name, xs, series[c.Name]); err != nil {
-			return Artifact{}, err
-		}
-	}
-	table.AddNote("far tier: 3x latency, 0.4x bandwidth vs DRAM; Eq. 5 with per-tier loaded latencies")
-	table.AddNote("bandwidth-bound classes (HPC) can IMPROVE at moderate far-tier fractions: the second tier adds aggregate bandwidth, relieving the DRAM channels")
-	return Artifact{ID: "tiered", Tables: []*report.Table{table}, Charts: []*report.Chart{chart}}, nil
-}
 
 // PrefetchAblation reproduces the §VII observation that prefetching
 // effectiveness shows up as blocking factor: it re-fits a scan-heavy and

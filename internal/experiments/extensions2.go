@@ -5,73 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/memsys"
-	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
-
-// NUMAStudy exercises the §VIII multi-socket extension: each workload
-// class on the dual-socket baseline across NUMA locality mixes, from
-// perfect locality to uniform interleave.
-func (s *Suite) NUMAStudy(ctx context.Context) (Artifact, error) {
-	curve, err := s.Curve(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	classes, err := s.ClassParams(ctx, false)
-	if err != nil {
-		return Artifact{}, err
-	}
-	np := model.DualSocketBaseline(curve)
-
-	table := report.NewTable("§VIII extension: dual-socket NUMA sensitivity",
-		"remote fraction", "Enterprise CPI", "Big Data CPI", "HPC CPI",
-		"Enterprise vs local", "Big Data vs local", "HPC vs local", "eff. MP (BD, ns)")
-	chart := report.NewChart("NUMA: CPI vs remote-access fraction", "remote fraction", "CPI")
-
-	local := map[string]float64{}
-	for _, c := range classes {
-		op, err := model.EvaluateTopology(ctx, c, np)
-		if err != nil {
-			return Artifact{}, err
-		}
-		local[c.Name] = op.CPI
-	}
-
-	var xs []float64
-	series := map[string][]float64{}
-	for _, rf := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		cpis := map[string]float64{}
-		var bdMP float64
-		for _, c := range classes {
-			op, err := model.EvaluateTopology(ctx, c, np.WithRemoteFraction(rf))
-			if err != nil {
-				return Artifact{}, err
-			}
-			cpis[c.Name] = op.CPI
-			series[c.Name] = append(series[c.Name], op.CPI)
-			if c.Name == "Big Data" {
-				bdMP = op.EffectiveMP.Nanoseconds()
-			}
-		}
-		xs = append(xs, rf)
-		table.AddRow(fmtPct(rf),
-			cpis["Enterprise"], cpis["Big Data"], cpis["HPC"],
-			fmtPct(cpis["Enterprise"]/local["Enterprise"]-1),
-			fmtPct(cpis["Big Data"]/local["Big Data"]-1),
-			fmtPct(cpis["HPC"]/local["HPC"]-1),
-			fmt.Sprintf("%.0f", bdMP))
-	}
-	for _, c := range classes {
-		if err := chart.AddSeries(c.Name, xs, series[c.Name]); err != nil {
-			return Artifact{}, err
-		}
-	}
-	table.AddNote("remote hop +60ns, 25 GB/s link per socket; 50%% remote = uniform interleave on 2 sockets")
-	table.AddNote("the class ordering of Fig. 10 survives: NUMA locality matters most for the latency-sensitive classes")
-	return Artifact{ID: "numa", Tables: []*report.Table{table}, Charts: []*report.Chart{chart}}, nil
-}
 
 // PrefetchDepthSweep implements the §VII suggestion that the methodology
 // "could also be used to estimate the effectiveness of a prefetching

@@ -69,32 +69,14 @@ func acquireMachine(cfg sim.Config, name string, factory sim.GeneratorFactory) (
 	return sim.New(cfg, name, factory)
 }
 
-// fitPointPool recycles the per-grid FitPoint staging slices;
-// model.FitScaling copies the points it retains, so the staging buffer
-// is a true temporary.
-var fitPointPool = sync.Pool{New: func() any { return new([]model.FitPoint) }}
-
-func borrowFitPoints(n int) *[]model.FitPoint {
-	p := fitPointPool.Get().(*[]model.FitPoint)
-	if cap(*p) < n {
-		*p = make([]model.FitPoint, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// runGrid evaluates n independent measurement runs concurrently over a
-// bounded worker pool (Scale.SimWorkers; <= 0 means GOMAXPROCS) and
-// returns the results in index order — exactly the sequence a
-// sequential loop would have produced, since every run is an
-// independent, deterministically seeded machine. The first real error
+// runGrid evaluates n independent measurement runs concurrently, at most
+// GOMAXPROCS at a time, and returns the results in index order — exactly
+// the sequence a sequential loop would have produced, since every run is
+// an independent, deterministically seeded machine. The first real error
 // cancels the remaining work and is returned; pure cancellation errors
 // only surface when nothing more specific failed.
-func runGrid(ctx context.Context, scale Scale, n int, run func(ctx context.Context, i int) (sim.Measurement, error)) ([]sim.Measurement, error) {
-	workers := scale.SimWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func runGrid(ctx context.Context, n int, run func(ctx context.Context, i int) (sim.Measurement, error)) ([]sim.Measurement, error) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -228,7 +210,7 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 		runs = make([]sim.Measurement, 1)
 		runs[0], err = probes[todo[0]].run(ctx, w, src, scale)
 	} else {
-		runs, err = runGrid(ctx, scale, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
+		runs, err = runGrid(ctx, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
 			m, _ := machinePool.Get().(*sim.Machine)
 			if m == nil {
 				m = new(sim.Machine)
@@ -287,12 +269,11 @@ func RunWorkload(ctx context.Context, w workloads.Workload, sc ScalingConfig, sc
 
 // fitRuns fits Eq. 1's constants under fitName to a grid's measurements.
 func fitRuns(fitName string, runs []sim.Measurement) (model.Fit, error) {
-	points := borrowFitPoints(len(runs))
-	defer fitPointPool.Put(points)
+	points := make([]model.FitPoint, len(runs))
 	for i, m := range runs {
-		(*points)[i] = fitPoint(m)
+		points[i] = fitPoint(m)
 	}
-	return model.FitScaling(fitName, *points)
+	return model.FitScaling(fitName, points)
 }
 
 // fitGrid measures workload w over configs on copies of one machine
@@ -316,7 +297,7 @@ func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs 
 
 // FitWorkload runs the full scaling grid for one workload and fits
 // Eq. 1's constants (Fig. 3 / Tables 2, 4, 5). The grid's points run
-// concurrently (bounded by Scale.SimWorkers) with the measurements
+// concurrently (bounded by GOMAXPROCS) with the measurements
 // reassembled in grid order, so the fit is byte-identical to a
 // sequential run.
 func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale) (model.Fit, []sim.Measurement, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -15,9 +16,9 @@ import (
 )
 
 // TestFitWorkloadParallelMatchesSequential pins the determinism contract
-// of the fan-out: a grid run over eight workers must be byte-identical —
-// every measurement and the fit derived from them — to the same grid run
-// one config at a time.
+// of the fan-out: a grid run over eight workers (GOMAXPROCS 8) must be
+// byte-identical — every measurement and the fit derived from them — to
+// the same grid run one config at a time (GOMAXPROCS 1).
 func TestFitWorkloadParallelMatchesSequential(t *testing.T) {
 	w, err := workloads.ByName("columnstore")
 	if err != nil {
@@ -26,17 +27,15 @@ func TestFitWorkloadParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	configs := PaperScalingConfigs()
 	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	seq := scale
-	seq.SimWorkers = 1
-	fitSeq, runsSeq, err := FitWorkload(ctx, w, configs, seq)
+	fitSeq, runsSeq, err := FitWorkload(ctx, w, configs, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	par := scale
-	par.SimWorkers = 8
-	fitPar, runsPar, err := FitWorkload(ctx, w, configs, par)
+	runtime.GOMAXPROCS(8)
+	fitPar, runsPar, err := FitWorkload(ctx, w, configs, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
