@@ -36,6 +36,14 @@ func BenchmarkMachineSimulation(b *testing.B) {
 	b.ReportMetric(float64(machineSimInstr)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// BenchmarkMachineGrid measures one fit grid: a warm-up and eight
+// probes on copies that share its tracks.
+func BenchmarkMachineGrid(b *testing.B) {
+	runOp(b, machineGridOp(b))
+	instr := gridWarmInstr + 8*(gridRewarmInstr+gridMeasureInstr)
+	b.ReportMetric(float64(instr)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
 func BenchmarkCacheAccess(b *testing.B) { runOp(b, cacheAccessOp(b)) }
 
 func BenchmarkCacheAccessStream(b *testing.B) { runOp(b, cacheAccessStreamOp(b)) }

@@ -186,14 +186,17 @@ func run() int {
 	}
 	fmt.Printf("%d experiments in %.1fs (%d workers, peak parallelism %d) -> %s/manifest.json\n",
 		len(rr.Experiments), rr.Wall.Seconds(), *workers, rr.MaxParallel, *out)
-	var simInstr uint64
+	var simInstr, funcInstr uint64
 	for _, res := range rr.Experiments {
 		simInstr += res.SimInstr
+		funcInstr += res.FuncInstr
 	}
 	for _, res := range rr.Resources {
 		simInstr += res.SimInstr
+		funcInstr += res.FuncInstr
 	}
 	fmt.Printf("simulated instructions: %d\n", simInstr)
+	fmt.Printf("functional instructions: %d\n", funcInstr)
 	if c := scale.SimCache; c != nil {
 		st := c.Stats()
 		fmt.Printf("sim cache: %d hits / %d disk hits / %d misses (%.0f%% hit ratio, %d held)\n",

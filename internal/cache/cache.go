@@ -81,8 +81,8 @@ func (c Config) Validate() error {
 	if c.LineSize <= 0 || (uint64(c.LineSize)&(uint64(c.LineSize)-1)) != 0 {
 		return errors.New("cache: LineSize must be a positive power of two")
 	}
-	if len(c.Levels) == 0 {
-		return errors.New("cache: at least one level required")
+	if len(c.Levels) == 0 || len(c.Levels) > maxLevels {
+		return fmt.Errorf("cache: 1 to %d levels required", maxLevels)
 	}
 	for i, l := range c.Levels {
 		if l.Size <= 0 || l.Assoc <= 0 {
@@ -134,6 +134,74 @@ type Counters struct {
 	DemandMissLatency units.Duration
 }
 
+// copyInto copies c into dst, reusing dst.Levels when it has capacity.
+func (c *Counters) copyInto(dst *Counters) {
+	levels := dst.Levels
+	*dst = *c
+	if cap(levels) < len(c.Levels) {
+		levels = make([]LevelCounters, len(c.Levels))
+	}
+	levels = levels[:len(c.Levels)]
+	copy(levels, c.Levels)
+	dst.Levels = levels
+}
+
+// reset zeroes c, keeping its Levels slice.
+func (c *Counters) reset() {
+	levels := c.Levels
+	clear(levels)
+	*c = Counters{Levels: levels}
+}
+
+// resize zeroes c and gives it n levels, reusing its Levels slice.
+func (c *Counters) resize(n int) {
+	if cap(c.Levels) < n {
+		c.Levels = make([]LevelCounters, n)
+	}
+	c.Levels = c.Levels[:n]
+	c.reset()
+}
+
+// appendDelta appends the functional counters of c minus those of prev to
+// dst — four words per level, then the seven hierarchy-wide functional
+// counters — and brings prev up to c. A block's references cannot push
+// any counter past a uint32.
+func (c *Counters) appendDelta(dst []uint32, prev *Counters) []uint32 {
+	for i, l := range c.Levels {
+		p := &prev.Levels[i]
+		dst = append(dst, uint32(l.Accesses-p.Accesses), uint32(l.Hits-p.Hits),
+			uint32(l.DemandMisses-p.DemandMisses), uint32(l.Writebacks-p.Writebacks))
+		*p = l
+	}
+	dst = append(dst, uint32(c.MemDemandReads-prev.MemDemandReads), uint32(c.MemPrefReads-prev.MemPrefReads),
+		uint32(c.MemWritebacks-prev.MemWritebacks), uint32(c.MemNTWrites-prev.MemNTWrites),
+		uint32(c.PrefIssued-prev.PrefIssued), uint32(c.PrefHits-prev.PrefHits),
+		uint32(c.DemandLoadMisses-prev.DemandLoadMisses))
+	levels := prev.Levels
+	*prev = *c
+	prev.Levels = levels
+	return dst
+}
+
+// addDelta adds a delta appendDelta wrote to c.
+func (c *Counters) addDelta(d []uint32) {
+	for i := range c.Levels {
+		l, w := &c.Levels[i], d[4*i:4*i+4]
+		l.Accesses += uint64(w[0])
+		l.Hits += uint64(w[1])
+		l.DemandMisses += uint64(w[2])
+		l.Writebacks += uint64(w[3])
+	}
+	g := d[4*len(c.Levels):]
+	c.MemDemandReads += uint64(g[0])
+	c.MemPrefReads += uint64(g[1])
+	c.MemWritebacks += uint64(g[2])
+	c.MemNTWrites += uint64(g[3])
+	c.PrefIssued += uint64(g[4])
+	c.PrefHits += uint64(g[5])
+	c.DemandLoadMisses += uint64(g[6])
+}
+
 // AvgMissPenalty returns the measured average demand-load miss latency —
 // the MP of Eq. 1, in time units (convert to core cycles at the measuring
 // frequency).
@@ -168,6 +236,10 @@ func (c Counters) WBR() float64 {
 // packs one 4-bit way index per position into a single 64-bit word.
 const maxAssoc = 16
 
+// maxLevels is the deepest hierarchy: a RefRec names the supplying
+// level, or memory one past the LLC, in a byte.
+const maxLevels = 255
+
 // Per-way state bits, one flag byte per way in the set header. Validity
 // lives in the header's valid mask.
 const (
@@ -191,9 +263,10 @@ type setHeader struct {
 	_     [22]byte        // pad to 64 bytes
 }
 
-// level is one cache level: a set header per set, plus the full tags and
-// the cold in-flight arrival times, both indexed set*assoc+way. Ways are
-// named by (set, way) pairs, so no path divides to recover a set.
+// level is one cache level: a set header per set, plus the full tags,
+// indexed set*assoc+way (a way's slot). Ways are named by (set, way)
+// pairs, so no path divides to recover a set. The in-flight arrival
+// times of prefetched lines are timing state, kept by slot in Timing.
 type level struct {
 	cfg      LevelConfig
 	sets     uint64
@@ -205,7 +278,6 @@ type level struct {
 	order0   uint64 // recency order of an empty set: way p at position p
 	hdr      []setHeader
 	tags     []uint64
-	readyAt  []units.Duration // in-flight prefetch arrival time
 }
 
 func newLevel(cfg LevelConfig, lineSize units.Bytes) *level {
@@ -219,7 +291,6 @@ func newLevel(cfg LevelConfig, lineSize units.Bytes) *level {
 		mruShift: uint(4 * (cfg.Assoc - 1)),
 		hdr:      make([]setHeader, sets),
 		tags:     make([]uint64, n),
-		readyAt:  make([]units.Duration, n),
 	}
 	for p := 0; p < cfg.Assoc; p++ {
 		l.order0 |= uint64(p) << (4 * p)
@@ -240,17 +311,6 @@ func (l *level) reset() {
 	for i := range l.tags {
 		l.tags[i] = invalidTag
 	}
-	clear(l.readyAt)
-}
-
-// copyFrom makes l an exact copy of src, reusing l's arrays where they
-// have capacity.
-func (l *level) copyFrom(src *level) {
-	hdr, tags, readyAt := l.hdr, l.tags, l.readyAt
-	*l = *src
-	l.hdr = append(hdr[:0], src.hdr...)
-	l.tags = append(tags[:0], src.tags...)
-	l.readyAt = append(readyAt[:0], src.readyAt...)
 }
 
 // set returns line's set. Every default geometry has a power-of-two set
@@ -262,7 +322,8 @@ func (l *level) set(line uint64) uint64 {
 	return line % l.sets
 }
 
-// slot returns the tags/readyAt index of way w of set s.
+// slot returns the tags index of way w of set s, which also indexes the
+// way's in-flight arrival time in Timing.
 func (l *level) slot(s uint64, w int) uint64 { return s*l.assoc + uint64(w) }
 
 // fingerprint hashes line to the byte find compares before the full tag.
@@ -328,15 +389,13 @@ func (l *level) touch(s uint64, w int) {
 }
 
 // fill installs line in way w of set s with flags f and makes it MRU.
-func (l *level) fill(s uint64, w int, line uint64, f uint8, readyAt units.Duration) {
+func (l *level) fill(s uint64, w int, line uint64, f uint8) {
 	h := &l.hdr[s]
 	sh := uint(w&7) * 8
 	h.fp[w>>3] = h.fp[w>>3]&^(0xff<<sh) | fingerprint(line)<<sh
 	h.valid |= 1 << w
 	h.flags[w] = f
-	i := l.slot(s, w)
-	l.tags[i] = line
-	l.readyAt[i] = readyAt
+	l.tags[l.slot(s, w)] = line
 	l.touch(s, w)
 }
 

@@ -68,6 +68,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LineSize = 0 },
 		func(c *Config) { c.LineSize = 48 }, // not a power of two
 		func(c *Config) { c.Levels = nil },
+		func(c *Config) { // a RefRec names a level in a byte
+			for len(c.Levels) < 256 {
+				c.Levels = append(c.Levels, c.Levels[0])
+			}
+		},
 		func(c *Config) { c.Levels[0].Size = 0 },
 		func(c *Config) { c.Levels[0].Assoc = 0 },
 		func(c *Config) { c.Levels[0].Size = 64; c.Levels[0].Assoc = 4 }, // < 1 set

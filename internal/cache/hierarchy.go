@@ -3,23 +3,35 @@ package cache
 import (
 	"math/bits"
 
-	"repro/internal/memsys"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
 
 // Hierarchy is one hardware thread's cache stack. It is not safe for
 // concurrent use; the machine simulator gives each thread its own
-// hierarchy over a shared memory backend (see DESIGN.md: LLC capacity is
-// modelled as a per-thread slice, and threads do not share data —
-// matching SPEC-rate-style and partitioned server workloads).
+// hierarchy (see DESIGN.md: LLC capacity is modelled as a per-thread
+// slice, and threads do not share data — matching SPEC-rate-style and
+// partitioned server workloads).
+//
+// A hierarchy is functional state: tags, recency, dirty and prefetch
+// flags, the prefetcher's streams and the counters of what it decided.
+// None of its decisions reads a clock. Record steps references and logs
+// each one's outcome and memory requests; a Timing replays that log at
+// given times against a memory backend. Access composes the two for one
+// reference, over the backend New was given.
 type Hierarchy struct {
 	cfg       Config
 	lineShift uint // log2(LineSize)
 	levels    []*level
-	mem       Memory
 	pf        *prefetcher
-	ctr       Counters
+	ctr       Counters // functional; the clocked counters live in tm
+	log       Log      // the log of the Record or Access in progress
+	logged    Counters // ctr as of the last delta Record logged
+
+	// Access's memory backend, timing state and one-reference log.
+	mem Memory
+	tm  *Timing
+	one Log
 }
 
 // Outcome reports how one reference resolved.
@@ -38,7 +50,61 @@ type Outcome struct {
 	PrefetchHit bool
 }
 
-// New builds a hierarchy over mem.
+// RefRec is the functional outcome of one reference whose timing is not
+// free: everything Access decides without reading the clock. A
+// reference gets no RefRec when it costs nothing and issues no memory
+// request — an L1 hit, or a store hit, on a line that is not a
+// first-touched prefetch.
+type RefRec struct {
+	Index uint32 // the reference's position in its block (its issue time)
+	Slot  uint32 // with RecPref: the hit line's slot at Level
+	NReqs uint16 // memory requests issued, at most a page of prefetches
+	Level uint8  // the Outcome's HitLevel
+	Flags uint8  // RecWrite | RecMiss | RecPref | RecNT
+}
+
+// RefRec flags.
+const (
+	RecWrite = 1 << iota // a store
+	RecMiss              // a demand miss: its first request is the fill
+	RecPref              // the first demand touch of a prefetched line
+	RecNT                // a non-temporal store
+)
+
+// Req is one memory request, in the order a reference issued it.
+type Req struct {
+	Addr uint64 // the byte address memory sees
+	// Slot and Up are a prefetch read's fill slots in the LLC and in the
+	// level above it (-1 when the hierarchy has one level): the request's
+	// completion is the line's arrival time there.
+	Slot uint32
+	Up   int32
+	Kind uint8 // ReqDemand, ReqPrefetch or ReqWrite
+}
+
+// Req kinds.
+const (
+	ReqDemand   = iota // a demand fill (read)
+	ReqPrefetch        // a prefetch fill (read)
+	ReqWrite           // a writeback or a non-temporal store
+)
+
+// Log accumulates records: the RefRecs of the timed references, every
+// memory request they issued in order, and (Record) each run's
+// functional counter delta.
+type Log struct {
+	Refs  []RefRec
+	Reqs  []Req
+	Delta []uint32
+}
+
+// Reset empties l, keeping its capacity.
+func (l *Log) Reset() {
+	l.Refs, l.Reqs, l.Delta = l.Refs[:0], l.Reqs[:0], l.Delta[:0]
+}
+
+// New builds a hierarchy whose Access fills from and writes back to mem.
+// A hierarchy that only Records needs no memory: mem may be nil.
 func New(cfg Config, mem Memory) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -47,9 +113,13 @@ func New(cfg Config, mem Memory) (*Hierarchy, error) {
 	for _, lc := range cfg.Levels {
 		h.levels = append(h.levels, newLevel(lc, cfg.LineSize))
 	}
-	h.ctr.Levels = make([]LevelCounters, len(cfg.Levels))
+	h.ctr.resize(len(cfg.Levels))
+	h.logged.resize(len(cfg.Levels))
 	if cfg.Prefetch.Enabled {
 		h.pf = newPrefetcher(cfg.Prefetch)
+	}
+	if mem != nil {
+		h.tm = NewTiming(cfg)
 	}
 	return h, nil
 }
@@ -57,7 +127,9 @@ func New(cfg Config, mem Memory) (*Hierarchy, error) {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// Counters returns a snapshot of the accumulated statistics.
+// Counters returns a snapshot of the accumulated statistics: the
+// functional counters, plus PrefLate and DemandMissLatency of the
+// references Access timed.
 func (h *Hierarchy) Counters() Counters {
 	var c Counters
 	h.CountersInto(&c)
@@ -65,25 +137,23 @@ func (h *Hierarchy) Counters() Counters {
 }
 
 // CountersInto copies the accumulated statistics into dst, reusing
-// dst.Levels when it has capacity — zero allocations in steady state
-// (the machine simulator snapshots every core every measurement).
+// dst.Levels when it has capacity — zero allocations in steady state.
 func (h *Hierarchy) CountersInto(dst *Counters) {
-	levels := dst.Levels
-	*dst = h.ctr
-	if cap(levels) < len(h.ctr.Levels) {
-		levels = make([]LevelCounters, len(h.ctr.Levels))
+	h.ctr.copyInto(dst)
+	if h.tm != nil {
+		dst.PrefLate = h.tm.ctr.PrefLate
+		dst.DemandMissLatency = h.tm.ctr.DemandMissLatency
 	}
-	levels = levels[:len(h.ctr.Levels)]
-	copy(levels, h.ctr.Levels)
-	dst.Levels = levels
 }
 
 // ResetCounters clears statistics, keeping cache contents (for measuring
 // after warm-up). The Levels slice is reused, not reallocated.
 func (h *Hierarchy) ResetCounters() {
-	levels := h.ctr.Levels
-	clear(levels)
-	h.ctr = Counters{Levels: levels}
+	h.ctr.reset()
+	h.logged.reset()
+	if h.tm != nil {
+		h.tm.ResetCounters()
+	}
 }
 
 // Reset restores the hierarchy to its just-built state for cfg — empty
@@ -115,13 +185,8 @@ func (h *Hierarchy) Reset(cfg Config) error {
 			h.levels = append(h.levels, newLevel(lc, cfg.LineSize))
 		}
 	}
-	levels := h.ctr.Levels
-	if cap(levels) < len(cfg.Levels) {
-		levels = make([]LevelCounters, len(cfg.Levels))
-	}
-	levels = levels[:len(cfg.Levels)]
-	clear(levels)
-	h.ctr = Counters{Levels: levels}
+	h.ctr.resize(len(cfg.Levels))
+	h.logged.resize(len(cfg.Levels))
 	switch {
 	case !cfg.Prefetch.Enabled:
 		h.pf = nil
@@ -132,35 +197,10 @@ func (h *Hierarchy) Reset(cfg Config) error {
 	}
 	h.cfg = cfg
 	h.lineShift = lineShift(cfg)
+	if h.tm != nil {
+		h.tm.Reset(cfg)
+	}
 	return nil
-}
-
-// CopyFrom makes h an exact copy of src — configuration, every level's
-// headers, tags and in-flight arrival times, the prefetcher's streams
-// with their index and recency list, and the counters — reusing h's
-// arrays where they have capacity. h keeps its own memory backend. src
-// is only read, so several hierarchies may copy one source concurrently.
-func (h *Hierarchy) CopyFrom(src *Hierarchy) {
-	h.cfg = src.cfg
-	h.lineShift = src.lineShift
-	for len(h.levels) < len(src.levels) {
-		h.levels = append(h.levels, new(level))
-	}
-	h.levels = h.levels[:len(src.levels)]
-	for i, l := range src.levels {
-		h.levels[i].copyFrom(l)
-	}
-	if src.pf == nil {
-		h.pf = nil
-	} else {
-		if h.pf == nil {
-			h.pf = new(prefetcher)
-		}
-		h.pf.copyFrom(src.pf)
-	}
-	levels := append(h.ctr.Levels[:0], src.ctr.Levels...)
-	h.ctr = src.ctr
-	h.ctr.Levels = levels
 }
 
 // lineShift is log2 of cfg's LineSize, which Validate holds to a power
@@ -170,9 +210,55 @@ func lineShift(cfg Config) uint { return uint(bits.TrailingZeros64(uint64(cfg.Li
 func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
 // Access performs one reference at simulated time now on a core running at
-// freq (freq converts cycle-denominated hit latencies to time).
+// freq (freq converts cycle-denominated hit latencies to time): the
+// functional step, then its timing through the hierarchy's own Timing
+// and memory backend.
 func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) Outcome {
+	h.log = Log{Refs: h.one.Refs[:0], Reqs: h.one.Reqs[:0]}
+	lvl := h.step(0, ref)
+	h.one, h.log = h.log, Log{}
+	if len(h.one.Refs) == 0 {
+		return Outcome{HitLevel: lvl}
+	}
+	r := &h.one.Refs[0]
+	return Outcome{
+		HitLevel:    lvl,
+		Latency:     h.tm.Apply(now, r, h.one.Reqs, h.mem, freq),
+		DemandMiss:  r.Flags&RecMiss != 0,
+		PrefetchHit: r.Flags&RecPref != 0,
+	}
+}
+
+// Record steps refs, one block's references in program order, appending
+// a RefRec for each timed reference, the memory requests in issue order,
+// and the block's functional counter delta (the counts since the
+// previous Record, Reset or ResetCounters) to log.
+// Nothing it does depends on when the references issue, so one Record
+// serves every timing that replays it.
+func (h *Hierarchy) Record(refs []trace.Ref, log *Log) {
+	h.log = *log
+	for i, ref := range refs {
+		h.step(uint32(i), ref)
+	}
+	h.log.Delta = h.ctr.appendDelta(h.log.Delta, &h.logged)
+	*log, h.log = h.log, Log{}
+}
+
+// request logs a memory request and returns its index in the log.
+func (h *Hierarchy) request(addr uint64, kind uint8) int {
+	h.log.Reqs = append(h.log.Reqs, Req{Addr: addr, Kind: kind})
+	return len(h.log.Reqs) - 1
+}
+
+// step performs reference ref, the index-th of its block, and returns
+// the level that supplied it.
+func (h *Hierarchy) step(index uint32, ref trace.Ref) int {
 	line := h.line(ref.Addr)
+	firstReq := len(h.log.Reqs)
+	rec := RefRec{Index: index}
+	if ref.Write {
+		rec.Flags = RecWrite
+	}
 
 	if ref.NonTemporal {
 		// Streaming store: write combining straight to memory; invalidate
@@ -186,9 +272,10 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 		if h.pf != nil {
 			h.pf.forget(line) // the LLC copy, if there was one, is gone
 		}
-		h.mem.Access(now, ref.Addr, memsys.Write)
+		h.request(ref.Addr, ReqWrite)
 		h.ctr.MemNTWrites++
-		return Outcome{HitLevel: len(h.levels)}
+		rec.Flags |= RecNT
+		return h.logRef(rec, len(h.levels), firstReq)
 	}
 
 	for li, l := range h.levels {
@@ -201,25 +288,15 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 		// Hit at level li.
 		h.ctr.Levels[li].Hits++
 		l.touch(s, w)
-		out := Outcome{HitLevel: li}
 		if l.hdr[s].flags[w]&flagPref != 0 {
 			// First demand touch of a prefetched line: count it once and
 			// clear the flag on every level holding the fill (prefetch
-			// promotes to the L2 as well).
+			// promotes to the L2 as well). Whether it is still in flight
+			// is timing: the record names the slot its arrival time is in.
 			h.markCopies(li, s, w, line, 0, flagPref)
 			h.ctr.PrefHits++
-			out.PrefetchHit = true
-			if ready := l.readyAt[l.slot(s, w)]; ready > now {
-				// In-flight prefetch: expose the remaining latency.
-				h.ctr.PrefLate++
-				out.Latency = ready - now
-			}
-		}
-		if !ref.Write {
-			out.Latency += l.cfg.HitLatency.Duration(freq)
-			if li == 0 {
-				out.Latency = 0 // L1 hit latency lives in BaseCPI
-			}
+			rec.Flags |= RecPref
+			rec.Slot = uint32(l.slot(s, w))
 		}
 		if ref.Write {
 			// The line becomes Modified globally: mark every cached copy
@@ -227,35 +304,44 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 			// LLC eviction's recall (see evict) can drop the inner copies
 			// without a separate writeback.
 			h.markCopies(li, s, w, line, flagDirty, 0)
-			out.Latency = 0
 		}
 		// Fill upward so inner levels hit next time (inclusive fill).
-		h.fillUpward(now, line, li, ref.Write)
+		h.fillUpward(line, li, ref.Write)
 		// The prefetcher trains on traffic that leaves the L1, the way a
 		// hardware mid-level prefetcher sees L1-miss streams.
 		if h.pf != nil && li >= 1 && !ref.NoPrefetch {
-			h.pf.observe(h, now, line)
+			h.pf.observe(h, line)
 		}
-		return out
+		if rec.Flags&RecPref == 0 && len(h.log.Reqs) == firstReq && (li == 0 || ref.Write) {
+			return li // free: no latency, no clock read, no request
+		}
+		return h.logRef(rec, li, firstReq)
 	}
 	llc := len(h.levels) - 1
 
 	// Missed everywhere: demand fill from memory.
 	h.ctr.Levels[llc].DemandMisses++
-	res := h.mem.Access(now, ref.Addr, memsys.Read)
+	h.request(ref.Addr, ReqDemand)
 	h.ctr.MemDemandReads++
-	out := Outcome{HitLevel: len(h.levels), DemandMiss: true}
+	rec.Flags |= RecMiss
 	if !ref.Write {
-		out.Latency = res.Latency
 		h.ctr.DemandLoadMisses++
-		h.ctr.DemandMissLatency += res.Latency
 	}
-	h.insert(now, line, llc, ref.Write, false, 0)
-	h.fillUpward(now, line, llc, ref.Write)
+	h.insert(line, llc, ref.Write, false)
+	h.fillUpward(line, llc, ref.Write)
 	if h.pf != nil && !ref.NoPrefetch {
-		h.pf.observe(h, now, line)
+		h.pf.observe(h, line)
 	}
-	return out
+	return h.logRef(rec, len(h.levels), firstReq)
+}
+
+// logRef appends rec, resolved at level lvl with the requests logged
+// since firstReq, and returns lvl.
+func (h *Hierarchy) logRef(rec RefRec, lvl, firstReq int) int {
+	rec.Level = uint8(lvl)
+	rec.NReqs = uint16(len(h.log.Reqs) - firstReq)
+	h.log.Refs = append(h.log.Refs, rec)
+	return lvl
 }
 
 // markCopies updates the flags of line's copy at level li (way w of set
@@ -274,25 +360,26 @@ func (h *Hierarchy) markCopies(li int, s uint64, w int, line uint64, set, clr ui
 
 // fillUpward installs line into every level above upTo (exclusive), so the
 // next access hits the L1. Each of those levels missed line earlier in
-// the same Access, and a fill only pushes other lines downward (evict) or
+// the same step, and a fill only pushes other lines downward (evict) or
 // drops them (the LLC recall), so line is still absent there and needs no
 // find. Misses at inner levels are counted against those levels (their
 // DemandMisses), which keeps per-level hit-rate statistics meaningful.
-func (h *Hierarchy) fillUpward(now units.Duration, line uint64, upTo int, write bool) {
+func (h *Hierarchy) fillUpward(line uint64, upTo int, write bool) {
 	for li := upTo - 1; li >= 0; li-- {
 		h.ctr.Levels[li].DemandMisses++
-		h.insert(now, line, li, write, false, 0)
+		h.insert(line, li, write, false)
 	}
 }
 
-// insert places line into level li, evicting as needed. Dirty victims are
-// written to the next level; dirty LLC victims go to memory.
-func (h *Hierarchy) insert(now units.Duration, line uint64, li int, dirty, pref bool, readyAt units.Duration) {
+// insert places line into level li, evicting as needed, and returns the
+// slot it filled. Dirty victims are written to the next level; dirty LLC
+// victims go to memory.
+func (h *Hierarchy) insert(line uint64, li int, dirty, pref bool) uint64 {
 	l := h.levels[li]
 	s := l.set(line)
 	v := l.victim(s)
 	if l.hdr[s].valid&(1<<v) != 0 {
-		h.evict(now, li, s, v)
+		h.evict(li, s, v)
 	}
 	var f uint8
 	if dirty {
@@ -301,12 +388,13 @@ func (h *Hierarchy) insert(now units.Duration, line uint64, li int, dirty, pref 
 	if pref {
 		f |= flagPref
 	}
-	l.fill(s, v, line, f, readyAt)
+	l.fill(s, v, line, f)
+	return l.slot(s, v)
 }
 
 // evict writes back way v of set s at level li if it is dirty. The way
 // keeps its stale state: insert refills it straight after.
-func (h *Hierarchy) evict(now units.Duration, li int, s uint64, v int) {
+func (h *Hierarchy) evict(li int, s uint64, v int) {
 	l := h.levels[li]
 	tag := l.tags[l.slot(s, v)]
 	if li == len(h.levels)-1 {
@@ -333,7 +421,7 @@ func (h *Hierarchy) evict(now units.Duration, li int, s uint64, v int) {
 	h.ctr.Levels[li].Writebacks++
 	if li == len(h.levels)-1 {
 		// LLC: write back to memory.
-		h.mem.Access(now, tag<<h.lineShift, memsys.Write)
+		h.request(tag<<h.lineShift, ReqWrite)
 		h.ctr.MemWritebacks++
 	} else {
 		// Push dirty data down one level.
@@ -342,24 +430,28 @@ func (h *Hierarchy) evict(now units.Duration, li int, s uint64, v int) {
 		if wn := next.find(sn, tag); wn >= 0 {
 			next.hdr[sn].flags[wn] |= flagDirty
 		} else {
-			h.insert(now, tag, li+1, true, false, 0)
+			h.insert(tag, li+1, true, false)
 		}
 	}
 }
 
 // prefetchFill is called by the prefetcher to bring line into the LLC
-// (and promote it to the L2, as hardware mid-level prefetchers do) with
-// an in-flight arrival time.
-func (h *Hierarchy) prefetchFill(now units.Duration, line uint64) {
+// (and promote it to the L2, as hardware mid-level prefetchers do). The
+// fill's request names the slots it landed in, where timing keeps the
+// line's arrival time.
+func (h *Hierarchy) prefetchFill(line uint64) {
 	llc := len(h.levels) - 1
 	if l := h.levels[llc]; l.find(l.set(line), line) >= 0 {
 		return // already present or in flight
 	}
-	res := h.mem.Access(now, line<<h.lineShift, memsys.Read)
+	i := h.request(line<<h.lineShift, ReqPrefetch)
 	h.ctr.MemPrefReads++
 	h.ctr.PrefIssued++
-	h.insert(now, line, llc, false, true, now+res.Latency)
+	slot := h.insert(line, llc, false, true)
+	up := int32(-1)
 	if llc >= 1 {
-		h.insert(now, line, llc-1, false, true, now+res.Latency)
+		up = int32(h.insert(line, llc-1, false, true))
 	}
+	// insert may have logged writebacks and grown the log: index afresh.
+	h.log.Reqs[i].Slot, h.log.Reqs[i].Up = uint32(slot), up
 }

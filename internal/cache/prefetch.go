@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"math/bits"
-
-	"repro/internal/units"
-)
+import "math/bits"
 
 // prefetcher is a stream prefetcher trained on LLC-level accesses. It
 // tracks per-4KiB-page streams; after TrainHits consecutive same-direction
@@ -73,19 +69,9 @@ func (p *prefetcher) reset(cfg PrefetchConfig) {
 	p.mru, p.lru = -1, -1
 }
 
-// copyFrom makes p an exact copy of src, reusing its stream table.
-func (p *prefetcher) copyFrom(src *prefetcher) {
-	p.cfg = src.cfg
-	p.streams = append(p.streams[:0], src.streams...)
-	p.byFP = append(p.byFP[:0], src.byFP...)
-	p.words = src.words
-	p.used = src.used
-	p.mru, p.lru = src.mru, src.lru
-}
-
 // observe trains on a demand access to line, which the LLC holds, and
 // issues prefetches through h when a stream is established.
-func (p *prefetcher) observe(h *Hierarchy, now units.Duration, line uint64) {
+func (p *prefetcher) observe(h *Hierarchy, line uint64) {
 	page := line / linesPerPage
 	i := p.lookup(page)
 	if i < 0 {
@@ -130,7 +116,7 @@ func (p *prefetcher) observe(h *Hierarchy, now units.Duration, line uint64) {
 		}
 		// The fill may evict lines of this very page, clearing their
 		// bits through forget; next itself stays present.
-		h.prefetchFill(now, uint64(next))
+		h.prefetchFill(uint64(next))
 		s.resident |= bit
 	}
 }

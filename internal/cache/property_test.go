@@ -170,7 +170,7 @@ func TestLevelKernelInvariants(t *testing.T) {
 					}
 					if got < 0 {
 						got = l.victim(s)
-						l.fill(s, got, line, flagDirty, 0)
+						l.fill(s, got, line, flagDirty)
 					} else {
 						l.touch(s, got)
 					}

@@ -92,15 +92,52 @@ func (c Counters) Utilization() float64 {
 	return c.BusyNS / total
 }
 
-// Core executes one hardware thread's trace stream against its cache
-// hierarchy. It is single-goroutine; the machine's event loop serializes
-// threads by advancing the least-advanced one.
+// Block is one trace block as its thread's functional track recorded it:
+// the block's timing fields, the records of its timed references with
+// their memory requests, and its references' functional counter delta.
+// Record makes one; RunBlock replays it.
+type Block struct {
+	Instructions uint64
+	BaseCPI      float64
+	Chains       int
+	IOBytes      float64
+	IdleNS       float64
+	NRefs        int // references in the block, timed or not
+	Refs         []cache.RefRec
+	Reqs         []cache.Req
+	Delta        []uint32
+}
+
+// Record steps trace block b through the functional hierarchy h,
+// appending its records to log, and sets dst to the block's record,
+// whose slices alias log's.
+func Record(dst *Block, b *trace.Block, h *cache.Hierarchy, log *cache.Log) {
+	r0, q0, d0 := len(log.Refs), len(log.Reqs), len(log.Delta)
+	h.Record(b.Refs, log)
+	*dst = Block{
+		Instructions: b.Instructions,
+		BaseCPI:      b.BaseCPI,
+		Chains:       b.Chains,
+		IOBytes:      b.IOBytes,
+		IdleNS:       b.IdleNS,
+		NRefs:        len(b.Refs),
+		Refs:         log.Refs[r0:len(log.Refs):len(log.Refs)],
+		Reqs:         log.Reqs[q0:len(log.Reqs):len(log.Reqs)],
+		Delta:        log.Delta[d0:len(log.Delta):len(log.Delta)],
+	}
+}
+
+// Core is one hardware thread's timing: it replays recorded blocks,
+// timing their memory requests against the shared memory backend. It is
+// single-goroutine; the machine's event loop serializes threads by
+// advancing the least-advanced one.
 type Core struct {
-	cfg    Config
-	caches *cache.Hierarchy
-	io     IOSink
-	now    units.Duration
-	ctr    Counters
+	cfg Config
+	tm  *cache.Timing
+	mem cache.Memory
+	io  IOSink
+	now units.Duration
+	ctr Counters
 }
 
 // IOEventSize is the modelled size of one I/O event's memory traffic; the
@@ -109,15 +146,16 @@ type Core struct {
 // counter.
 const IOEventSize = 16 * 1024
 
-// New builds a Core. io may be nil for workloads without I/O.
-func New(cfg Config, caches *cache.Hierarchy, io IOSink) (*Core, error) {
+// New builds a Core that times its cache hierarchy's records through tm
+// against mem. io may be nil for workloads without I/O.
+func New(cfg Config, tm *cache.Timing, mem cache.Memory, io IOSink) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if caches == nil {
-		return nil, errors.New("cpu: nil cache hierarchy")
+	if tm == nil || mem == nil {
+		return nil, errors.New("cpu: nil cache timing or memory")
 	}
-	return &Core{cfg: cfg, caches: caches, io: io}, nil
+	return &Core{cfg: cfg, tm: tm, mem: mem, io: io}, nil
 }
 
 // Now returns the thread-local simulated time.
@@ -126,8 +164,8 @@ func (c *Core) Now() units.Duration { return c.now }
 // Counters returns a snapshot of the thread's statistics.
 func (c *Core) Counters() Counters { return c.ctr }
 
-// Caches returns the thread's hierarchy (for its counters).
-func (c *Core) Caches() *cache.Hierarchy { return c.caches }
+// Timing returns the thread's cache timing state (for its counters).
+func (c *Core) Timing() *cache.Timing { return c.tm }
 
 // Config returns the thread's configuration.
 func (c *Core) Config() Config { return c.cfg }
@@ -135,12 +173,12 @@ func (c *Core) Config() Config { return c.cfg }
 // ResetCounters clears execution and cache statistics (post-warm-up).
 func (c *Core) ResetCounters() {
 	c.ctr = Counters{}
-	c.caches.ResetCounters()
+	c.tm.ResetCounters()
 }
 
 // Reset rewinds the thread to time zero with fresh counters under a new
-// configuration, keeping its cache hierarchy attached (the machine
-// Resets the hierarchy separately, since only it knows the cache config).
+// configuration, keeping its cache timing state attached (the machine
+// Resets it separately, since only it knows the cache config).
 func (c *Core) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -152,40 +190,47 @@ func (c *Core) Reset(cfg Config) error {
 }
 
 // CopyFrom makes c an exact copy of src — configuration, clock,
-// counters and cache contents — keeping c's own cache hierarchy object,
+// counters and cache timing state — keeping c's own timing object,
 // memory backend and I/O sink. src is only read.
 func (c *Core) CopyFrom(src *Core) {
 	c.cfg = src.cfg
 	c.now = src.now
 	c.ctr = src.ctr
-	c.caches.CopyFrom(src.caches)
+	c.tm.CopyFrom(src.tm)
 }
 
 // SetFrequency changes the core clock (the OS-governor knob of §V.A).
 func (c *Core) SetFrequency(f units.Hertz) { c.cfg.Freq = f }
 
-// RunBlock executes one trace block, advancing the thread's time.
-func (c *Core) RunBlock(b *trace.Block) {
+// RunBlock replays one recorded block, advancing the thread's time.
+func (c *Core) RunBlock(b *Block) {
 	freq := c.cfg.Freq
 	computeNS := float64(b.Instructions) * b.BaseCPI / float64(freq) * 1e9
 
+	// Untimed references (L1 hits and the like) add nothing: only the
+	// records are visited.
 	var missNS, hitNS float64
 	var nMiss int
-	n := len(b.Refs)
+	n := float64(b.NRefs)
+	reqs := b.Reqs
 	for i := range b.Refs {
+		r := &b.Refs[i]
 		// Spread issue times across the block's compute span so memory
 		// sees a realistic arrival process rather than bursts at block
 		// boundaries.
-		frac := (float64(i) + 0.5) / float64(n)
+		frac := (float64(r.Index) + 0.5) / n
 		issue := c.now + units.Duration(computeNS*frac)
-		out := c.caches.Access(issue, b.Refs[i], freq)
-		if out.DemandMiss && !b.Refs[i].Write {
-			missNS += float64(out.Latency)
+		k := int(r.NReqs)
+		lat := c.tm.Apply(issue, r, reqs[:k], c.mem, freq)
+		reqs = reqs[k:]
+		if r.Flags&(cache.RecMiss|cache.RecWrite) == cache.RecMiss {
+			missNS += float64(lat)
 			nMiss++
 		} else {
-			hitNS += float64(out.Latency)
+			hitNS += float64(lat)
 		}
 	}
+	c.tm.AddDelta(b.Delta)
 
 	// Effective MLP: the block's declared chain structure bounded by
 	// MSHRs. A declared parallelism above the block's own miss count is

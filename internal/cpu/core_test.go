@@ -22,7 +22,35 @@ func (f *fixedMem) Access(now units.Duration, addr uint64, op memsys.Op) memsys.
 	return memsys.Result{Latency: f.latency, Completion: now + f.latency}
 }
 
-func newCore(t *testing.T, cfg Config) (*Core, *fixedMem) {
+// rig is a Core with its own functional hierarchy: RunBlock records a
+// trace block and replays the record.
+type rig struct {
+	*Core
+	h   *cache.Hierarchy
+	log cache.Log
+}
+
+func (r *rig) RunBlock(b *trace.Block) {
+	r.log.Reset()
+	var rec Block
+	Record(&rec, b, r.h, &r.log)
+	r.Core.RunBlock(&rec)
+}
+
+func newRig(t *testing.T, cfg Config, ccfg cache.Config, mem cache.Memory, io IOSink) *rig {
+	t.Helper()
+	h, err := cache.New(ccfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(cfg, cache.NewTiming(ccfg), mem, io)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rig{Core: c, h: h}
+}
+
+func newCore(t *testing.T, cfg Config) (*rig, *fixedMem) {
 	t.Helper()
 	mem := &fixedMem{latency: 80}
 	ccfg := cache.Config{
@@ -32,15 +60,7 @@ func newCore(t *testing.T, cfg Config) (*Core, *fixedMem) {
 			{Name: "LLC", Size: 64 * 64, Assoc: 4, HitLatency: 14},
 		},
 	}
-	h, err := cache.New(ccfg, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(cfg, h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, mem
+	return newRig(t, cfg, ccfg, mem, nil), mem
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -61,11 +81,15 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}, nil, nil); err == nil {
+	tm := cache.NewTiming(cache.DefaultConfig())
+	if _, err := New(Config{}, tm, &fixedMem{}, nil); err == nil {
 		t.Fatal("want error for bad config")
 	}
-	if _, err := New(DefaultConfig(), nil, nil); err == nil {
-		t.Fatal("want error for nil caches")
+	if _, err := New(DefaultConfig(), nil, &fixedMem{}, nil); err == nil {
+		t.Fatal("want error for nil cache timing")
+	}
+	if _, err := New(DefaultConfig(), tm, nil, nil); err == nil {
+		t.Fatal("want error for nil memory")
 	}
 }
 
@@ -218,16 +242,8 @@ type countingSink struct{ bytes float64 }
 func (s *countingSink) DMA(now units.Duration, b float64) { s.bytes += b }
 
 func TestIOAccounting(t *testing.T) {
-	mem := &fixedMem{latency: 80}
-	h, err := cache.New(cache.DefaultConfig(), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := &countingSink{}
-	c, err := New(DefaultConfig(), h, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newRig(t, DefaultConfig(), cache.DefaultConfig(), &fixedMem{latency: 80}, sink)
 	b := &trace.Block{Instructions: 1000, BaseCPI: 1, IOBytes: 2 * IOEventSize}
 	c.RunBlock(b)
 	ctr := c.Counters()
@@ -257,7 +273,9 @@ func TestResetCounters(t *testing.T) {
 	if ctr.Instructions != 0 || ctr.BusyNS != 0 {
 		t.Fatal("counters must clear")
 	}
-	if c.Caches().Counters().MemDemandReads != 0 {
+	var cc cache.Counters
+	c.Timing().CountersInto(&cc)
+	if cc.MemDemandReads != 0 {
 		t.Fatal("cache counters must clear too")
 	}
 	if c.Now() == 0 {

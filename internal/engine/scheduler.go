@@ -42,8 +42,12 @@ type ExperimentResult struct {
 	SimCacheHits   int64
 	SimCacheMisses int64
 	// SimInstr counts the aggregate instructions simulated while this
-	// experiment ran (recorded via RecordSimInstr).
-	SimInstr uint64
+	// experiment ran (recorded via RecordSimInstr); FuncInstr counts
+	// those of them simulated functionally — generated and stepped
+	// through the caches — rather than replayed from a shared track
+	// (recorded via RecordFuncInstr).
+	SimInstr  uint64
+	FuncInstr uint64
 	// Solver telemetry aggregated across every fixed-point solve the
 	// experiment ran (recorded via the solve.Recorder the scheduler
 	// plants in the experiment's context).
@@ -58,9 +62,11 @@ type ResourceResult struct {
 	Name string
 	Err  error
 	Wall time.Duration
-	// SimInstr counts the aggregate instructions simulated while the
-	// resource was prepared (recorded via RecordSimInstr).
-	SimInstr uint64
+	// SimInstr and FuncInstr count the aggregate and the functionally
+	// simulated instructions while the resource was prepared (recorded
+	// via RecordSimInstr and RecordFuncInstr).
+	SimInstr  uint64
+	FuncInstr uint64
 }
 
 // RunResult aggregates a whole scheduler run.
@@ -87,13 +93,13 @@ func (rr RunResult) Failed() int {
 // Metrics in each experiment's and each resource's context; the
 // experiment layer reports fit-cache events via RecordFitCacheHit/Miss,
 // simulation-cache events via RecordSimCacheHit/Miss and simulated
-// instructions via RecordSimInstr, and the solve kernel reports every
-// fixed-point outcome through the solve.Recorder interface Metrics
-// implements.
+// instructions via RecordSimInstr and RecordFuncInstr, and the solve
+// kernel reports every fixed-point outcome through the solve.Recorder
+// interface Metrics implements.
 type Metrics struct {
-	hits, misses       atomic.Int64
-	simHits, simMisses atomic.Int64
-	simInstr           atomic.Uint64
+	hits, misses        atomic.Int64
+	simHits, simMisses  atomic.Int64
+	simInstr, funcInstr atomic.Uint64
 
 	// The embedded Aggregate accumulates the solver telemetry and
 	// promotes RecordSolve, which is what makes Metrics a
@@ -152,6 +158,16 @@ func RecordSimCacheMiss(ctx context.Context) {
 func RecordSimInstr(ctx context.Context, n uint64) {
 	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
 		m.simInstr.Add(n)
+	}
+}
+
+// RecordFuncInstr adds n instructions a machine simulated functionally:
+// generated and stepped through its caches rather than replayed from a
+// track another machine extended. No-op when the context carries no
+// recorder.
+func RecordFuncInstr(ctx context.Context, n uint64) {
+	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
+		m.funcInstr.Add(n)
 	}
 }
 
@@ -286,13 +302,13 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		}
 		t0 := time.Now()
 		if n.res != nil {
-			var simInstr uint64
+			var simInstr, funcInstr uint64
 			if nodeErr == nil {
 				mctx, m := WithMetrics(ctx)
 				nodeErr = n.res.Prepare(mctx)
-				simInstr = m.simInstr.Load()
+				simInstr, funcInstr = m.simInstr.Load(), m.funcInstr.Load()
 			}
-			res := ResourceResult{Name: n.name, Err: nodeErr, Wall: time.Since(t0), SimInstr: simInstr}
+			res := ResourceResult{Name: n.name, Err: nodeErr, Wall: time.Since(t0), SimInstr: simInstr, FuncInstr: funcInstr}
 			resMu.Lock()
 			rr.Resources = append(rr.Resources, res)
 			resMu.Unlock()
@@ -314,6 +330,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			result.SimCacheHits = m.simHits.Load()
 			result.SimCacheMisses = m.simMisses.Load()
 			result.SimInstr = m.simInstr.Load()
+			result.FuncInstr = m.funcInstr.Load()
 			st := m.Aggregate.Stats()
 			result.Solves = st.Solves
 			result.SolveIterations = st.Iterations

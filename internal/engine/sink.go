@@ -45,8 +45,10 @@ type ManifestEntry struct {
 	SimCacheHits   int64 `json:"sim_cache_hits,omitempty"`
 	SimCacheMisses int64 `json:"sim_cache_misses,omitempty"`
 	// SimInstr is the aggregate instruction count simulated while this
-	// experiment ran. Absent when it simulated nothing.
-	SimInstr uint64 `json:"sim_instr,omitempty"`
+	// experiment ran, and FuncInstr the part of it simulated functionally
+	// (the rest replayed shared tracks). Absent when it simulated nothing.
+	SimInstr  uint64 `json:"sim_instr,omitempty"`
+	FuncInstr uint64 `json:"func_instr,omitempty"`
 	// Solver telemetry: how the experiment's fixed points converged
 	// (counts of solves, total kernel iterations, bandwidth-limited
 	// outcomes, and the worst converged residual).
@@ -63,10 +65,11 @@ type ManifestEntry struct {
 
 // ManifestResource is one shared-dependency record in manifest.json.
 type ManifestResource struct {
-	Name     string `json:"name"`
-	WallMS   int64  `json:"wall_ms"`
-	SimInstr uint64 `json:"sim_instr,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Name      string `json:"name"`
+	WallMS    int64  `json:"wall_ms"`
+	SimInstr  uint64 `json:"sim_instr,omitempty"`
+	FuncInstr uint64 `json:"func_instr,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // Manifest is the machine-readable run record written next to the
@@ -124,6 +127,7 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		SimCacheHits:    res.SimCacheHits,
 		SimCacheMisses:  res.SimCacheMisses,
 		SimInstr:        res.SimInstr,
+		FuncInstr:       res.FuncInstr,
 		Solves:          res.Solves,
 		SolveIterations: res.SolveIterations,
 		SolveBWLimited:  res.SolveBWLimited,
@@ -190,7 +194,7 @@ func (s *DirSink) Close() error {
 		m.WallMS = s.run.Wall.Milliseconds()
 		m.MaxParallel = s.run.MaxParallel
 		for _, r := range s.run.Resources {
-			mr := ManifestResource{Name: r.Name, WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr}
+			mr := ManifestResource{Name: r.Name, WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr, FuncInstr: r.FuncInstr}
 			if r.Err != nil {
 				mr.Error = r.Err.Error()
 			}

@@ -47,14 +47,14 @@ func machineConfig(w workloads.Workload, sc ScalingConfig) sim.Config {
 }
 
 // machinePool recycles simulated machines across measurement runs: a
-// Machine.Reset reuses the memory simulator, per-thread cache arrays,
-// block buffers and PMU sampler, so a pooled machine costs generator
+// Machine.Reset reuses the memory simulator, per-thread timing state,
+// pooled tracks and PMU sampler, so a pooled machine costs generator
 // state instead of full construction — the dominant allocation source of
 // the fit grids. Reset restores construction state bit-exactly (asserted
 // in sim/reset_test.go), even after a cancelled run, and CopyFrom
-// overwrites every piece of simulated state (sim/copy_test.go), so pooled
-// machines are interchangeable with fresh ones and cache keys (computed
-// from configs alone) are unaffected.
+// overwrites all timing state and re-attaches every track
+// (sim/copy_test.go), so pooled machines are interchangeable with fresh
+// ones and cache keys (computed from configs alone) are unaffected.
 var machinePool sync.Pool
 
 // acquireMachine Resets a pooled machine for cfg, or builds a fresh one.
@@ -67,6 +67,12 @@ func acquireMachine(cfg sim.Config, name string, factory sim.GeneratorFactory) (
 		}
 	}
 	return sim.New(cfg, name, factory)
+}
+
+// release returns m to the pool without its tracks.
+func release(m *sim.Machine) {
+	m.Release()
+	machinePool.Put(m)
 }
 
 // runGrid evaluates n independent measurement runs concurrently, at most
@@ -173,8 +179,10 @@ func asIsProbe(name string, warm sim.Config, interval units.Duration, scale Scal
 // in a fit. Each probe is looked up in the measurement cache first; a
 // machine warms only if one misses. A lone missing probe runs on the warm
 // machine itself (CopyFrom is exact, so a copy would measure the same);
-// several fan out over runGrid, each on a pooled copy that reads the
-// warm machine concurrently. Results come back in probe order.
+// several fan out over runGrid, each on a pooled copy that shares the
+// warm machine's tracks, so the grid steps each block through the
+// caches once and every probe replays its own timing. Results come back
+// in probe order.
 func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes []probe, scale Scale) ([]sim.Measurement, error) {
 	out := make([]sim.Measurement, len(probes))
 	c := scale.SimCache
@@ -198,10 +206,12 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 		return nil, err
 	}
 	// The warm machine goes back to the pool only after every copy of it
-	// is done (runGrid waits for all of its workers).
-	defer machinePool.Put(src)
+	// is done (runGrid waits for all of its workers). Machines let go of
+	// their tracks first, so a grid's shared records die with the grid.
+	defer release(src)
 	err = src.Warm(ctx, scale.WarmupInstr)
 	engine.RecordSimInstr(ctx, src.Retired())
+	engine.RecordFuncInstr(ctx, src.Functional())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
 	}
@@ -215,7 +225,7 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 			if m == nil {
 				m = new(sim.Machine)
 			}
-			defer machinePool.Put(m)
+			defer release(m)
 			if err := m.CopyFrom(src); err != nil {
 				return sim.Measurement{}, err
 			}
@@ -242,9 +252,10 @@ func (p probe) run(ctx context.Context, w workloads.Workload, m *sim.Machine, sc
 		return sim.Measurement{}, err
 	}
 	m.SetSampleInterval(p.cfg.SampleInterval)
-	before := m.Retired()
+	before, funcBefore := m.Retired(), m.Functional()
 	meas, err := m.Run(ctx, p.rewarm, scale.MeasureInstr)
 	engine.RecordSimInstr(ctx, m.Retired()-before)
+	engine.RecordFuncInstr(ctx, m.Functional()-funcBefore)
 	if err != nil {
 		return sim.Measurement{}, fmt.Errorf("experiments: measure %s at %v/%v: %w", w.Name(), p.cfg.Core.Freq, p.cfg.Mem.Grade, err)
 	}

@@ -120,7 +120,9 @@ func TestSimCacheDiskReplayMatchesDriftHash(t *testing.T) {
 // the measurement cache replays them without warming a machine, so the
 // fit resource reports no simulated instructions the second time; the
 // first time it reports the warm-up plus each point's re-warm and
-// measured phase.
+// measured phase, of which only the warm-up and about one point's worth
+// were simulated functionally (the points share the warm machine's
+// tracks).
 func TestGridAllHitsSkipsWarm(t *testing.T) {
 	c, err := simcache.New(64, "")
 	if err != nil {
@@ -143,12 +145,16 @@ func TestGridAllHitsSkipsWarm(t *testing.T) {
 		if got == nil || got.Err != nil {
 			t.Fatalf("run %d: fit resource missing or failed: %+v", run, got)
 		}
-		t.Logf("%s grid: %d instructions simulated, %v", want, got.SimInstr, got.Wall)
+		t.Logf("%s grid: %d instructions simulated, %d functionally, %v", want, got.SimInstr, got.FuncInstr, got.Wall)
+		point := rewarmInstr + scale.MeasureInstr
 		switch {
 		case want == "cold" && got.SimInstr < minCold:
 			t.Fatalf("cold grid simulated %d instructions, want at least %d", got.SimInstr, minCold)
-		case want == "replayed" && got.SimInstr != 0:
-			t.Fatalf("fully cached grid simulated %d instructions, want 0", got.SimInstr)
+		case want == "cold" && (got.FuncInstr < scale.WarmupInstr+point || got.FuncInstr >= scale.WarmupInstr+2*point):
+			t.Fatalf("cold grid simulated %d instructions functionally, want the %d-instruction warm-up plus one to two points' %d",
+				got.FuncInstr, scale.WarmupInstr, point)
+		case want == "replayed" && (got.SimInstr != 0 || got.FuncInstr != 0):
+			t.Fatalf("fully cached grid simulated %d instructions (%d functionally), want 0", got.SimInstr, got.FuncInstr)
 		}
 	}
 	// Fig. 2 plots columnstore, so its grid also measures the baseline copy.

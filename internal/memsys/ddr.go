@@ -111,8 +111,8 @@ func (c Config) Validate() error {
 		return errors.New("memsys: Grade must be positive")
 	case c.Compulsory <= 0:
 		return errors.New("memsys: Compulsory latency must be positive")
-	case c.LineSize <= 0:
-		return errors.New("memsys: LineSize must be positive")
+	case c.LineSize <= 0 || c.LineSize != units.Bytes(uint64(c.LineSize)) || uint64(c.LineSize)&(uint64(c.LineSize)-1) != 0:
+		return errors.New("memsys: LineSize must be a positive power of two")
 	case c.RequestOverhead < 0:
 		return errors.New("memsys: RequestOverhead must be non-negative")
 	case c.BanksPerChannel <= 0:

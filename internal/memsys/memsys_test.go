@@ -67,6 +67,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Grade = 0 },
 		func(c *Config) { c.Compulsory = 0 },
 		func(c *Config) { c.LineSize = 0 },
+		func(c *Config) { c.LineSize = 96 },
+		func(c *Config) { c.LineSize = 64.5 },
 		func(c *Config) { c.RequestOverhead = -1 },
 		func(c *Config) { c.BanksPerChannel = 0 },
 		func(c *Config) { c.BankCycle = 0 },

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -84,13 +85,14 @@ func (c Counters) Bandwidth() units.BytesPerSecond {
 type Simulator struct {
 	cfg Config
 
-	lastSeen []units.Duration // per-channel: newest arrival timestamp
-	backlog  []units.Duration // per-channel: outstanding bus service time
-	lastOp   []Op             // per-channel: direction of last service
-	gapEWMA  []float64        // per-channel: smoothed inter-arrival gap (ns)
-	rng      rngState
-	counters Counters
-	transfer units.Duration // line transfer time for this grade
+	lastSeen  []units.Duration // per-channel: newest arrival timestamp
+	backlog   []units.Duration // per-channel: outstanding bus service time
+	lastOp    []Op             // per-channel: direction of last service
+	gapEWMA   []float64        // per-channel: smoothed inter-arrival gap (ns)
+	rng       rngState
+	counters  Counters
+	transfer  units.Duration // line transfer time for this grade
+	lineShift uint           // log2(LineSize), which Validate holds to a power of two
 }
 
 // rngState is a tiny xorshift64* generator for the stochastic bank-
@@ -120,13 +122,14 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:      cfg,
-		lastSeen: make([]units.Duration, cfg.Channels),
-		backlog:  make([]units.Duration, cfg.Channels),
-		lastOp:   make([]Op, cfg.Channels),
-		gapEWMA:  make([]float64, cfg.Channels),
-		rng:      rngSeed,
-		transfer: cfg.Grade.LineTransferTime(cfg.LineSize),
+		cfg:       cfg,
+		lastSeen:  make([]units.Duration, cfg.Channels),
+		backlog:   make([]units.Duration, cfg.Channels),
+		lastOp:    make([]Op, cfg.Channels),
+		gapEWMA:   make([]float64, cfg.Channels),
+		rng:       rngSeed,
+		transfer:  cfg.Grade.LineTransferTime(cfg.LineSize),
+		lineShift: lineShift(cfg),
 	}
 	for i := range s.gapEWMA {
 		s.gapEWMA[i] = idleGapNS
@@ -159,9 +162,12 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.rng = rngSeed
 	s.counters = Counters{}
 	s.transfer = cfg.Grade.LineTransferTime(cfg.LineSize)
+	s.lineShift = lineShift(cfg)
 	s.cfg = cfg
 	return nil
 }
+
+func lineShift(cfg Config) uint { return uint(bits.TrailingZeros64(uint64(cfg.LineSize))) }
 
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
@@ -188,6 +194,7 @@ func (s *Simulator) CopyFrom(src *Simulator) {
 	s.rng = src.rng
 	s.counters = src.counters
 	s.transfer = src.transfer
+	s.lineShift = src.lineShift
 }
 
 // Result describes the outcome of one request.
@@ -211,7 +218,7 @@ func (s *Simulator) Access(now units.Duration, addr uint64, op Op) Result {
 		s.counters.haveFirstArrival = true
 	}
 
-	line := addr / uint64(s.cfg.LineSize)
+	line := addr >> s.lineShift
 	ch := int(line % uint64(s.cfg.Channels))
 
 	// Lindley recursion on the channel bus: drain the backlog by the

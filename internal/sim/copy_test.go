@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/memsys"
@@ -34,14 +33,6 @@ type mixGen struct {
 
 func (mixFactory) NewGenerator(thread int, seed uint64) trace.Generator {
 	return &mixGen{rng: trace.NewRNG(seed), base: uint64(thread+1) << 36}
-}
-
-// Clone implements Cloner: the copy owns its RNG.
-func (g *mixGen) Clone() trace.Generator {
-	c := *g
-	rng := *g.rng
-	c.rng = &rng
-	return &c
 }
 
 func (g *mixGen) scanLine(b *trace.Block) {
@@ -195,25 +186,5 @@ func TestRetimeMatchesConfig(t *testing.T) {
 	}
 	if err := m.Retime(units.GHzOf(2.5), 0); err == nil {
 		t.Fatal("Retime accepted a zero grade")
-	}
-}
-
-// TestCopyFromNeedsClone: a source whose generators cannot clone is an
-// error naming its workload, and the destination is left as it was.
-func TestCopyFromNeedsClone(t *testing.T) {
-	src, err := New(quickConfig(2), "scan", scanFactory{baseCPI: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := New(copyTestConfig(), "mix", mixFactory{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = dst.CopyFrom(src)
-	if err == nil || !strings.Contains(err.Error(), `"scan"`) {
-		t.Fatalf("CopyFrom of an uncloneable workload: err = %v, want one naming \"scan\"", err)
-	}
-	if !reflect.DeepEqual(dst.Config(), copyTestConfig()) {
-		t.Fatalf("failed CopyFrom changed the destination's config to %+v", dst.Config())
 	}
 }

@@ -1,7 +1,14 @@
 // Package sim assembles the simulated machine the paper's measurements
-// are taken on: N hardware threads (cpu.Core), each with a private cache
-// hierarchy, sharing one DDR memory subsystem, with a PMU sampler
-// recording characterization time series.
+// are taken on: N hardware threads, each with a private cache hierarchy,
+// sharing one DDR memory subsystem, with a PMU sampler recording
+// characterization time series.
+//
+// A thread is two parts. Its functional track (track.go) generates the
+// thread's blocks and steps them through its caches and prefetcher into
+// records; its timing (cpu.Core with a cache.Timing) replays those
+// records against the machine's memory and clock. Cache decisions never
+// read a clock, so copies of a machine share its tracks and each replays
+// only timing.
 //
 // The event loop always advances the least-advanced thread by one trace
 // block, which bounds cross-thread time skew to one block and lets memory
@@ -19,7 +26,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/cache"
@@ -35,13 +41,6 @@ import (
 // runs stay deterministic.
 type GeneratorFactory interface {
 	NewGenerator(thread int, seed uint64) trace.Generator
-}
-
-// Cloner is a generator CopyFrom can copy. Clone returns an exact,
-// independent copy: it draws the blocks the original would draw next,
-// and drawing from either leaves the other unchanged.
-type Cloner interface {
-	Clone() trace.Generator
 }
 
 // Config describes a machine.
@@ -123,17 +122,22 @@ func (m Measurement) MPIxMP() float64 { return m.MPI * float64(m.MPCycles) }
 // Machine is a runnable simulated platform. The zero value is ready for
 // Reset or CopyFrom.
 type Machine struct {
-	cfg     Config
-	mem     *memsys.Simulator
+	cfg  Config
+	mem  *memsys.Simulator
+	name string
+	// Each thread is its timing, cores[t], replaying its functional
+	// track from cursors[t].
 	cores   []*cpu.Core
-	gens    []trace.Generator
-	name    string
-	blocks  []trace.Block
+	cursors []cursor
 	ioLines uint64
 
 	// retired counts the aggregate instructions this machine simulated
 	// since Reset or CopyFrom: warm-ups, re-warms and measured phases.
-	retired uint64
+	// functional counts those of them whose blocks it generated and
+	// stepped through the caches itself, rather than replayed from a
+	// track another machine had extended.
+	retired    uint64
+	functional uint64
 
 	// heap holds thread indices ordered by (core timestamp, index): the
 	// root is always the least-advanced thread, with ties broken toward
@@ -194,10 +198,12 @@ func New(cfg Config, name string, factory GeneratorFactory) (*Machine, error) {
 
 // Reset rebuilds the machine in place for a new run — typically a
 // different workload, thread count, frequency, or memory grade — reusing
-// the memory simulator, per-thread cores/hierarchies, block buffers, and
-// heap wherever geometry allows, and builds each thread's generator from
-// the factory. A Reset machine is bit-identical to a freshly constructed
-// one (reset_test.go asserts this measurement-for-measurement), which is
+// the memory simulator, per-thread cores, tracks (hierarchies and record
+// storage) and heap wherever geometry allows, and builds each thread's
+// generator from the factory. A track another machine still shares is
+// left to it; the thread gets a pooled or new one. A Reset machine is
+// bit-identical to a freshly constructed one (reset_test.go asserts this
+// measurement-for-measurement), which is
 // what lets internal/experiments pool machines across grid points
 // instead of re-paying construction per measurement.
 func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error {
@@ -214,9 +220,7 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 		return err
 	}
 	for _, c := range m.cores {
-		if err := c.Caches().Reset(cfg.Cache); err != nil {
-			return err
-		}
+		c.Timing().Reset(cfg.Cache)
 		if err := c.Reset(cfg.Core); err != nil {
 			return err
 		}
@@ -229,22 +233,25 @@ func (m *Machine) Reset(cfg Config, name string, factory GeneratorFactory) error
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	for t := 0; t < cfg.Threads; t++ {
-		m.gens = append(m.gens, factory.NewGenerator(t, seed+uint64(t)*seedStride))
+	for t := range m.cursors {
+		if err := m.cursors[t].start(cfg.Cache, name, factory.NewGenerator(t, seed+uint64(t)*seedStride)); err != nil {
+			return err
+		}
 	}
 	m.cfg = cfg
 	m.name = name
 	m.instr = 0
 	m.retired = 0
+	m.functional = 0
 	m.ioLines = 0
 	return nil
 }
 
-// fit gives m cfg.Threads cores, block buffers and heap slots, building
-// the memory simulator and any core it lacks for cfg (already validated)
-// and keeping the rest as they are, and empties m.gens. Reset and
-// CopyFrom then overwrite the state they need; neither pays to clear
-// what the other sets.
+// fit gives m cfg.Threads cores, cursors and heap slots, building the
+// memory simulator and any core it lacks for cfg (already validated) and
+// keeping the rest as they are, and lets go of the tracks of threads
+// beyond cfg.Threads. Reset and CopyFrom then overwrite the state they
+// need; neither pays to clear what the other sets.
 func (m *Machine) fit(cfg Config) error {
 	if m.mem == nil {
 		mem, err := memsys.NewSimulator(cfg.Mem)
@@ -261,11 +268,7 @@ func (m *Machine) fit(cfg Config) error {
 		if t < len(m.cores) && m.cores[t] != nil {
 			continue
 		}
-		h, err := cache.New(cfg.Cache, m.mem)
-		if err != nil {
-			return err
-		}
-		core, err := cpu.New(cfg.Core, h, ioSink{m})
+		core, err := cpu.New(cfg.Core, cache.NewTiming(cfg.Cache), m.mem, ioSink{m})
 		if err != nil {
 			return err
 		}
@@ -276,54 +279,59 @@ func (m *Machine) fit(cfg Config) error {
 		}
 	}
 	m.cores = m.cores[:cfg.Threads]
-	if cap(m.blocks) >= cfg.Threads {
-		m.blocks = m.blocks[:cfg.Threads]
+	for t := cfg.Threads; t < len(m.cursors); t++ {
+		m.cursors[t].drop()
+	}
+	if cap(m.cursors) >= cfg.Threads {
+		m.cursors = m.cursors[:cfg.Threads]
 	} else {
-		blocks := make([]trace.Block, cfg.Threads)
-		copy(blocks, m.blocks) // keep grown Refs capacity
-		m.blocks = blocks
+		m.cursors = append(m.cursors, make([]cursor, cfg.Threads-len(m.cursors))...)
 	}
 	if cap(m.heap) >= cfg.Threads {
 		m.heap = m.heap[:cfg.Threads]
 	} else {
 		m.heap = make([]int, cfg.Threads)
 	}
-	clear(m.gens) // let the old generators go
-	m.gens = m.gens[:0]
 	return nil
 }
 
 // CopyFrom makes m an exact copy of src's simulated state: m takes src's
 // configuration and workload, src's memory simulator, cores (clocks,
-// counters and cache contents), event heap, instruction count and I/O
-// cursor, and a Clone of each thread's generator. Every generator of
-// src must implement Cloner: if one does not, CopyFrom fails, naming the
-// workload, before it touches m. Running m then proceeds exactly as src
-// would. src is only read, so several machines may copy one source
-// concurrently. Retired restarts at zero.
+// counters and cache timing state), event heap, instruction count and
+// I/O cursor, and shares src's functional tracks at src's positions.
+// Running m then proceeds exactly as src would: cache decisions never
+// read a clock, so a track serves every copy however it is retimed, and
+// each block is generated and stepped through the caches once, by
+// whichever machine needs it first. src is only read, so several
+// machines may copy one source concurrently, and copies may run
+// concurrently with each other. Retired and Functional restart at zero.
 func (m *Machine) CopyFrom(src *Machine) error {
-	for _, g := range src.gens {
-		if _, ok := g.(Cloner); !ok {
-			return fmt.Errorf("sim: cannot copy workload %q: its generator %T has no Clone", src.name, g)
-		}
-	}
 	if err := m.fit(src.cfg); err != nil {
 		return err
 	}
 	m.mem.CopyFrom(src.mem)
 	for t, c := range m.cores {
 		c.CopyFrom(src.cores[t])
+		m.cursors[t].share(&src.cursors[t])
 	}
 	copy(m.heap, src.heap)
-	for _, g := range src.gens {
-		m.gens = append(m.gens, g.(Cloner).Clone())
-	}
 	m.cfg = src.cfg
 	m.name = src.name
 	m.instr = src.instr
 	m.retired = 0
+	m.functional = 0
 	m.ioLines = src.ioLines
 	return nil
+}
+
+// Release lets go of m's tracks, and with them the records m kept alive
+// for the machines it shared them with; the last machine to let go of a
+// track returns it to a pool that Reset draws from. m is then ready for
+// Reset or CopyFrom.
+func (m *Machine) Release() {
+	for t := range m.cursors {
+		m.cursors[t].drop()
+	}
 }
 
 // Retime turns the two §V.A knobs on a live machine: every core's clock
@@ -356,6 +364,11 @@ func (m *Machine) SetSampleInterval(d units.Duration) { m.cfg.SampleInterval = d
 // Retired returns the aggregate instructions simulated since Reset or
 // CopyFrom.
 func (m *Machine) Retired() uint64 { return m.retired }
+
+// Functional returns how many of the Retired instructions this machine
+// simulated functionally — generated and stepped through the caches —
+// rather than replayed from a shared track.
+func (m *Machine) Functional() uint64 { return m.functional }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -394,15 +407,13 @@ func (m *Machine) siftDown(i int) {
 // index.
 func (m *Machine) step() int {
 	min := m.heap[0]
-	b := &m.blocks[min]
-	b.Reset()
-	m.gens[min].NextBlock(b)
-	if b.Instructions == 0 {
-		panic(fmt.Sprintf("sim: workload %q produced an empty block", m.name))
-	}
+	b, generated := m.cursors[min].next()
 	m.cores[min].RunBlock(b)
 	m.instr += b.Instructions
 	m.retired += b.Instructions
+	if generated {
+		m.functional += b.Instructions
+	}
 	m.siftDown(0)
 	return min
 }
@@ -514,7 +525,7 @@ func (m *Machine) measure(start units.Duration, sampler *pmu.Sampler) Measuremen
 		idle += ctr.IdleNS
 		ioBytes += ctr.IOBytes
 		ioEvents += ctr.IOEvents
-		c.Caches().CountersInto(&m.scratch)
+		c.Timing().CountersInto(&m.scratch)
 		cc := &m.scratch
 		for i := range agg.Levels {
 			agg.Levels[i].Accesses += cc.Levels[i].Accesses

@@ -399,13 +399,11 @@ type spark struct {
 	rng    *trace.RNG
 	rowPtr []uint32
 	colIdx []uint32
-	rank   []float32
 
 	edges  *seqStream
 	vertex trace.Region
 	outStr *seqStream
 
-	cursorV uint32 // current vertex being expanded
 	cursorE uint32
 	step    int
 	phase   int
@@ -418,7 +416,6 @@ func newSpark(thread int, seed uint64) trace.Generator {
 		rng:    rng,
 		rowPtr: make([]uint32, sparkVerts+1),
 		colIdx: make([]uint32, sparkVerts*sparkDegree),
-		rank:   make([]float32, sparkVerts),
 		edges:  newSeqStream(space.AllocRegion(sparkEdgeMiB << 20)),
 		vertex: space.AllocRegion(sparkVertexMiB << 20),
 		outStr: newSeqStream(space.AllocRegion(2 << 20)),
@@ -433,7 +430,6 @@ func newSpark(thread int, seed uint64) trace.Generator {
 			s.colIdx[e] = uint32(rng.Uint64n(sparkVerts))
 			e++
 		}
-		s.rank[v] = 1
 	}
 	s.rowPtr[sparkVerts] = e
 	return s
@@ -479,14 +475,12 @@ func (s *spark) gatherBlock(b *trace.Block) {
 	for i := 0; i < sparkGathers; i++ {
 		// Destination vertex from the real edge list.
 		dst := s.colIdx[(uint64(s.cursorE)+uint64(i))%uint64(len(s.colIdx))]
-		s.rank[dst] += 0.25 * s.rank[s.cursorV%sparkVerts] // real accumulation
 		addr := s.vertex.Base + hash64(uint64(dst))%lines*lineSize
 		b.AddRef(addr, false)
 		if s.rng.Bernoulli(sparkGatherDirty) {
 			b.AddRef(addr, true)
 		}
 	}
-	s.cursorV++
 	s.cursorE += sparkGathers
 }
 

@@ -34,18 +34,16 @@ type stencilParams struct {
 	gatherChains int
 	writeLines   float64 // sequential write lines per block
 	regionMiB    uint64
-	fpWork       int // real floating-point ops per block (kernel honesty)
+	fpWork       int // grid points a block advances the sweep by
 }
 
 type stencil struct {
 	p       stencilParams
-	rng     *trace.RNG
 	reads   []*stridedStream
 	writes  *seqStream
 	gather  trace.Region
 	index   []uint32 // real index array driving the gathers
-	grid    []float64
-	cursor  int
+	cursor  int      // sweep position, which picks the next gather index
 	carryS  float64
 	carryG  float64
 	carryW  float64
@@ -57,20 +55,15 @@ func newStencil(p stencilParams, thread int, seed uint64) trace.Generator {
 	space := trace.NewAddressSpace(threadBase(thread))
 	s := &stencil{
 		p:      p,
-		rng:    rng,
 		writes: newSeqStream(space.AllocRegion(p.regionMiB / 4 << 20)),
 		gather: space.AllocRegion(p.regionMiB / 2 << 20),
 		index:  make([]uint32, 8192),
-		grid:   make([]float64, 4096),
 	}
 	for i := 0; i < p.readStreams; i++ {
 		s.reads = append(s.reads, newStridedStream(space.AllocRegion(p.regionMiB<<20), p.strideLines))
 	}
 	for i := range s.index {
 		s.index[i] = uint32(rng.Uint64())
-	}
-	for i := range s.grid {
-		s.grid[i] = rng.Float64()
 	}
 	return s
 }
@@ -81,12 +74,6 @@ func (s *stencil) NextBlock(b *trace.Block) {
 	b.BaseCPI = p.baseCPI
 	b.Chains = p.gatherChains
 
-	// Real stencil arithmetic on the resident grid window.
-	g := s.grid
-	for i := 0; i < p.fpWork; i++ {
-		j := (s.cursor + i) % (len(g) - 2)
-		g[j+1] = 0.25*g[j] + 0.5*g[j+1] + 0.25*g[j+2]
-	}
 	s.cursor += p.fpWork
 
 	// Sequential read streams, round-robin.
@@ -168,8 +155,6 @@ type coreBound struct {
 	out     *seqStream
 	instr   uint64
 	baseCPI float64
-	buf     []uint64
-	acc     uint64
 	carry   float64
 	missPM  float64 // misses per 1000 instructions
 }
@@ -184,11 +169,12 @@ func newCoreBound(thread int, seed uint64, instr uint64, baseCPI, missPM float64
 		out:     newSeqStream(space.AllocRegion(1 << 20)),
 		instr:   instr,
 		baseCPI: baseCPI,
-		buf:     make([]uint64, 1024),
 		missPM:  missPM,
 	}
-	for i := range c.buf {
-		c.buf[i] = rng.Uint64()
+	// Skip 1 024 draws: working shares this RNG, and its address stream
+	// (the raytrace and interp traces) starts after them.
+	for i := 0; i < 1024; i++ {
+		rng.Uint64()
 	}
 	return c
 }
@@ -197,11 +183,6 @@ func (c *coreBound) NextBlock(b *trace.Block) {
 	b.Instructions = c.instr
 	b.BaseCPI = c.baseCPI
 	b.Chains = 8
-	// Real compute: hash-mix over the resident buffer.
-	for i := 0; i < 32; i++ {
-		c.acc = hash64(c.acc ^ c.buf[i])
-		c.buf[i] = c.acc
-	}
 	// Cache-resident touches.
 	for i := 0; i < 4; i++ {
 		b.AddRef(c.working.next(), false)
