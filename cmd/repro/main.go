@@ -255,7 +255,7 @@ func summarizeDeps(deps []string) string {
 	var parts []string
 	switch {
 	case len(fitNames) > 4:
-		parts = append(parts, fmt.Sprintf("fits(%d workloads)", len(fitNames)))
+		parts = append(parts, fmt.Sprintf("fits(%d grids)", len(fitNames)))
 	case len(fitNames) > 0:
 		parts = append(parts, "fit:"+strings.Join(fitNames, ","))
 	}

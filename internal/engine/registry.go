@@ -27,8 +27,9 @@ type Resource struct {
 }
 
 // Registry holds the experiment catalog and its shared resources.
-// Registration order is preserved: it is the canonical presentation
-// order (-list, the results index, the manifest).
+// Registration order is preserved: for experiments it is the canonical
+// presentation order (-list, the results index, the manifest), and for
+// resources the order Run starts those that are ready.
 type Registry struct {
 	mu          sync.Mutex
 	order       []string
@@ -113,6 +114,13 @@ func (r *Registry) Experiments() []Experiment {
 		out = append(out, r.experiments[id])
 	}
 	return out
+}
+
+// resourceNames returns the resource names in registration order.
+func (r *Registry) resourceNames() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.resOrder...)
 }
 
 // Resource looks up one resource.

@@ -30,6 +30,7 @@ type ExperimentResult struct {
 	Index    int // position in registration order, for stable presentation
 	Artifact Artifact
 	Err      error
+	Start    time.Duration // when the experiment began, from the run's start
 	Wall     time.Duration
 	// FitCacheHits/Misses count Suite fit-cache lookups made while this
 	// experiment ran (recorded via RecordFitCacheHit/Miss).
@@ -59,9 +60,10 @@ type ExperimentResult struct {
 
 // ResourceResult is the outcome of one prepared resource node.
 type ResourceResult struct {
-	Name string
-	Err  error
-	Wall time.Duration
+	Name  string
+	Err   error
+	Start time.Duration // when the resource began, from the run's start
+	Wall  time.Duration
 	// SimInstr and FuncInstr count the aggregate and the functionally
 	// simulated instructions while the resource was prepared (recorded
 	// via RecordSimInstr and RecordFuncInstr).
@@ -185,9 +187,10 @@ type node struct {
 // Run schedules the selected experiments (nil/empty ids = the whole
 // catalog) and their dependency closure over a bounded worker pool.
 // Resources run before the experiments that declared them; independent
-// nodes run concurrently. Cancelling ctx stops new nodes from starting
-// and makes in-flight suite work return early; cancelled nodes report
-// ctx's error. The returned error covers setup problems (unknown ids,
+// nodes run concurrently. Ready resources start in registration order,
+// ahead of the dependency-free experiments. Cancelling ctx stops new
+// nodes from starting and makes in-flight suite work return early;
+// cancelled nodes report ctx's error. The returned error covers setup problems (unknown ids,
 // invalid registry) only — per-experiment failures are in the results.
 func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunResult, error) {
 	exps, err := reg.Resolve(ids)
@@ -209,7 +212,6 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		index[id] = i
 	}
 	nodes := map[string]*node{}
-	var resNodes []*node // discovery order, for deterministic seeding
 	var addResource func(name string) *node
 	addResource = func(name string) *node {
 		if n, ok := nodes["res:"+name]; ok {
@@ -218,7 +220,6 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		res, _ := reg.Resource(name) // Validate guarantees presence
 		n := &node{name: name, res: &res}
 		nodes["res:"+name] = n
-		resNodes = append(resNodes, n)
 		for _, d := range res.Deps {
 			dep := addResource(d)
 			dep.dependents = append(dep.dependents, n)
@@ -250,11 +251,13 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		resMu     sync.Mutex
 	)
 	rr := RunResult{Experiments: make([]ExperimentResult, len(expNodes))}
-	// Seed deterministically: resources first (fits and calibrations are
-	// the long poles, so they should claim workers early), then the
-	// dependency-free experiments in registration order.
-	for _, n := range resNodes {
-		if n.waiting == 0 {
+	// Seed deterministically: ready resources first, in registration
+	// order rather than the order experiments' deps name them (a registry
+	// registers its longest resources first, so they claim workers early
+	// and no long pole starts last), then the dependency-free
+	// experiments in registration order.
+	for _, name := range reg.resourceNames() {
+		if n := nodes["res:"+name]; n != nil && n.waiting == 0 {
 			ready <- n
 		}
 	}
@@ -301,6 +304,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			nodeErr = ctx.Err()
 		}
 		t0 := time.Now()
+		began := t0.Sub(start)
 		if n.res != nil {
 			var simInstr, funcInstr uint64
 			if nodeErr == nil {
@@ -308,7 +312,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 				nodeErr = n.res.Prepare(mctx)
 				simInstr, funcInstr = m.simInstr.Load(), m.funcInstr.Load()
 			}
-			res := ResourceResult{Name: n.name, Err: nodeErr, Wall: time.Since(t0), SimInstr: simInstr, FuncInstr: funcInstr}
+			res := ResourceResult{Name: n.name, Err: nodeErr, Start: began, Wall: time.Since(t0), SimInstr: simInstr, FuncInstr: funcInstr}
 			resMu.Lock()
 			rr.Resources = append(rr.Resources, res)
 			resMu.Unlock()
@@ -321,7 +325,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			return
 		}
 
-		result := ExperimentResult{Experiment: *n.exp, Index: n.index}
+		result := ExperimentResult{Experiment: *n.exp, Index: n.index, Start: began}
 		if nodeErr == nil {
 			mctx, m := WithMetrics(ctx)
 			result.Artifact, result.Err = n.exp.Run(mctx)

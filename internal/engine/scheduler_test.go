@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,56 @@ func TestRunPropagatesResourceFailure(t *testing.T) {
 	// dependency broke the experiment.
 	if !strings.Contains(needy.Err.Error(), "curve") {
 		t.Fatalf("err %q does not name the resource", needy.Err)
+	}
+}
+
+// TestRunSeedsResourcesInRegistrationOrder: ready resources start in
+// the order they were registered, not the order experiments' deps
+// discover them, and all of them before a dependency-free experiment.
+// One worker makes the start order the seeding order; each node's
+// recorded Start follows it.
+func TestRunSeedsResourcesInRegistrationOrder(t *testing.T) {
+	rec := &orderRecorder{}
+	r := NewRegistry()
+	registered := []string{"heavy", "mid", "light"}
+	for _, name := range registered {
+		r.MustRegisterResource(Resource{Name: name, Prepare: func(context.Context) error {
+			rec.add(name)
+			return nil
+		}})
+	}
+	mk := func(id string, deps ...string) {
+		r.MustRegister(Experiment{ID: id, Deps: deps, Run: func(context.Context) (Artifact, error) {
+			rec.add(id)
+			return Artifact{ID: id}, nil
+		}})
+	}
+	// Discovery order is the reverse of registration order.
+	mk("free")
+	mk("uses-light", "light")
+	mk("uses-mid", "mid", "light")
+	mk("uses-heavy", "heavy")
+
+	rr, err := Run(context.Background(), r, nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Failed() != 0 {
+		t.Fatalf("failed = %d", rr.Failed())
+	}
+	want := append(append([]string(nil), registered...), "free")
+	if got := rec.order[:len(want)]; !slices.Equal(got, want) {
+		t.Fatalf("start order %v, want %v first", rec.order, want)
+	}
+	// Resources complete in start order on one worker.
+	for i := 1; i < len(rr.Resources); i++ {
+		if prev, cur := rr.Resources[i-1], rr.Resources[i]; cur.Start < prev.Start+prev.Wall {
+			t.Fatalf("%s started at %v, before %s ended (%v + %v)", cur.Name, cur.Start, prev.Name, prev.Start, prev.Wall)
+		}
+	}
+	last := rr.Resources[len(rr.Resources)-1]
+	if free := rr.Experiments[0]; free.Start < last.Start+last.Wall {
+		t.Fatalf("free started at %v, before the last resource ended (%v + %v)", free.Start, last.Start, last.Wall)
 	}
 }
 

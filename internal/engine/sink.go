@@ -35,6 +35,7 @@ type ManifestEntry struct {
 	Title          string   `json:"title"`
 	Section        string   `json:"section,omitempty"`
 	Deps           []string `json:"deps,omitempty"`
+	StartMS        int64    `json:"start_ms"` // ms from the run's start
 	WallMS         int64    `json:"wall_ms"`
 	FitCacheHits   int64    `json:"fit_cache_hits"`
 	FitCacheMisses int64    `json:"fit_cache_misses"`
@@ -66,6 +67,7 @@ type ManifestEntry struct {
 // ManifestResource is one shared-dependency record in manifest.json.
 type ManifestResource struct {
 	Name      string `json:"name"`
+	StartMS   int64  `json:"start_ms"` // ms from the run's start
 	WallMS    int64  `json:"wall_ms"`
 	SimInstr  uint64 `json:"sim_instr,omitempty"`
 	FuncInstr uint64 `json:"func_instr,omitempty"`
@@ -121,6 +123,7 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		Title:           res.Title,
 		Section:         res.Section,
 		Deps:            res.Deps,
+		StartMS:         res.Start.Milliseconds(),
 		WallMS:          res.Wall.Milliseconds(),
 		FitCacheHits:    res.FitCacheHits,
 		FitCacheMisses:  res.FitCacheMisses,
@@ -194,7 +197,7 @@ func (s *DirSink) Close() error {
 		m.WallMS = s.run.Wall.Milliseconds()
 		m.MaxParallel = s.run.MaxParallel
 		for _, r := range s.run.Resources {
-			mr := ManifestResource{Name: r.Name, WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr, FuncInstr: r.FuncInstr}
+			mr := ManifestResource{Name: r.Name, StartMS: r.Start.Milliseconds(), WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr, FuncInstr: r.FuncInstr}
 			if r.Err != nil {
 				mr.Error = r.Err.Error()
 			}
@@ -211,7 +214,7 @@ func (s *DirSink) Close() error {
 	}
 
 	var idx []byte
-	idx = append(idx, "# results index\n\nGenerated by `go run ./cmd/repro`. One .txt per experiment\n(DESIGN.md section 4), with .csv per table and .svg per chart.\n`manifest.json` records every experiment's id, title, paper section,\ndependencies, wall time, fit-cache hits, solver telemetry (fixed-point\nsolves, kernel iterations, bandwidth-limited outcomes, worst residual),\nand per-file sha256 content hashes — compare manifests across runs to\ndetect result drift.\n\n"...)
+	idx = append(idx, "# results index\n\nGenerated by `go run ./cmd/repro`. One .txt per experiment\n(DESIGN.md section 4), with .csv per table and .svg per chart.\n`manifest.json` records every experiment's id, title, paper section,\ndependencies, start and wall time, fit-cache hits, solver telemetry (fixed-point\nsolves, kernel iterations, bandwidth-limited outcomes, worst residual),\nand per-file sha256 content hashes — compare manifests across runs to\ndetect result drift.\n\n"...)
 	for _, e := range s.entries {
 		if e.Error != "" {
 			idx = append(idx, fmt.Sprintf("- %s — FAILED: %s\n", e.ID, e.Error)...)

@@ -40,7 +40,9 @@ func TestDirSinkWritesFilesAndManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver out of registration order; the manifest must come back sorted.
-	if err := sink.Write(sampleResult("beta", 1)); err != nil {
+	beta := sampleResult("beta", 1)
+	beta.Start = 3 * time.Millisecond
+	if err := sink.Write(beta); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Write(sampleResult("alpha", 0)); err != nil {
@@ -57,7 +59,7 @@ func TestDirSinkWritesFilesAndManifest(t *testing.T) {
 	sink.RecordRun(RunResult{
 		Wall:        100 * time.Millisecond,
 		MaxParallel: 3,
-		Resources:   []ResourceResult{{Name: "fit:w", Wall: 40 * time.Millisecond}},
+		Resources:   []ResourceResult{{Name: "fit:w", Start: 7 * time.Millisecond, Wall: 40 * time.Millisecond}},
 	}, 4)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -96,8 +98,11 @@ func TestDirSinkWritesFilesAndManifest(t *testing.T) {
 	if m.Workers != 4 || m.MaxParallel != 3 || m.WallMS != 100 {
 		t.Fatalf("run stats not recorded: %+v", m)
 	}
-	if len(m.Resources) != 1 || m.Resources[0].Name != "fit:w" {
+	if len(m.Resources) != 1 || m.Resources[0].Name != "fit:w" || m.Resources[0].StartMS != 7 || m.Resources[0].WallMS != 40 {
 		t.Fatalf("resources = %+v", m.Resources)
+	}
+	if m.Experiments[1].StartMS != 3 {
+		t.Fatalf("beta start_ms = %d, want 3", m.Experiments[1].StartMS)
 	}
 
 	// Every recorded hash matches the bytes on disk.

@@ -193,7 +193,7 @@ func TestNUMAStudyArtifact(t *testing.T) {
 
 func TestPrefetchDepthSweepArtifact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five scaling fits")
+		t.Skip("five grids, one per prefetch depth")
 	}
 	a, err := testSuite().PrefetchDepthSweep(bg)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestPrefetchDepthSweepArtifact(t *testing.T) {
 
 func TestPrefetchAblationArtifact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-fits with prefetcher disabled")
+		t.Skip("three grids and their prefetch-off variants")
 	}
 	a, err := testSuite().PrefetchAblation(bg)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestPrefetchAblationArtifact(t *testing.T) {
 
 func TestGradeSweepArtifact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four measured runs")
+		t.Skip("bwaves' grid with its grade probes")
 	}
 	a, err := testSuite().GradeSweep(bg, "bwaves")
 	if err != nil {

@@ -9,19 +9,23 @@ import (
 	"repro/internal/units"
 )
 
+// ablated are the workloads PrefetchAblation compares with and without
+// the prefetcher: scan-heavy, streaming HPC and pointer-heavy.
+var ablated = []string{"columnstore", "bwaves", "oltp"}
+
 // PrefetchAblation reproduces the §VII observation that prefetching
-// effectiveness shows up as blocking factor: it re-fits a scan-heavy and
-// a pointer-heavy workload with the hardware prefetcher disabled and
-// compares the fitted BF against the prefetch-on fit.
+// effectiveness shows up as blocking factor: it compares each ablated
+// workload's fit with the fit of its grid with the hardware prefetcher
+// disabled.
 func (s *Suite) PrefetchAblation(ctx context.Context) (Artifact, error) {
 	table := report.NewTable("§VII ablation: prefetcher effect on fitted blocking factor",
 		"workload", "BF (prefetch on)", "MPKI (on)", "BF (prefetch off)", "MPKI (off)")
-	for _, name := range []string{"columnstore", "bwaves", "oltp"} {
+	for _, name := range ablated {
 		on, err := s.Fit(ctx, name)
 		if err != nil {
 			return Artifact{}, err
 		}
-		off, err := fitWithoutPrefetch(ctx, name, s.Scale)
+		off, err := s.Fit(ctx, prefetchGrid(name, 0))
 		if err != nil {
 			return Artifact{}, err
 		}

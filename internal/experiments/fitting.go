@@ -46,6 +46,57 @@ func machineConfig(w workloads.Workload, sc ScalingConfig) sim.Config {
 	return cfg
 }
 
+// variant is a fit grid beyond each workload's own: the workload's warm
+// machine with its prefetcher set to another depth, 0 turning it off.
+type variant struct {
+	workload string
+	depth    int
+}
+
+// variantGrids are the prefetch studies' grids (PrefetchAblation,
+// PrefetchDepthSweep). At the default depth a workload's own grid
+// serves, so none is listed.
+var variantGrids = []variant{
+	{"columnstore", 0}, {"bwaves", 0}, {"oltp", 0},
+	{"columnstore", 2}, {"columnstore", 4}, {"columnstore", 16},
+}
+
+// prefetchGrid names the grid of workload's warm machine at a prefetch
+// depth: the workload's own at the default depth, "<workload>-nopf" with
+// the prefetcher off (depth 0), and "<workload>-d<depth>" otherwise.
+func prefetchGrid(workload string, depth int) string {
+	switch depth {
+	case sim.DefaultConfig().Cache.Prefetch.Depth:
+		return workload
+	case 0:
+		return workload + "-nopf"
+	}
+	return fmt.Sprintf("%s-d%d", workload, depth)
+}
+
+// gridMachine resolves a grid name (Suite.Fit) to its workload and the
+// config its machine warms at.
+func gridMachine(name string) (workloads.Workload, sim.Config, error) {
+	workload, depth := name, -1
+	for _, v := range variantGrids {
+		if prefetchGrid(v.workload, v.depth) == name {
+			workload, depth = v.workload, v.depth
+		}
+	}
+	w, err := workloads.ByName(workload)
+	if err != nil {
+		return workloads.Workload{}, sim.Config{}, err
+	}
+	warm := machineConfig(w, warmScaling)
+	switch {
+	case depth == 0:
+		warm.Cache.Prefetch.Enabled = false
+	case depth > 0:
+		warm.Cache.Prefetch.Depth = depth
+	}
+	return w, warm, nil
+}
+
 // machinePool recycles simulated machines across measurement runs: a
 // Machine.Reset reuses the memory simulator, per-thread timing state,
 // pooled tracks and PMU sampler, so a pooled machine costs generator
@@ -287,43 +338,20 @@ func fitRuns(fitName string, runs []sim.Measurement) (model.Fit, error) {
 	return model.FitScaling(fitName, points)
 }
 
-// fitGrid measures workload w over configs on copies of one machine
-// warmed at warmScaling, with tweak (when non-nil) applied to its config,
-// and fits Eq. 1's constants under fitName.
-func fitGrid(ctx context.Context, fitName string, w workloads.Workload, configs []ScalingConfig, scale Scale, tweak func(*sim.Config)) (model.Fit, []sim.Measurement, error) {
-	warm := machineConfig(w, warmScaling)
-	if tweak != nil {
-		tweak(&warm)
-	}
-	runs, err := measure(ctx, w, warm, gridProbes(w.Name(), warm, configs, scale), scale)
-	if err != nil {
-		return model.Fit{}, nil, err
-	}
-	fit, err := fitRuns(fitName, runs)
-	if err != nil {
-		return model.Fit{}, nil, err
-	}
-	return fit, runs, nil
-}
-
 // FitWorkload runs the full scaling grid for one workload and fits
 // Eq. 1's constants (Fig. 3 / Tables 2, 4, 5). The grid's points run
 // concurrently (bounded by GOMAXPROCS) with the measurements
 // reassembled in grid order, so the fit is byte-identical to a
 // sequential run.
 func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale) (model.Fit, []sim.Measurement, error) {
-	return fitGrid(ctx, w.Name(), w, configs, scale, nil)
-}
-
-// fitWithoutPrefetch reruns a workload's scaling grid with the hardware
-// prefetcher disabled — the §VII ablation.
-func fitWithoutPrefetch(ctx context.Context, name string, scale Scale) (model.Fit, error) {
-	w, err := workloads.ByName(name)
+	warm := machineConfig(w, warmScaling)
+	runs, err := measure(ctx, w, warm, gridProbes(w.Name(), warm, configs, scale), scale)
 	if err != nil {
-		return model.Fit{}, err
+		return model.Fit{}, nil, err
 	}
-	fit, _, err := fitGrid(ctx, name+"-nopf", w, PaperScalingConfigs(), scale, func(cfg *sim.Config) {
-		cfg.Cache.Prefetch.Enabled = false
-	})
-	return fit, err
+	fit, err := fitRuns(w.Name(), runs)
+	if err != nil {
+		return model.Fit{}, nil, err
+	}
+	return fit, runs, nil
 }

@@ -2,17 +2,18 @@ package experiments
 
 import (
 	"context"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/workloads"
 )
 
-// Resource naming scheme: one "fit:<workload>" resource per workload's
-// scaling fit, plus the calibrated composite queuing curve.
+// Resource naming scheme: one "fit:<grid>" resource per simulated grid
+// (Suite.Fit's names), plus the calibrated composite queuing curve.
 const CurveResource = "queue-curve"
 
-// FitResource names the engine resource for one workload's scaling fit.
-func FitResource(workload string) string { return "fit:" + workload }
+// FitResource names the engine resource for one grid's scaling fit.
+func FitResource(grid string) string { return "fit:" + grid }
 
 // fitDeps lists the fit resources for whole workload classes.
 func fitDeps(classes ...workloads.Class) []string {
@@ -34,32 +35,69 @@ func fits(names ...string) []string {
 	return out
 }
 
+// heaviestFirst is the order the fit grids and the queuing curve are
+// registered in, and so the order the scheduler starts those a run
+// needs: longest first, so the long poles claim the workers at the start
+// and only short grids are left to even out the end. The order follows
+// the walls in results/manifest.json (resources[].wall_ms, Full scale, 2
+// workers on 2 vCPUs): the HPC grids take 0.5–1.2 s (bwaves' also
+// measures its grades), the prefetch-off bwaves grid 0.43 s, the curve
+// calibration and the columnstore, oltp, nits, spark and virtualization
+// grids 0.19–0.29 s, and webcache, proximity and jvm ~0.14 s, interp and
+// raytrace under 0.08 s. It names every resource: each workload's grid,
+// each of variantGrids and the curve.
+var heaviestFirst = []string{
+	FitResource("bwaves"), FitResource("milc"), FitResource("soplex"), FitResource("wrf"),
+	FitResource("bwaves-nopf"), CurveResource,
+	FitResource("columnstore"), FitResource("columnstore-nopf"), FitResource("columnstore-d2"),
+	FitResource("columnstore-d4"), FitResource("columnstore-d16"),
+	FitResource("oltp"), FitResource("oltp-nopf"),
+	FitResource("nits"), FitResource("spark"), FitResource("virtualization"), FitResource("webcache"),
+	FitResource("proximity"), FitResource("jvm"), FitResource("interp"), FitResource("raytrace"),
+}
+
+// ablationDeps are PrefetchAblation's grids: each ablated workload's own
+// and its prefetch-off variant.
+func ablationDeps() []string {
+	var out []string
+	for _, name := range ablated {
+		out = append(out, FitResource(name), FitResource(prefetchGrid(name, 0)))
+	}
+	return out
+}
+
+// depthDeps are PrefetchDepthSweep's grids, one per depth.
+func depthDeps() []string {
+	out := make([]string, len(prefetchDepths))
+	for i, d := range prefetchDepths {
+		out[i] = FitResource(prefetchGrid(depthWorkload, d))
+	}
+	return out
+}
+
 // Registry returns the engine registry for this suite: every table and
 // figure of DESIGN.md §4 with its paper reference and declared
-// dependencies. Workload fits and the calibrated queuing curve are
-// registered as shared resources, so the scheduler computes each exactly
-// once, in parallel where the DAG allows, before the experiments that
-// need them.
+// dependencies. Every simulated grid — each workload's fit and the
+// prefetch studies' variants — and the calibrated queuing curve are
+// registered as shared resources, heaviest first, so the scheduler
+// computes each exactly once, in parallel where the DAG allows, before
+// the experiments that need them.
 func (s *Suite) Registry() *engine.Registry {
 	r := engine.NewRegistry()
 
-	for _, name := range workloads.Names() {
-		name := name
-		r.MustRegisterResource(engine.Resource{
-			Name: FitResource(name),
-			Prepare: func(ctx context.Context) error {
-				_, err := s.Fit(ctx, name)
-				return err
-			},
-		})
-	}
-	r.MustRegisterResource(engine.Resource{
-		Name: CurveResource,
-		Prepare: func(ctx context.Context) error {
+	for _, name := range heaviestFirst {
+		prepare := func(ctx context.Context) error {
 			_, err := s.Curve(ctx)
 			return err
-		},
-	})
+		}
+		if grid, ok := strings.CutPrefix(name, FitResource("")); ok {
+			prepare = func(ctx context.Context) error {
+				_, err := s.Fit(ctx, grid)
+				return err
+			}
+		}
+		r.MustRegisterResource(engine.Resource{Name: name, Prepare: prepare})
+	}
 
 	add := func(id, title, section string, deps []string, run func(context.Context) (Artifact, error)) {
 		r.MustRegister(engine.Experiment{ID: id, Title: title, Section: section, Deps: deps, Run: run})
@@ -92,11 +130,11 @@ func (s *Suite) Registry() *engine.Registry {
 	add("sustained-bw", "Sustained vs peak bandwidth: efficiency derating sweep", "§VI.C.1 extension", curve, s.SustainedBandwidth)
 	add("future-memory", "Future memory technologies per workload class", "§VII", curve, s.FutureMemory)
 	add("numa", "Dual-socket NUMA sensitivity", "§VIII", curve, s.NUMAStudy)
-	add("prefetch-ablation", "Prefetcher effect on fitted blocking factor", "§VII", fits("columnstore", "bwaves", "oltp"), s.PrefetchAblation)
-	add("prefetch-depth", "Prefetch depth vs fitted blocking factor", "§VII", nil, s.PrefetchDepthSweep)
+	add("prefetch-ablation", "Prefetcher effect on fitted blocking factor", "§VII", ablationDeps(), s.PrefetchAblation)
+	add("prefetch-depth", "Prefetch depth vs fitted blocking factor", "§VII", depthDeps(), s.PrefetchDepthSweep)
 	add("queue-ablation", "Measured composite vs analytic queuing curves", "DESIGN.md §5", curve, s.QueueCurveAblation)
-	add("grades-hpc", "Measured machine across DDR grades (bwaves)", "supplementary", nil,
-		func(ctx context.Context) (Artifact, error) { return s.GradeSweep(ctx, "bwaves") })
+	add("grades-hpc", "Measured machine across DDR grades (bwaves)", "supplementary", fits(gradeWorkload),
+		func(ctx context.Context) (Artifact, error) { return s.GradeSweep(ctx, gradeWorkload) })
 	add("cluster-routing", "Fleet routing policies on a mixed DRAM/HBM/CXL fleet", "fleet extension", nil, s.ClusterRouting)
 	add("cluster-admission", "Fleet token-bucket admission under load", "fleet extension", nil, s.ClusterAdmission)
 	add("loadgen-calibration", "Load-generation calibration: observed vs predicted KPIs", "calibration extension", nil, s.LoadgenCalibration)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
 
@@ -41,8 +42,13 @@ func TestRegistryCatalog(t *testing.T) {
 			t.Fatalf("%s: missing title or section", e.ID)
 		}
 	}
-	// One fit resource per workload plus the calibrated curve.
-	for _, name := range workloads.Names() {
+	// One fit resource per grid — each workload's and each variant's —
+	// plus the calibrated curve.
+	grids := workloads.Names()
+	for _, v := range variantGrids {
+		grids = append(grids, prefetchGrid(v.workload, v.depth))
+	}
+	for _, name := range grids {
 		if _, ok := reg.Resource(FitResource(name)); !ok {
 			t.Fatalf("missing fit resource for %s", name)
 		}
@@ -100,6 +106,40 @@ func TestRegistryFitDepsShareCache(t *testing.T) {
 	res := rr.Experiments[0]
 	if res.FitCacheMisses != 0 || res.FitCacheHits == 0 {
 		t.Fatalf("table3 fit cache: %d hits / %d misses, want all hits", res.FitCacheHits, res.FitCacheMisses)
+	}
+}
+
+// TestGridStudiesOnlyRender: the prefetch studies and the grade sweep
+// render grids they declare as resources. The resources take every
+// probe, so the experiments simulate nothing, and no probe is requested
+// twice: the run's measurement cache counts no hit, and each miss stored
+// a distinct entry.
+func TestGridStudiesOnlyRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine grids")
+	}
+	c, err := simcache.New(1024, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := Quick()
+	scale.SimCache = c
+	ids := []string{"prefetch-ablation", "prefetch-depth", "grades-hpc"}
+	rr, err := engine.Run(bg, NewSuite(scale).Registry(), ids, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range rr.Experiments {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.ID, res.Err)
+		}
+		if res.SimInstr != 0 || res.SimCacheHits+res.SimCacheMisses != 0 {
+			t.Errorf("%s simulated %d instructions and made %d cache lookups, want none",
+				res.ID, res.SimInstr, res.SimCacheHits+res.SimCacheMisses)
+		}
+	}
+	if st := c.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses == 0 || st.Misses != int64(st.Size) {
+		t.Fatalf("sim cache %+v, want no hits and one distinct entry per miss", st)
 	}
 }
 

@@ -38,7 +38,7 @@ type Suite struct {
 	curve   *curveEntry
 }
 
-// fitEntry computes one workload's scaling fit exactly once, even under
+// fitEntry computes one grid's scaling fit exactly once, even under
 // concurrent callers.
 type fitEntry struct {
 	once sync.Once
@@ -48,7 +48,11 @@ type fitEntry struct {
 	// figure renders, measured on a copy of the grid's warm machine; zero
 	// for a workload no such figure plots.
 	baseline sim.Measurement
-	err      error
+	// grades are the runs GradeSweep renders, one per sweptGrades grade,
+	// on copies of the grid's warm machine; nil for a workload it does
+	// not plot.
+	grades []sim.Measurement
+	err    error
 }
 
 // curveEntry computes the queuing-curve calibration exactly once, even
@@ -95,27 +99,41 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Fit returns the cached scaling fit for a workload, running the grid on
-// first use. Safe for concurrent use; the grid runs once per workload.
-// For a workload a time-series figure plots, the grid also measures that
-// figure's baseline run: its warm machine as it stands, sampled.
-// Cache hits and misses are reported to the engine's per-experiment
-// metrics when the context carries a recorder.
+// Fit returns the cached scaling fit of a grid, running it on first
+// use: a workload's own grid by the workload's name, or one of the
+// prefetch studies' variants by its name (variantGrids). Safe for
+// concurrent use; each grid runs once per suite. The grid of a workload
+// a time-series figure plots also measures that figure's baseline run
+// (its warm machine as it stands, sampled), and the grid of the workload
+// GradeSweep plots also measures its grades, so each distinct warm
+// machine warms once. Cache hits and misses are reported to the engine's
+// per-experiment metrics when the context carries a recorder.
 func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
+	e, err := s.grid(ctx, name)
+	if err != nil {
+		return model.Fit{}, err
+	}
+	return e.fit, nil
+}
+
+// grid returns name's once-cell, run.
+func (s *Suite) grid(ctx context.Context, name string) (*fitEntry, error) {
 	e := s.entry(name)
 	ran := false
 	e.once.Do(func() {
 		ran = true
-		w, err := workloads.ByName(name)
+		w, warm, err := gridMachine(name)
 		if err != nil {
 			e.err = err
 			return
 		}
-		warm := machineConfig(w, warmScaling)
 		configs := PaperScalingConfigs()
-		probes := gridProbes(name, warm, configs, s.Scale)
+		probes := gridProbes(w.Name(), warm, configs, s.Scale)
 		if plotted(name) {
-			probes = append(probes, asIsProbe(name, warm, s.Scale.SampleInterval, s.Scale))
+			probes = append(probes, asIsProbe(w.Name(), warm, s.Scale.SampleInterval, s.Scale))
+		}
+		if name == gradeWorkload {
+			probes = append(probes, gridProbes(w.Name(), warm, gradeConfigs(), s.Scale)...)
 		}
 		runs, err := measure(ctx, w, warm, probes, s.Scale)
 		if err != nil {
@@ -123,11 +141,14 @@ func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 			return
 		}
 		// The grid is clipped so that appending to FitRuns' slice cannot
-		// overwrite the baseline behind it.
+		// overwrite the runs behind it.
 		n := len(configs)
-		e.runs = runs[:n:n]
+		e.runs, runs = runs[:n:n], runs[n:]
 		if plotted(name) {
-			e.baseline = runs[n]
+			e.baseline, runs = runs[0], runs[1:]
+		}
+		if name == gradeWorkload {
+			e.grades = runs
 		}
 		e.fit, e.err = fitRuns(name, e.runs)
 	})
@@ -143,15 +164,19 @@ func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 		}
 		s.mu.Unlock()
 	}
-	return e.fit, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
 }
 
 // FitRuns returns the per-configuration measurements behind a fit.
 func (s *Suite) FitRuns(ctx context.Context, name string) ([]sim.Measurement, error) {
-	if _, err := s.Fit(ctx, name); err != nil {
+	e, err := s.grid(ctx, name)
+	if err != nil {
 		return nil, err
 	}
-	return s.entry(name).runs, nil
+	return e.runs, nil
 }
 
 // baseline returns a workload's sampled run at warmScaling. A workload a
@@ -165,10 +190,11 @@ func (s *Suite) baseline(ctx context.Context, name string) (sim.Measurement, err
 		}
 		return RunWorkload(ctx, w, warmScaling, s.Scale, true)
 	}
-	if _, err := s.Fit(ctx, name); err != nil {
+	e, err := s.grid(ctx, name)
+	if err != nil {
 		return sim.Measurement{}, err
 	}
-	return s.entry(name).baseline, nil
+	return e.baseline, nil
 }
 
 // ClassFits returns the fits for every workload of a class.

@@ -235,6 +235,40 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestChannelMaskMatchesModulo: a line's channel is its number modulo
+// Channels, whether the simulator masks (a power-of-two count) or
+// divides, built by NewSimulator, Reset from another count or CopyFrom.
+func TestChannelMaskMatchesModulo(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 6, 8} {
+		cfg := DefaultConfig()
+		cfg.Channels = n
+		built, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := cfg
+		other.Channels = n + 1
+		reset, err := NewSimulator(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reset.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var copied Simulator
+		copied.CopyFrom(built)
+		for name, s := range map[string]*Simulator{"NewSimulator": built, "Reset": reset, "CopyFrom": &copied} {
+			for _, base := range []uint64{0, 1 << 40, math.MaxUint64 - 1000} {
+				for line := base; line < base+1000; line++ {
+					if got, want := s.channel(line), int(line%uint64(n)); got != want {
+						t.Fatalf("%d channels (%s): line %d on channel %d, want %d", n, name, line, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: queue delay grows (weakly) with injection rate.
 func TestQueueGrowsWithLoad(t *testing.T) {
 	measure := func(gapNS float64) float64 {

@@ -93,6 +93,7 @@ type Simulator struct {
 	counters  Counters
 	transfer  units.Duration // line transfer time for this grade
 	lineShift uint           // log2(LineSize), which Validate holds to a power of two
+	chanMask  uint64         // Channels−1 when Channels is a power of two, else noMask
 }
 
 // rngState is a tiny xorshift64* generator for the stochastic bank-
@@ -130,6 +131,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		rng:       rngSeed,
 		transfer:  cfg.Grade.LineTransferTime(cfg.LineSize),
 		lineShift: lineShift(cfg),
+		chanMask:  chanMask(cfg),
 	}
 	for i := range s.gapEWMA {
 		s.gapEWMA[i] = idleGapNS
@@ -163,11 +165,33 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.counters = Counters{}
 	s.transfer = cfg.Grade.LineTransferTime(cfg.LineSize)
 	s.lineShift = lineShift(cfg)
+	s.chanMask = chanMask(cfg)
 	s.cfg = cfg
 	return nil
 }
 
 func lineShift(cfg Config) uint { return uint(bits.TrailingZeros64(uint64(cfg.LineSize))) }
+
+// noMask marks a channel count that is not a power of two: a line's
+// channel is then the line number modulo Channels.
+const noMask = ^uint64(0)
+
+// chanMask returns the mask that picks a line's channel, or noMask.
+func chanMask(cfg Config) uint64 {
+	if n := uint64(cfg.Channels); n&(n-1) == 0 {
+		return n - 1
+	}
+	return noMask
+}
+
+// channel returns the channel serving line: the line number modulo
+// Channels, a mask when Channels is a power of two.
+func (s *Simulator) channel(line uint64) int {
+	if s.chanMask != noMask {
+		return int(line & s.chanMask)
+	}
+	return int(line % uint64(s.cfg.Channels))
+}
 
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
@@ -195,6 +219,7 @@ func (s *Simulator) CopyFrom(src *Simulator) {
 	s.counters = src.counters
 	s.transfer = src.transfer
 	s.lineShift = src.lineShift
+	s.chanMask = src.chanMask
 }
 
 // Result describes the outcome of one request.
@@ -219,7 +244,7 @@ func (s *Simulator) Access(now units.Duration, addr uint64, op Op) Result {
 	}
 
 	line := addr >> s.lineShift
-	ch := int(line % uint64(s.cfg.Channels))
+	ch := s.channel(line)
 
 	// Lindley recursion on the channel bus: drain the backlog by the
 	// arrival-clock advance, then serve this request behind what remains.

@@ -44,6 +44,10 @@ type track struct {
 	n      uint64
 	recs   []cpu.Block
 	log    cache.Log
+	// slabs are the slabs retained records fill, the last one being log;
+	// lone is the one-block log, set aside while the track retains.
+	slabs []*cache.Log
+	lone  cache.Log
 }
 
 // Retained record storage grows a slab at a time, so records already
@@ -67,12 +71,28 @@ func newLog(n int) cache.Log {
 }
 
 // trackPool recycles tracks (hierarchy arrays, record storage) that the
-// last machine using them let go.
-var trackPool sync.Pool
+// last machine using them let go, and slabPool the slabs their retained
+// records filled.
+var trackPool, slabPool sync.Pool
+
+// slab returns an empty slab, a pooled one if it can, as t's current
+// log. The caller holds mu.
+func (t *track) slab() {
+	l, _ := slabPool.Get().(*cache.Log)
+	if l == nil {
+		l = new(cache.Log)
+		*l = newLog(slabRefs)
+	}
+	l.Reset()
+	t.slabs = append(t.slabs, l)
+	t.log = *l
+}
 
 // restart rewinds t, with its hierarchy already Reset, to an empty log
-// over gen, for one user. Retained records let go of their slabs: a
-// track used alone needs room for one block.
+// over gen, for one user. Records are reachable only through the cursors
+// of t's users, so with none left (or the caller the only one) retained
+// records give their slabs back to slabPool: a track used alone needs
+// room for one block.
 func (t *track) restart(name string, gen trace.Generator) {
 	t.users = 1
 	t.name, t.gen = name, gen
@@ -81,7 +101,12 @@ func (t *track) restart(name string, gen trace.Generator) {
 	t.recs = t.recs[:0]
 	if t.retain {
 		t.retain = false
-		t.log = newLog(loneRefs)
+		for _, l := range t.slabs {
+			slabPool.Put(l)
+		}
+		clear(t.slabs)
+		t.slabs = t.slabs[:0]
+		t.log = t.lone
 	}
 	t.log.Reset()
 }
@@ -95,7 +120,8 @@ func (t *track) attach() {
 		t.retain = true
 		t.first = t.n
 		t.recs = t.recs[:0]
-		t.log.Reset()
+		t.lone = t.log
+		t.slab()
 	}
 }
 
@@ -133,7 +159,7 @@ func (t *track) extend() {
 		t.first = t.n
 	} else if cap(t.log.Refs)-len(t.log.Refs) < slabSpare || cap(t.log.Reqs)-len(t.log.Reqs) < slabSpare ||
 		cap(t.log.Delta)-len(t.log.Delta) < slabSpare {
-		t.log = newLog(slabRefs)
+		t.slab()
 	}
 	t.recs = append(t.recs, cpu.Block{})
 	cpu.Record(&t.recs[len(t.recs)-1], &t.blk, t.h, &t.log)

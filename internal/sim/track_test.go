@@ -160,3 +160,61 @@ func TestSharedTrackConcurrentProbes(t *testing.T) {
 		t.Errorf("copies simulated %d functional instructions concurrently, %d one after another", gotFunc, wantFunc)
 	}
 }
+
+// TestRecycledSlabsKeepLiveRecords: a track hands its record slabs back
+// for reuse only when its last user lets go, and then each exactly once.
+// Two copies of a warm machine share its tracks; one runs ahead, so the
+// tracks retain records the other has yet to replay. The warm machine
+// and the copy that ran let go, and three more such grids run one after
+// another, each drawing released slabs and releasing its own. Both
+// copies of each grid must measure what the first grid's first copy
+// did, and the copy left behind must still replay exactly that.
+func TestRecycledSlabsKeepLiveRecords(t *testing.T) {
+	const warm, run = 400_000, 2_000_000
+	ctx := context.Background()
+	grid := func() (src, ahead, behind *Machine) {
+		src, err := New(copyTestConfig(), "mix", mixFactory{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Warm(ctx, warm); err != nil {
+			t.Fatal(err)
+		}
+		ahead, behind = new(Machine), new(Machine)
+		for _, m := range []*Machine{ahead, behind} {
+			if err := m.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return src, ahead, behind
+	}
+	src, ahead, behind := grid()
+	want, err := ahead.Run(ctx, 0, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Release()
+	ahead.Release()
+	for i := 0; i < 3; i++ {
+		src, ahead, other := grid()
+		for _, m := range []*Machine{ahead, other} {
+			got, err := m.Run(ctx, 0, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("grid %d on recycled slabs measured CPI %v, the first grid %v", i+2, got.CPI, want.CPI)
+			}
+		}
+		for _, m := range []*Machine{src, ahead, other} {
+			m.Release()
+		}
+	}
+	got, err := behind.Run(ctx, 0, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("copy left behind replayed CPI %v, the copy ahead measured %v", got.CPI, want.CPI)
+	}
+}
