@@ -36,12 +36,6 @@ type ExperimentResult struct {
 	// experiment ran (recorded via RecordFitCacheHit/Miss).
 	FitCacheHits   int64
 	FitCacheMisses int64
-	// SimCacheHits/Misses count content-addressed measurement-cache
-	// lookups made while this experiment ran (recorded via
-	// RecordSimCacheHit/Miss); zero for experiments that run no
-	// simulated measurements or run without a cache.
-	SimCacheHits   int64
-	SimCacheMisses int64
 	// SimInstr counts the aggregate instructions simulated while this
 	// experiment ran (recorded via RecordSimInstr); FuncInstr counts
 	// those of them simulated functionally — generated and stepped
@@ -93,14 +87,12 @@ func (rr RunResult) Failed() int {
 // Metrics accumulates fit-cache counters, measurement counters and
 // solver telemetry for one scheduled node. The scheduler plants a
 // Metrics in each experiment's and each resource's context; the
-// experiment layer reports fit-cache events via RecordFitCacheHit/Miss,
-// simulation-cache events via RecordSimCacheHit/Miss and simulated
-// instructions via RecordSimInstr and RecordFuncInstr, and the solve
-// kernel reports every fixed-point outcome through the solve.Recorder
-// interface Metrics implements.
+// experiment layer reports fit-cache events via RecordFitCacheHit/Miss
+// and simulated instructions via RecordSimInstr and RecordFuncInstr,
+// and the solve kernel reports every fixed-point outcome through the
+// solve.Recorder interface Metrics implements.
 type Metrics struct {
 	hits, misses        atomic.Int64
-	simHits, simMisses  atomic.Int64
 	simInstr, funcInstr atomic.Uint64
 
 	// The embedded Aggregate accumulates the solver telemetry and
@@ -134,23 +126,6 @@ func RecordFitCacheHit(ctx context.Context) {
 func RecordFitCacheMiss(ctx context.Context) {
 	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
 		m.misses.Add(1)
-	}
-}
-
-// RecordSimCacheHit notes a measurement served from the
-// content-addressed simulation cache. No-op when the context carries no
-// recorder.
-func RecordSimCacheHit(ctx context.Context) {
-	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
-		m.simHits.Add(1)
-	}
-}
-
-// RecordSimCacheMiss notes a measurement simulated from scratch under a
-// cache that could not serve it.
-func RecordSimCacheMiss(ctx context.Context) {
-	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
-		m.simMisses.Add(1)
 	}
 }
 
@@ -331,8 +306,6 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			result.Artifact, result.Err = n.exp.Run(mctx)
 			result.FitCacheHits = m.hits.Load()
 			result.FitCacheMisses = m.misses.Load()
-			result.SimCacheHits = m.simHits.Load()
-			result.SimCacheMisses = m.simMisses.Load()
 			result.SimInstr = m.simInstr.Load()
 			result.FuncInstr = m.funcInstr.Load()
 			st := m.Aggregate.Stats()

@@ -39,12 +39,6 @@ type ManifestEntry struct {
 	WallMS         int64    `json:"wall_ms"`
 	FitCacheHits   int64    `json:"fit_cache_hits"`
 	FitCacheMisses int64    `json:"fit_cache_misses"`
-	// Measurement-cache telemetry: lookups against the content-addressed
-	// simulation cache (internal/simcache) while this experiment ran.
-	// Absent when the run had no cache or the experiment simulated
-	// nothing.
-	SimCacheHits   int64 `json:"sim_cache_hits,omitempty"`
-	SimCacheMisses int64 `json:"sim_cache_misses,omitempty"`
 	// SimInstr is the aggregate instruction count simulated while this
 	// experiment ran, and FuncInstr the part of it simulated functionally
 	// (the rest replayed shared tracks). Absent when it simulated nothing.
@@ -127,8 +121,6 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		WallMS:          res.Wall.Milliseconds(),
 		FitCacheHits:    res.FitCacheHits,
 		FitCacheMisses:  res.FitCacheMisses,
-		SimCacheHits:    res.SimCacheHits,
-		SimCacheMisses:  res.SimCacheMisses,
 		SimInstr:        res.SimInstr,
 		FuncInstr:       res.FuncInstr,
 		Solves:          res.Solves,

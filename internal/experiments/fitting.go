@@ -241,11 +241,9 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 	for i, p := range probes {
 		if c != nil {
 			if m, ok := c.Get(p.key); ok {
-				engine.RecordSimCacheHit(ctx)
 				out[i] = m
 				continue
 			}
-			engine.RecordSimCacheMiss(ctx)
 		}
 		todo = append(todo, i)
 	}
@@ -289,7 +287,7 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 	for j, i := range todo {
 		out[i] = runs[j]
 		if c != nil {
-			_ = c.Put(probes[i].key, out[i]) // a failed disk write only loses reuse
+			c.Put(probes[i].key, out[i])
 		}
 	}
 	return out, nil

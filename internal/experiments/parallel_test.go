@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
 	"reflect"
 	"runtime"
 	"testing"
@@ -55,10 +54,7 @@ func TestSimCacheHitReproducesMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := simcache.New(16, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := simcache.New(16)
 	ctx := context.Background()
 	sc := ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}
 	scale := Scale{WarmupInstr: 300_000, MeasureInstr: 600_000, SimCache: c}
@@ -79,43 +75,6 @@ func TestSimCacheHitReproducesMeasurement(t *testing.T) {
 	}
 }
 
-// TestSimCacheDiskReplayMatchesDriftHash regenerates Table 2 in a fresh
-// suite served entirely from a warm disk cache and compares the rendered
-// artifact's content hash — the same sha256 the results manifest records
-// for drift detection — against the cold run.
-func TestSimCacheDiskReplayMatchesDriftHash(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	run := func() ([32]byte, simcache.Stats) {
-		t.Helper()
-		c, err := simcache.New(256, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSuite(Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SimCache: c})
-		art, err := s.Table2(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sha256.Sum256([]byte(art.Text())), c.Stats()
-	}
-
-	coldHash, coldStats := run()
-	if coldStats.Misses == 0 {
-		t.Fatal("cold run recorded no cache misses")
-	}
-	warmHash, warmStats := run()
-	if warmHash != coldHash {
-		t.Fatal("disk-cache replay drifted: artifact content hash changed")
-	}
-	if warmStats.Misses != 0 {
-		t.Fatalf("warm run missed %d times, want full disk replay (stats %+v)", warmStats.Misses, warmStats)
-	}
-	if warmStats.DiskHits == 0 {
-		t.Fatal("warm run recorded no disk hits")
-	}
-}
-
 // TestGridAllHitsSkipsWarm: a fit grid whose every point is already in
 // the measurement cache replays them without warming a machine, so the
 // fit resource reports no simulated instructions the second time; the
@@ -124,10 +83,7 @@ func TestSimCacheDiskReplayMatchesDriftHash(t *testing.T) {
 // were simulated functionally (the points share the warm machine's
 // tracks).
 func TestGridAllHitsSkipsWarm(t *testing.T) {
-	c, err := simcache.New(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := simcache.New(64)
 	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SimCache: c}
 	n := uint64(len(PaperScalingConfigs()))
 	minCold := scale.WarmupInstr + n*(rewarmInstr+scale.MeasureInstr)
@@ -196,10 +152,7 @@ func TestFitBaselineMatchesColdRun(t *testing.T) {
 // TestFitBaselineKeepsColdKey: the baseline copy is cached under the cold
 // sampled run's key, so that run replays it.
 func TestFitBaselineKeepsColdKey(t *testing.T) {
-	c, err := simcache.New(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := simcache.New(64)
 	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SampleInterval: Quick().SampleInterval, SimCache: c}
 	s := NewSuite(scale)
 	got, err := s.baseline(bg, "webcache")
@@ -233,10 +186,7 @@ func TestRunWorkloadMatchesColdMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := simcache.New(16, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := simcache.New(16)
 	scale := Scale{WarmupInstr: 400_000, MeasureInstr: 800_000, SampleInterval: Quick().SampleInterval, SimCache: c}
 	for _, sc := range []ScalingConfig{warmScaling, {CoreGHz: 2.1, Grade: memsys.DDR3_1333}} {
 		for _, sample := range []bool{false, true} {

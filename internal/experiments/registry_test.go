@@ -118,10 +118,7 @@ func TestGridStudiesOnlyRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs nine grids")
 	}
-	c, err := simcache.New(1024, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := simcache.New(1024)
 	scale := Quick()
 	scale.SimCache = c
 	ids := []string{"prefetch-ablation", "prefetch-depth", "grades-hpc"}
@@ -133,12 +130,11 @@ func TestGridStudiesOnlyRender(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.ID, res.Err)
 		}
-		if res.SimInstr != 0 || res.SimCacheHits+res.SimCacheMisses != 0 {
-			t.Errorf("%s simulated %d instructions and made %d cache lookups, want none",
-				res.ID, res.SimInstr, res.SimCacheHits+res.SimCacheMisses)
+		if res.SimInstr != 0 {
+			t.Errorf("%s simulated %d instructions, want none", res.ID, res.SimInstr)
 		}
 	}
-	if st := c.Stats(); st.Hits != 0 || st.DiskHits != 0 || st.Misses == 0 || st.Misses != int64(st.Size) {
+	if st := c.Stats(); st.Hits != 0 || st.Misses == 0 || st.Misses != int64(st.Size) {
 		t.Fatalf("sim cache %+v, want no hits and one distinct entry per miss", st)
 	}
 }

@@ -1,10 +1,10 @@
 // Package lru is the one sharded LRU behind the repo's content-addressed
-// caches: memmodeld's scenario cache (internal/serve) and the
-// measurement cache (internal/simcache). Sixteen shards, each a mutex
-// over a container/list recency list and a key map, keep the LRU
-// bookkeeping off a single lock under concurrent load. Do adds
-// singleflight collapsing on top, through a flight table that is
-// touched only on misses.
+// caches: memmodeld's scenario cache (serve.Cache) and cmd/repro's
+// in-process measurement cache (simcache.Cache), each an alias of
+// Cache. Sixteen shards, each a mutex over a container/list recency
+// list and a key map, keep the LRU bookkeeping off a single lock under
+// concurrent load. Do adds singleflight collapsing on top, through a
+// flight table that is touched only on misses.
 package lru
 
 import (
