@@ -17,10 +17,10 @@
 //	validate  dry-run a workload spec server-side (no traffic)
 //	version   print build identity
 //
-// Every command shares one flag set: -server (alias -addr) for the
-// daemon base URL, -timeout (alias -budget) for the per-call deadline,
-// -json for compact machine-readable output, -seed for deterministic
-// jitter and workload streams, plus the SDK reliability knobs
+// Every command shares one flag set: -server for the daemon base URL,
+// -timeout for the per-call deadline, -json for compact
+// machine-readable output, -seed for deterministic jitter and workload
+// streams, plus the SDK reliability knobs
 // (-attempt-timeout, -max-attempts, -backoff-base, -backoff-cap,
 // -breaker, -breaker-cooldown). Command-specific flags follow the
 // command: `memmodelctl soak -n 200`.
@@ -55,13 +55,10 @@ type shared struct {
 	cooldown    time.Duration
 }
 
-// register installs the shared flags on a command's FlagSet; -addr and
-// -budget are kept as aliases of -server and -timeout for one release.
+// register installs the shared flags on a command's FlagSet.
 func (sh *shared) register(fs *flag.FlagSet) {
 	fs.StringVar(&sh.server, "server", "http://127.0.0.1:8080", "memmodeld base URL")
-	fs.StringVar(&sh.server, "addr", "http://127.0.0.1:8080", "alias of -server (deprecated)")
 	fs.DurationVar(&sh.timeout, "timeout", 30*time.Second, "overall per-call deadline budget")
-	fs.DurationVar(&sh.timeout, "budget", 30*time.Second, "alias of -timeout (deprecated)")
 	fs.BoolVar(&sh.jsonOut, "json", false, "compact machine-readable JSON output")
 	fs.Int64Var(&sh.seed, "seed", 1, "deterministic seed for retry jitter and workload streams")
 	fs.DurationVar(&sh.attemptTO, "attempt-timeout", 5*time.Second, "per-attempt timeout inside the budget")

@@ -5,8 +5,9 @@
 //
 // The run list comes from the experiment registry (internal/engine):
 // each experiment declares its dependencies (workload fits, the
-// calibrated queuing curve), and the engine schedules the resulting DAG
-// over a bounded worker pool, so independent experiments run in
+// calibrated queuing curve), and the engine schedules the resulting
+// two-level graph — resources first, then the experiments that render
+// them — over a bounded worker pool, so independent experiments run in
 // parallel on top of the fit-level parallelism.
 //
 // Usage:
@@ -149,9 +150,8 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "repro: %s: %v\n", res.ID, res.Err)
 				failures++
 			} else {
-				fmt.Printf("%-18s ok  (%.1fs, fit cache %d/%d, %d solves / %d iters)\n",
-					res.ID, res.Wall.Seconds(), res.FitCacheHits, res.FitCacheMisses,
-					res.Solves, res.SolveIterations)
+				fmt.Printf("%-18s ok  (%.1fs, %d solves / %d iters)\n",
+					res.ID, res.Wall.Seconds(), res.Solves, res.SolveIterations)
 				if *verbose {
 					fmt.Print(res.Artifact.Text())
 				}

@@ -1,9 +1,10 @@
 // Package engine turns the paper's experiment catalog into a
 // registry-driven, concurrent pipeline. Experiments self-describe (ID,
 // title, paper section, declared dependencies) and register into a
-// Registry; Run schedules the resulting DAG — shared dependencies such
-// as workload fits and the calibrated queuing curve become first-class
-// nodes — over a bounded worker pool with context cancellation. Rendered
+// Registry; Run schedules the resulting two-level graph — shared
+// dependencies such as grid fits and the calibrated queuing curve are
+// resource nodes, the experiments that render them wait on them — over
+// a bounded worker pool with context cancellation. Rendered
 // artifacts flow through a unified Sink that writes text/CSV/SVG files
 // and a manifest.json with per-experiment timings and content hashes so
 // downstream tooling can detect result drift.

@@ -17,19 +17,18 @@ type Experiment struct {
 }
 
 // Resource is a shared prerequisite of one or more experiments — a
-// workload's scaling fit, the calibrated queuing curve. Resources may
-// depend on other resources, forming a DAG with the experiments as
-// leaves.
+// grid's scaling fit, the calibrated queuing curve. Resources depend on
+// nothing, so the graph has two levels: every resource is ready at the
+// start of a run, and experiments wait on the resources they declare.
 type Resource struct {
 	Name    string
-	Deps    []string
 	Prepare func(ctx context.Context) error
 }
 
 // Registry holds the experiment catalog and its shared resources.
 // Registration order is preserved: for experiments it is the canonical
 // presentation order (-list, the results index, the manifest), and for
-// resources the order Run starts those that are ready.
+// resources the order Run starts them.
 type Registry struct {
 	mu          sync.Mutex
 	order       []string
@@ -166,56 +165,13 @@ func (r *Registry) Resolve(ids []string) ([]Experiment, error) {
 }
 
 // Validate checks that every declared dependency names a registered
-// resource and that the resource graph is acyclic.
+// resource.
 func (r *Registry) Validate() error {
 	for _, e := range r.Experiments() {
 		for _, d := range e.Deps {
 			if _, ok := r.Resource(d); !ok {
 				return fmt.Errorf("engine: experiment %q depends on unknown resource %q", e.ID, d)
 			}
-		}
-	}
-	r.mu.Lock()
-	resources := make(map[string]Resource, len(r.resources))
-	for k, v := range r.resources {
-		resources[k] = v
-	}
-	order := append([]string(nil), r.resOrder...)
-	r.mu.Unlock()
-
-	const (
-		unvisited = iota
-		visiting
-		done
-	)
-	state := map[string]int{}
-	var visit func(name string) error
-	visit = func(name string) error {
-		switch state[name] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("engine: resource dependency cycle through %q", name)
-		}
-		state[name] = visiting
-		res, ok := resources[name]
-		if !ok {
-			return fmt.Errorf("engine: resource %q depends on unknown resource", name)
-		}
-		for _, d := range res.Deps {
-			if _, ok := resources[d]; !ok {
-				return fmt.Errorf("engine: resource %q depends on unknown resource %q", name, d)
-			}
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[name] = done
-		return nil
-	}
-	for _, name := range order {
-		if err := visit(name); err != nil {
-			return err
 		}
 	}
 	return nil

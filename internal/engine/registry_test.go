@@ -85,24 +85,3 @@ func TestValidateUnknownDep(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-resource error", err)
 	}
 }
-
-func TestValidateResourceCycle(t *testing.T) {
-	r := NewRegistry()
-	prep := func(context.Context) error { return nil }
-	r.MustRegisterResource(Resource{Name: "a", Deps: []string{"b"}, Prepare: prep})
-	r.MustRegisterResource(Resource{Name: "b", Deps: []string{"a"}, Prepare: prep})
-	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("err = %v, want cycle error", err)
-	}
-}
-
-func TestValidateAcyclicChain(t *testing.T) {
-	r := NewRegistry()
-	prep := func(context.Context) error { return nil }
-	r.MustRegisterResource(Resource{Name: "base", Prepare: prep})
-	r.MustRegisterResource(Resource{Name: "mid", Deps: []string{"base"}, Prepare: prep})
-	r.MustRegister(Experiment{ID: "e", Deps: []string{"mid"}, Run: noopRun})
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -32,10 +32,6 @@ type ExperimentResult struct {
 	Err      error
 	Start    time.Duration // when the experiment began, from the run's start
 	Wall     time.Duration
-	// FitCacheHits/Misses count Suite fit-cache lookups made while this
-	// experiment ran (recorded via RecordFitCacheHit/Miss).
-	FitCacheHits   int64
-	FitCacheMisses int64
 	// SimInstr counts the aggregate instructions simulated while this
 	// experiment ran (recorded via RecordSimInstr); FuncInstr counts
 	// those of them simulated functionally — generated and stepped
@@ -84,15 +80,13 @@ func (rr RunResult) Failed() int {
 	return n
 }
 
-// Metrics accumulates fit-cache counters, measurement counters and
-// solver telemetry for one scheduled node. The scheduler plants a
-// Metrics in each experiment's and each resource's context; the
-// experiment layer reports fit-cache events via RecordFitCacheHit/Miss
-// and simulated instructions via RecordSimInstr and RecordFuncInstr,
-// and the solve kernel reports every fixed-point outcome through the
-// solve.Recorder interface Metrics implements.
+// Metrics accumulates measurement counters and solver telemetry for
+// one scheduled node. The scheduler plants a Metrics in each
+// experiment's and each resource's context; the experiment layer
+// reports simulated instructions via RecordSimInstr and
+// RecordFuncInstr, and the solve kernel reports every fixed-point
+// outcome through the solve.Recorder interface Metrics implements.
 type Metrics struct {
-	hits, misses        atomic.Int64
 	simInstr, funcInstr atomic.Uint64
 
 	// The embedded Aggregate accumulates the solver telemetry and
@@ -114,21 +108,6 @@ func WithMetrics(ctx context.Context) (context.Context, *Metrics) {
 	return solve.WithRecorder(ctx, m), m
 }
 
-// RecordFitCacheHit notes a fit served from cache. No-op when the
-// context carries no recorder.
-func RecordFitCacheHit(ctx context.Context) {
-	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
-		m.hits.Add(1)
-	}
-}
-
-// RecordFitCacheMiss notes a fit computed from scratch.
-func RecordFitCacheMiss(ctx context.Context) {
-	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
-		m.misses.Add(1)
-	}
-}
-
 // RecordSimInstr adds n aggregate instructions simulated on a machine
 // (warm-ups, re-warms and measured phases alike). No-op when the
 // context carries no recorder.
@@ -148,25 +127,26 @@ func RecordFuncInstr(ctx context.Context, n uint64) {
 	}
 }
 
-// node is one DAG vertex: an experiment or a resource.
+// node is one graph vertex: an experiment or a resource.
 type node struct {
 	name       string
 	exp        *Experiment // nil for resources
 	index      int         // experiment registration index
 	res        *Resource
-	waiting    int // unfinished dependencies
-	dependents []*node
-	depErr     error // first failed dependency's error, if any
+	waiting    int     // unfinished resources (experiments only)
+	dependents []*node // experiments waiting on this resource
+	depErr     error   // first failed resource's error, if any
 }
 
 // Run schedules the selected experiments (nil/empty ids = the whole
-// catalog) and their dependency closure over a bounded worker pool.
-// Resources run before the experiments that declared them; independent
-// nodes run concurrently. Ready resources start in registration order,
-// ahead of the dependency-free experiments. Cancelling ctx stops new
-// nodes from starting and makes in-flight suite work return early;
-// cancelled nodes report ctx's error. The returned error covers setup problems (unknown ids,
-// invalid registry) only — per-experiment failures are in the results.
+// catalog) and the resources they declare over a bounded worker pool.
+// Resources depend on nothing, so all of them start first, in
+// registration order, ahead of the dependency-free experiments; an
+// experiment starts once its last resource finishes. Cancelling ctx
+// stops new nodes from starting and makes in-flight suite work return
+// early; cancelled nodes report ctx's error. The returned error covers
+// setup problems (unknown ids, invalid registry) only — per-experiment
+// failures are in the results.
 func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunResult, error) {
 	exps, err := reg.Resolve(ids)
 	if err != nil {
@@ -180,42 +160,30 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Build the DAG: the selected experiments plus the dependency closure
-	// of their declared resources.
+	// Build the graph: the selected experiments plus the resources they
+	// declare.
 	index := map[string]int{}
 	for i, id := range reg.IDs() {
 		index[id] = i
 	}
-	nodes := map[string]*node{}
-	var addResource func(name string) *node
-	addResource = func(name string) *node {
-		if n, ok := nodes["res:"+name]; ok {
-			return n
-		}
-		res, _ := reg.Resource(name) // Validate guarantees presence
-		n := &node{name: name, res: &res}
-		nodes["res:"+name] = n
-		for _, d := range res.Deps {
-			dep := addResource(d)
-			dep.dependents = append(dep.dependents, n)
-			n.waiting++
-		}
-		return n
-	}
+	resNodes := map[string]*node{}
 	var expNodes []*node
 	for i := range exps {
 		e := &exps[i]
-		n := &node{name: e.ID, exp: e, index: index[e.ID]}
+		n := &node{name: e.ID, exp: e, index: index[e.ID], waiting: len(e.Deps)}
 		for _, d := range e.Deps {
-			dep := addResource(d)
+			dep := resNodes[d]
+			if dep == nil {
+				res, _ := reg.Resource(d) // Validate guarantees presence
+				dep = &node{name: d, res: &res}
+				resNodes[d] = dep
+			}
 			dep.dependents = append(dep.dependents, n)
-			n.waiting++
 		}
-		nodes[e.ID] = n
 		expNodes = append(expNodes, n)
 	}
 
-	total := len(nodes)
+	total := len(resNodes) + len(expNodes)
 	ready := make(chan *node, total)
 	var (
 		mu        sync.Mutex // guards waiting/depErr/remaining/running stats
@@ -226,13 +194,13 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		resMu     sync.Mutex
 	)
 	rr := RunResult{Experiments: make([]ExperimentResult, len(expNodes))}
-	// Seed deterministically: ready resources first, in registration
-	// order rather than the order experiments' deps name them (a registry
+	// Seed deterministically: the resources first, in registration order
+	// rather than the order experiments' deps name them (a registry
 	// registers its longest resources first, so they claim workers early
 	// and no long pole starts last), then the dependency-free
 	// experiments in registration order.
 	for _, name := range reg.resourceNames() {
-		if n := nodes["res:"+name]; n != nil && n.waiting == 0 {
+		if n := resNodes[name]; n != nil {
 			ready <- n
 		}
 	}
@@ -304,8 +272,6 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		if nodeErr == nil {
 			mctx, m := WithMetrics(ctx)
 			result.Artifact, result.Err = n.exp.Run(mctx)
-			result.FitCacheHits = m.hits.Load()
-			result.FitCacheMisses = m.misses.Load()
 			result.SimInstr = m.simInstr.Load()
 			result.FuncInstr = m.funcInstr.Load()
 			st := m.Aggregate.Stats()

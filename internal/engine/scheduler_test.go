@@ -35,8 +35,8 @@ func (o *orderRecorder) indexOf(name string) int {
 }
 
 func TestRunRespectsDAGOrder(t *testing.T) {
-	// base <- mid <- {e1, e2}; e0 independent. Every experiment must
-	// observe its whole resource chain finished first.
+	// {base, mid} <- {e1, e2}; e0 independent. Every experiment must
+	// observe both of its resources finished first.
 	rec := &orderRecorder{}
 	r := NewRegistry()
 	r.MustRegisterResource(Resource{Name: "base", Prepare: func(context.Context) error {
@@ -44,7 +44,7 @@ func TestRunRespectsDAGOrder(t *testing.T) {
 		rec.add("base")
 		return nil
 	}})
-	r.MustRegisterResource(Resource{Name: "mid", Deps: []string{"base"}, Prepare: func(context.Context) error {
+	r.MustRegisterResource(Resource{Name: "mid", Prepare: func(context.Context) error {
 		rec.add("mid")
 		return nil
 	}})
@@ -55,8 +55,8 @@ func TestRunRespectsDAGOrder(t *testing.T) {
 		}})
 	}
 	mk("e0")
-	mk("e1", "mid")
-	mk("e2", "mid")
+	mk("e1", "base", "mid")
+	mk("e2", "base", "mid")
 
 	rr, err := Run(context.Background(), r, nil, Options{Workers: 4})
 	if err != nil {
@@ -74,12 +74,11 @@ func TestRunRespectsDAGOrder(t *testing.T) {
 			t.Fatalf("experiment[%d] = %s, want %s", i, rr.Experiments[i].ID, want)
 		}
 	}
-	if !(rec.indexOf("base") < rec.indexOf("mid")) {
-		t.Fatalf("mid ran before base: %v", rec.order)
-	}
 	for _, e := range []string{"e1", "e2"} {
-		if !(rec.indexOf("mid") < rec.indexOf(e)) {
-			t.Fatalf("%s ran before mid: %v", e, rec.order)
+		for _, res := range []string{"base", "mid"} {
+			if !(rec.indexOf(res) < rec.indexOf(e)) {
+				t.Fatalf("%s ran before %s: %v", e, res, rec.order)
+			}
 		}
 	}
 }
@@ -279,25 +278,32 @@ func TestRunSelectionSkipsUnneededResources(t *testing.T) {
 
 func TestMetricsFlowIntoResults(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(Experiment{ID: "counting", Run: func(ctx context.Context) (Artifact, error) {
-		RecordFitCacheMiss(ctx)
-		RecordFitCacheHit(ctx)
-		RecordFitCacheHit(ctx)
+	r.MustRegisterResource(Resource{Name: "grid", Prepare: func(ctx context.Context) error {
+		RecordSimInstr(ctx, 1000)
+		RecordFuncInstr(ctx, 400)
+		RecordSimInstr(ctx, 500)
+		return nil
+	}})
+	r.MustRegister(Experiment{ID: "counting", Deps: []string{"grid"}, Run: func(ctx context.Context) (Artifact, error) {
+		RecordSimInstr(ctx, 7)
+		RecordFuncInstr(ctx, 3)
 		return Artifact{}, nil
 	}})
 	rr, err := Run(context.Background(), r, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rr.Experiments[0]
-	if res.FitCacheHits != 2 || res.FitCacheMisses != 1 {
-		t.Fatalf("metrics = %d hits / %d misses, want 2/1", res.FitCacheHits, res.FitCacheMisses)
+	if res := rr.Resources[0]; res.SimInstr != 1500 || res.FuncInstr != 400 {
+		t.Fatalf("resource metrics = %d sim / %d func, want 1500/400", res.SimInstr, res.FuncInstr)
+	}
+	if res := rr.Experiments[0]; res.SimInstr != 7 || res.FuncInstr != 3 {
+		t.Fatalf("experiment metrics = %d sim / %d func, want 7/3", res.SimInstr, res.FuncInstr)
 	}
 }
 
 func TestRecordersAreNoOpsWithoutMetrics(t *testing.T) {
 	// Suite methods are callable outside the scheduler; recording into a
 	// bare context must not panic.
-	RecordFitCacheHit(context.Background())
-	RecordFitCacheMiss(context.Background())
+	RecordSimInstr(context.Background(), 1)
+	RecordFuncInstr(context.Background(), 1)
 }

@@ -31,14 +31,12 @@ type ManifestFile struct {
 
 // ManifestEntry is one experiment's record in manifest.json.
 type ManifestEntry struct {
-	ID             string   `json:"id"`
-	Title          string   `json:"title"`
-	Section        string   `json:"section,omitempty"`
-	Deps           []string `json:"deps,omitempty"`
-	StartMS        int64    `json:"start_ms"` // ms from the run's start
-	WallMS         int64    `json:"wall_ms"`
-	FitCacheHits   int64    `json:"fit_cache_hits"`
-	FitCacheMisses int64    `json:"fit_cache_misses"`
+	ID      string   `json:"id"`
+	Title   string   `json:"title"`
+	Section string   `json:"section,omitempty"`
+	Deps    []string `json:"deps,omitempty"`
+	StartMS int64    `json:"start_ms"` // ms from the run's start
+	WallMS  int64    `json:"wall_ms"`
 	// SimInstr is the aggregate instruction count simulated while this
 	// experiment ran, and FuncInstr the part of it simulated functionally
 	// (the rest replayed shared tracks). Absent when it simulated nothing.
@@ -119,8 +117,6 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		Deps:            res.Deps,
 		StartMS:         res.Start.Milliseconds(),
 		WallMS:          res.Wall.Milliseconds(),
-		FitCacheHits:    res.FitCacheHits,
-		FitCacheMisses:  res.FitCacheMisses,
 		SimInstr:        res.SimInstr,
 		FuncInstr:       res.FuncInstr,
 		Solves:          res.Solves,
@@ -206,7 +202,7 @@ func (s *DirSink) Close() error {
 	}
 
 	var idx []byte
-	idx = append(idx, "# results index\n\nGenerated by `go run ./cmd/repro`. One .txt per experiment\n(DESIGN.md section 4), with .csv per table and .svg per chart.\n`manifest.json` records every experiment's id, title, paper section,\ndependencies, start and wall time, fit-cache hits, solver telemetry (fixed-point\nsolves, kernel iterations, bandwidth-limited outcomes, worst residual),\nand per-file sha256 content hashes — compare manifests across runs to\ndetect result drift.\n\n"...)
+	idx = append(idx, "# results index\n\nGenerated by `go run ./cmd/repro`. One .txt per experiment\n(DESIGN.md section 4), with .csv per table and .svg per chart.\n`manifest.json` records every experiment's id, title, paper section,\ndependencies, start and wall time, solver telemetry (fixed-point solves,\nkernel iterations, bandwidth-limited outcomes, worst residual), and\nper-file sha256 content hashes — compare manifests across runs to\ndetect result drift.\n\n"...)
 	for _, e := range s.entries {
 		if e.Error != "" {
 			idx = append(idx, fmt.Sprintf("- %s — FAILED: %s\n", e.ID, e.Error)...)

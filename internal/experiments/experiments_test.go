@@ -298,11 +298,16 @@ func TestSuiteCachesFits(t *testing.T) {
 }
 
 func TestTimeSeriesExperiment(t *testing.T) {
-	// One representative time-series artifact (Fig. 2 for one workload
-	// would be identical machinery; use the cheap micro workload).
-	s := NewSuite(Scale{WarmupInstr: 2_000_000, MeasureInstr: 2_000_000,
+	// One representative time-series artifact (Fig. 4 for one workload
+	// at a small scale; the baseline comes from the workload's grid).
+	s := NewSuite(Scale{WarmupInstr: 400_000, MeasureInstr: 800_000,
 		SampleInterval: Quick().SampleInterval, MLCDuration: Quick().MLCDuration})
-	a, err := s.timeSeries(bg, []string{"raytrace"}, "figX", "test")
+	// Only a plotted workload's grid measures a baseline; any other name
+	// is an error, raised before anything is simulated.
+	if _, err := s.timeSeries(bg, []string{"raytrace"}, "figX", "test"); err == nil {
+		t.Fatal("want an error for a workload no time-series figure plots")
+	}
+	a, err := s.timeSeries(bg, []string{"webcache"}, "figX", "test")
 	if err != nil {
 		t.Fatal(err)
 	}

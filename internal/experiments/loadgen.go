@@ -113,7 +113,14 @@ func runLoadgenCalibration(ctx context.Context) (*workgen.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return workgen.Score(spec, val, pred)
+		rep, err := workgen.Score(spec, val, pred)
+		if err != nil {
+			return nil, err
+		}
+		// Score counts the held-out half it saw; the report's TraceHash
+		// names the whole replayed trace, so count that.
+		rep.Arrivals = len(res.Trace.Arrivals)
+		return rep, nil
 	}
 
 	var reports []*workgen.Report

@@ -79,9 +79,9 @@ func depthDeps() []string {
 // figure of DESIGN.md §4 with its paper reference and declared
 // dependencies. Every simulated grid — each workload's fit and the
 // prefetch studies' variants — and the calibrated queuing curve are
-// registered as shared resources, heaviest first, so the scheduler
-// computes each exactly once, in parallel where the DAG allows, before
-// the experiments that need them.
+// registered as shared resources, heaviest first. None depends on
+// another, so the scheduler starts them all at once and computes each
+// exactly once, in parallel, before the experiments that need them.
 func (s *Suite) Registry() *engine.Registry {
 	r := engine.NewRegistry()
 

@@ -93,7 +93,8 @@ func TestRegistryFitDepsShareCache(t *testing.T) {
 		t.Skip("runs scaling fits")
 	}
 	// Scheduling an experiment whose fits were prepared as resources must
-	// serve every Fit call from cache (hits > 0, misses == 0).
+	// serve every Fit call from the grids the resources ran: the
+	// resources simulate, the experiment does not.
 	s := NewSuite(Quick())
 	reg := s.Registry()
 	rr, err := engine.Run(bg, reg, []string{"table3"}, engine.Options{Workers: 2})
@@ -103,9 +104,15 @@ func TestRegistryFitDepsShareCache(t *testing.T) {
 	if rr.Failed() != 0 {
 		t.Fatalf("failed: %+v", rr.Experiments[0].Err)
 	}
-	res := rr.Experiments[0]
-	if res.FitCacheMisses != 0 || res.FitCacheHits == 0 {
-		t.Fatalf("table3 fit cache: %d hits / %d misses, want all hits", res.FitCacheHits, res.FitCacheMisses)
+	if res := rr.Experiments[0]; res.SimInstr != 0 {
+		t.Fatalf("table3 simulated %d instructions, want none", res.SimInstr)
+	}
+	i := slices.IndexFunc(rr.Resources, func(r engine.ResourceResult) bool { return r.Name == "fit:columnstore" })
+	if i < 0 {
+		t.Fatalf("fit:columnstore not prepared: %+v", rr.Resources)
+	}
+	if rr.Resources[i].SimInstr == 0 {
+		t.Fatal("fit:columnstore simulated nothing")
 	}
 }
 
@@ -239,7 +246,15 @@ func TestGoldenManifestNoDrift(t *testing.T) {
 	if *update {
 		workers = goldenCaptureWorkers
 	}
-	got := goldenHashes(runQuickManifest(t, ids, workers))
+	m := runQuickManifest(t, ids, workers)
+	// Every simulation belongs to a resource: no experiment of the run
+	// simulates, functionally or by replay.
+	for _, e := range m.Experiments {
+		if e.SimInstr != 0 || e.FuncInstr != 0 {
+			t.Errorf("%s simulated %d instructions (%d functionally), want none", e.ID, e.SimInstr, e.FuncInstr)
+		}
+	}
+	got := goldenHashes(m)
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

@@ -106,8 +106,7 @@ func isCtxErr(err error) bool {
 // a time-series figure plots also measures that figure's baseline run
 // (its warm machine as it stands, sampled), and the grid of the workload
 // GradeSweep plots also measures its grades, so each distinct warm
-// machine warms once. Cache hits and misses are reported to the engine's
-// per-experiment metrics when the context carries a recorder.
+// machine warms once.
 func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 	e, err := s.grid(ctx, name)
 	if err != nil {
@@ -119,9 +118,7 @@ func (s *Suite) Fit(ctx context.Context, name string) (model.Fit, error) {
 // grid returns name's once-cell, run.
 func (s *Suite) grid(ctx context.Context, name string) (*fitEntry, error) {
 	e := s.entry(name)
-	ran := false
 	e.once.Do(func() {
-		ran = true
 		w, warm, err := gridMachine(name)
 		if err != nil {
 			e.err = err
@@ -152,11 +149,6 @@ func (s *Suite) grid(ctx context.Context, name string) (*fitEntry, error) {
 		}
 		e.fit, e.err = fitRuns(name, e.runs)
 	})
-	if ran {
-		engine.RecordFitCacheMiss(ctx)
-	} else {
-		engine.RecordFitCacheHit(ctx)
-	}
 	if isCtxErr(e.err) {
 		s.mu.Lock()
 		if s.entries[name] == e {
@@ -179,16 +171,11 @@ func (s *Suite) FitRuns(ctx context.Context, name string) ([]sim.Measurement, er
 	return e.runs, nil
 }
 
-// baseline returns a workload's sampled run at warmScaling. A workload a
-// time-series figure plots takes it from its fit grid (Suite.Fit); any
-// other measures it alone (RunWorkload).
+// baseline returns the sampled run at warmScaling of a workload a
+// time-series figure plots, which its fit grid measures (Suite.Fit).
 func (s *Suite) baseline(ctx context.Context, name string) (sim.Measurement, error) {
 	if !plotted(name) {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return sim.Measurement{}, err
-		}
-		return RunWorkload(ctx, w, warmScaling, s.Scale, true)
+		return sim.Measurement{}, fmt.Errorf("experiments: no time-series figure plots %q", name)
 	}
 	e, err := s.grid(ctx, name)
 	if err != nil {
@@ -221,7 +208,7 @@ func (s *Suite) Curve(ctx context.Context) (queueing.Curve, error) {
 }
 
 // calibration runs the Fig. 7 MLC sweep once per suite. Concurrent
-// callers share one calibration without blocking the suite's fit cache.
+// callers share one calibration without blocking the suite's fit entries.
 func (s *Suite) calibration(ctx context.Context) (*curveEntry, error) {
 	c := s.curveCell()
 	c.once.Do(func() {

@@ -34,6 +34,9 @@ func TestLoadgenCalibrationGates(t *testing.T) {
 		t.Fatalf("report trace hash %s does not match the spec's %s",
 			rep.TraceHash, spec.Trace().HashHex())
 	}
+	if n := len(spec.Trace().Arrivals); rep.Arrivals != n {
+		t.Fatalf("report counts %d arrivals, the trace its hash names has %d", rep.Arrivals, n)
+	}
 	t.Logf("MAPE: throughput %.2f%%, mean latency %.2f%%, overall %.2f%%; pearson %.3f",
 		rep.ThroughputMAPE, rep.MeanLatencyMAPE, rep.OverallMAPE, rep.PearsonR)
 	if math.IsNaN(rep.ThroughputMAPE) || rep.ThroughputMAPE > 15 {

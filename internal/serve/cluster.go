@@ -21,21 +21,10 @@ const (
 	maxClusterArrivals = 2_000_000
 )
 
-// Cluster wire types: canonical definitions live in repro/api.
-type (
-	ClusterHostSpec   = api.ClusterHostSpec
-	ClusterTenantSpec = api.ClusterTenantSpec
-	ClusterRequest    = api.ClusterRequest
-	ClusterTenantBody = api.ClusterTenantBody
-	ClusterHostBody   = api.ClusterHostBody
-	ClusterPolicyBody = api.ClusterPolicyBody
-	ClusterResponse   = api.ClusterResponse
-)
-
 // clusterSpec materializes the request into the base cluster.Spec
 // (policy left to the caller) plus the parsed policy list. A free
-// function because ClusterRequest is an alias into repro/api.
-func clusterSpec(req ClusterRequest) (cluster.Spec, []cluster.Policy, error) {
+// function because api.ClusterRequest is defined in repro/api.
+func clusterSpec(req api.ClusterRequest) (cluster.Spec, []cluster.Policy, error) {
 	duration := req.DurationS
 	if duration == 0 {
 		duration = 4
@@ -150,7 +139,7 @@ func clusterSpec(req ClusterRequest) (cluster.Spec, []cluster.Policy, error) {
 }
 
 func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
-	var req ClusterRequest
+	var req api.ClusterRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -163,7 +152,7 @@ func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
 		key: model.ScenarioKey(keyParts...),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
-			resp := ClusterResponse{
+			resp := api.ClusterResponse{
 				DurationS: spec.Duration.Seconds(),
 				WarmupS:   spec.Warmup.Seconds(),
 				Seed:      spec.Seed,
@@ -181,15 +170,15 @@ func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
 	}, nil
 }
 
-func policyBody(res cluster.Result) ClusterPolicyBody {
-	body := ClusterPolicyBody{
+func policyBody(res cluster.Result) api.ClusterPolicyBody {
+	body := api.ClusterPolicyBody{
 		Policy:    res.Policy.String(),
 		Events:    res.Events,
 		EventHash: fmt.Sprintf("%016x", res.EventHash),
 		Fairness:  res.Fairness,
 	}
 	for _, tm := range res.Tenants {
-		body.Tenants = append(body.Tenants, ClusterTenantBody{
+		body.Tenants = append(body.Tenants, api.ClusterTenantBody{
 			Name:       tm.Name,
 			Offered:    tm.Offered,
 			Completed:  tm.Completed,
@@ -204,7 +193,7 @@ func policyBody(res cluster.Result) ClusterPolicyBody {
 		})
 	}
 	for _, hm := range res.Hosts {
-		body.Hosts = append(body.Hosts, ClusterHostBody{
+		body.Hosts = append(body.Hosts, api.ClusterHostBody{
 			Name:        hm.Name,
 			Completions: hm.Completions,
 			Shed:        hm.Shed,

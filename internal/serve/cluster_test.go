@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/api"
 )
 
 // clusterBody keeps the endpoint tests fast: the default fleet and
@@ -17,7 +19,7 @@ func TestClusterEndpointBasic(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/cluster/simulate = %d: %s", status, blob)
 	}
-	var resp ClusterResponse
+	var resp api.ClusterResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestClusterEndpointBasic(t *testing.T) {
 
 	// Replay: bit-identical event order, served from cache.
 	_, blob2, _ := doJSON(t, h, http.MethodPost, "/v1/cluster/simulate", clusterBody)
-	var again ClusterResponse
+	var again api.ClusterResponse
 	if err := json.Unmarshal(blob2, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestClusterEndpointDefaults(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp ClusterResponse
+	var resp api.ClusterResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestClusterEndpointCustomFleet(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp ClusterResponse
+	var resp api.ClusterResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -11,47 +11,25 @@ import (
 	"repro/internal/solve"
 )
 
-// The stable wire error codes and the envelope types live in repro/api;
-// these aliases keep the service layer and its tests reading naturally.
-const (
-	CodeBadRequest       = api.CodeBadRequest
-	CodeInvalidParams    = api.CodeInvalidParams
-	CodeInvalidPlatform  = api.CodeInvalidPlatform
-	CodeMethodNotAllowed = api.CodeMethodNotAllowed
-	CodeOverloaded       = api.CodeOverloaded
-	CodeDeadlineExceeded = api.CodeDeadlineExceeded
-	CodeUnavailable      = api.CodeUnavailable
-	CodeNoConvergence    = api.CodeNoConvergence
-	CodeFaultInjected    = api.CodeFaultInjected
-	CodeInternal         = api.CodeInternal
-)
-
-type (
-	// ErrorDetail is the unified error payload.
-	ErrorDetail = api.ErrorDetail
-	// ErrorBody is the JSON envelope every non-2xx reply carries.
-	ErrorBody = api.ErrorBody
-)
-
 // classify maps evaluation errors onto (HTTP status, wire code):
 // validation sentinels to 400, shed load to 429, deadlines to 504,
 // disconnects to 503, non-convergence to 422, anything else to 500.
 func classify(err error) (int, string) {
 	switch {
 	case errors.Is(err, model.ErrInvalidParams):
-		return http.StatusBadRequest, CodeInvalidParams
+		return http.StatusBadRequest, api.CodeInvalidParams
 	case errors.Is(err, model.ErrInvalidPlatform):
-		return http.StatusBadRequest, CodeInvalidPlatform
+		return http.StatusBadRequest, api.CodeInvalidPlatform
 	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, CodeOverloaded
+		return http.StatusTooManyRequests, api.CodeOverloaded
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, CodeDeadlineExceeded
+		return http.StatusGatewayTimeout, api.CodeDeadlineExceeded
 	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, CodeUnavailable
+		return http.StatusServiceUnavailable, api.CodeUnavailable
 	case errors.Is(err, solve.ErrNoConvergence):
-		return http.StatusUnprocessableEntity, CodeNoConvergence
+		return http.StatusUnprocessableEntity, api.CodeNoConvergence
 	default:
-		return http.StatusInternalServerError, CodeInternal
+		return http.StatusInternalServerError, api.CodeInternal
 	}
 }
 
@@ -70,5 +48,5 @@ func setRetryAfter(h http.Header, status int) {
 // contract for shedding statuses.
 func writeError(w http.ResponseWriter, status int, code, msg string, details map[string]any) {
 	setRetryAfter(w.Header(), status)
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg, Details: details}})
+	writeJSON(w, status, api.ErrorBody{Error: api.ErrorDetail{Code: code, Message: msg, Details: details}})
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 // fakeClock records sleeps without actually sleeping, so fault-latency
@@ -81,9 +83,9 @@ func TestFaultInjectionEnvelopeAndRetryAfter(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", status)
 	}
-	var eb ErrorBody
-	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != CodeFaultInjected {
-		t.Errorf("injected 500 envelope = %s, want code %q", blob, CodeFaultInjected)
+	var eb api.ErrorBody
+	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != api.CodeFaultInjected {
+		t.Errorf("injected 500 envelope = %s, want code %q", blob, api.CodeFaultInjected)
 	}
 
 	// UnavailableP = 1: every reply is 503 and carries Retry-After.
@@ -95,8 +97,8 @@ func TestFaultInjectionEnvelopeAndRetryAfter(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("injected 503 must carry Retry-After")
 	}
-	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != CodeFaultInjected {
-		t.Errorf("injected 503 envelope = %s, want code %q", blob, CodeFaultInjected)
+	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != api.CodeFaultInjected {
+		t.Errorf("injected 503 envelope = %s, want code %q", blob, api.CodeFaultInjected)
 	}
 
 	// Health and metrics stay exempt so operators can still observe a
@@ -136,10 +138,10 @@ func TestWireErrorCodesStable(t *testing.T) {
 		status                   int
 		code                     string
 	}{
-		{"malformed body", http.MethodPost, "/v1/evaluate", `{"params":`, http.StatusBadRequest, CodeBadRequest},
-		{"unknown class", http.MethodPost, "/v1/evaluate", `{"params":{"class":"nope"},"platform":{}}`, http.StatusBadRequest, CodeInvalidParams},
-		{"bad platform", http.MethodPost, "/v1/sweep", `{"axis":"sideways","platform":{}}`, http.StatusBadRequest, CodeInvalidPlatform},
-		{"wrong method", http.MethodGet, "/v1/evaluate", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"malformed body", http.MethodPost, "/v1/evaluate", `{"params":`, http.StatusBadRequest, api.CodeBadRequest},
+		{"unknown class", http.MethodPost, "/v1/evaluate", `{"params":{"class":"nope"},"platform":{}}`, http.StatusBadRequest, api.CodeInvalidParams},
+		{"bad platform", http.MethodPost, "/v1/sweep", `{"axis":"sideways","platform":{}}`, http.StatusBadRequest, api.CodeInvalidPlatform},
+		{"wrong method", http.MethodGet, "/v1/evaluate", "", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		status, blob, _ := doJSON(t, h, tc.method, tc.path, tc.body)
@@ -147,7 +149,7 @@ func TestWireErrorCodesStable(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, status, tc.status)
 			continue
 		}
-		var eb ErrorBody
+		var eb api.ErrorBody
 		if err := json.Unmarshal(blob, &eb); err != nil {
 			t.Errorf("%s: bad envelope: %s", tc.name, blob)
 			continue
@@ -184,8 +186,8 @@ func TestSheddingCarriesOverloadedCode(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 must carry Retry-After")
 	}
-	var eb ErrorBody
-	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != CodeOverloaded {
-		t.Errorf("shed envelope = %s, want code %q", blob, CodeOverloaded)
+	var eb api.ErrorBody
+	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != api.CodeOverloaded {
+		t.Errorf("shed envelope = %s, want code %q", blob, api.CodeOverloaded)
 	}
 }

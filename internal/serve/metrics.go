@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/internal/solve"
 )
 
@@ -161,8 +162,8 @@ func (t teeRecorder) RecordSolve(out solve.Outcome) {
 	t.b.RecordSolve(out)
 }
 
-func solverBody(st solve.Stats) SolverBody {
-	return SolverBody{
+func solverBody(st solve.Stats) api.SolverBody {
+	return api.SolverBody{
 		Solves:           st.Solves,
 		Iterations:       st.Iterations,
 		BandwidthLimited: st.BandwidthLimited,

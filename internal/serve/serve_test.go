@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 // doJSON drives one request through the handler in-process.
@@ -72,7 +74,7 @@ func TestEvaluateMatchesDirectModelCall(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp EvaluateResponse
+	var resp api.EvaluateResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	_, first, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
 	_, second, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
 
-	var r1, r2 EvaluateResponse
+	var r1, r2 api.EvaluateResponse
 	if err := json.Unmarshal(first, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	// different name) must hit the same canonical key.
 	renamed := `{"params":{"class":"enterprise","name":"other"},"platform":{"compulsory_ns":120,"name":"x"}}`
 	_, third, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", renamed)
-	var r3 EvaluateResponse
+	var r3 api.EvaluateResponse
 	if err := json.Unmarshal(third, &r3); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.name, status, tc.want, blob)
 			continue
 		}
-		var eb ErrorBody
+		var eb api.ErrorBody
 		if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
 			t.Errorf("%s: reply is not a unified error envelope: %s", tc.name, blob)
 		}
@@ -187,7 +189,7 @@ func TestSingleflightCollapseOverHTTP(t *testing.T) {
 				t.Errorf("status = %d: %s", status, blob)
 				return
 			}
-			var resp EvaluateResponse
+			var resp api.EvaluateResponse
 			if err := json.Unmarshal(blob, &resp); err != nil {
 				t.Error(err)
 				return
@@ -388,7 +390,7 @@ func TestConcurrentLoad(t *testing.T) {
 					continue
 				}
 				okCount.Add(1)
-				var resp EvaluateResponse
+				var resp api.EvaluateResponse
 				if err := json.Unmarshal(blob, &resp); err != nil {
 					t.Error(err)
 					continue

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/solve"
 	"repro/internal/version"
@@ -118,24 +119,24 @@ type preparation struct {
 type prepareFunc func(dec *json.Decoder) (preparation, error)
 
 // markCached sets the Cached flag on a response served from the cache.
-// The response types are aliases into repro/api (which cannot carry
+// The response types are defined in repro/api (and so cannot carry
 // serve-side methods), so this is a type switch over the copies rather
 // than an interface; a new endpoint's response type must be added here.
 func markCached(v any) any {
 	switch r := v.(type) {
-	case EvaluateResponse:
+	case api.EvaluateResponse:
 		r.Cached = true
 		return r
-	case TopologyResponse:
+	case api.TopologyResponse:
 		r.Cached = true
 		return r
-	case SweepResponse:
+	case api.SweepResponse:
 		r.Cached = true
 		return r
-	case ClusterResponse:
+	case api.ClusterResponse:
 		r.Cached = true
 		return r
-	case WorkloadValidateResponse:
+	case api.WorkloadValidateResponse:
 		r.Cached = true
 		return r
 	default:
@@ -161,11 +162,11 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 			switch act.outcome {
 			case faultError:
 				status = http.StatusInternalServerError
-				writeError(w, status, CodeFaultInjected, "injected internal error", nil)
+				writeError(w, status, api.CodeFaultInjected, "injected internal error", nil)
 				return
 			case faultUnavailable:
 				status = http.StatusServiceUnavailable
-				writeError(w, status, CodeFaultInjected, "injected unavailable", nil)
+				writeError(w, status, api.CodeFaultInjected, "injected unavailable", nil)
 				return
 			case faultDrop:
 				// Sever the connection with no response: net/http aborts
@@ -178,7 +179,7 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 
 		if r.Method != http.MethodPost {
 			status = http.StatusMethodNotAllowed
-			writeError(w, status, CodeMethodNotAllowed, "POST only", nil)
+			writeError(w, status, api.CodeMethodNotAllowed, "POST only", nil)
 			return
 		}
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -187,10 +188,10 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 		if err != nil {
 			var code string
 			status, code = classify(err)
-			if code == CodeInternal {
+			if code == api.CodeInternal {
 				// Decode failures carry no sentinel; they are the caller's
 				// malformed body, not our fault.
-				status, code = http.StatusBadRequest, CodeBadRequest
+				status, code = http.StatusBadRequest, api.CodeBadRequest
 			}
 			writeError(w, status, code, err.Error(), nil)
 			return
@@ -235,7 +236,7 @@ func (s *Server) record(ctx context.Context) (context.Context, *solve.Aggregate)
 }
 
 func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
-	var req EvaluateRequest
+	var req api.EvaluateRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -255,7 +256,7 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 			if err != nil {
 				return nil, err
 			}
-			return EvaluateResponse{
+			return api.EvaluateResponse{
 				Workload: p.Name,
 				Platform: pl.Name,
 				Point:    pointBody(op, pl),
@@ -266,7 +267,7 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
-	var req TopologyRequest
+	var req api.TopologyRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -286,7 +287,7 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 			if err != nil {
 				return nil, err
 			}
-			resp := TopologyResponse{
+			resp := api.TopologyResponse{
 				Workload:       p.Name,
 				Platform:       top.Name,
 				Policy:         top.Policy.String(),
@@ -297,7 +298,7 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 				Solver:         solverBody(agg.Stats()),
 			}
 			for _, t := range pt.Tiers {
-				resp.Tiers = append(resp.Tiers, TopologyTierPointBody{
+				resp.Tiers = append(resp.Tiers, api.TopologyTierPointBody{
 					Name:          t.Name,
 					MissPenaltyNS: t.MissPenalty.Nanoseconds(),
 					DemandGBps:    t.Demand.GBps(),
@@ -312,13 +313,13 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
-	var req SweepRequest
+	var req api.SweepRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
 	specs := req.Classes
 	if len(specs) == 0 {
-		specs = []ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}}
+		specs = []api.ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}}
 	}
 	if len(specs) > maxSweepClasses {
 		return preparation{}, fmt.Errorf("%w: at most %d classes per sweep", model.ErrInvalidParams, maxSweepClasses)
@@ -405,10 +406,10 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 	}
 }
 
-func sweepResponse(axis string, sw model.Sweep, st solve.Stats) SweepResponse {
-	resp := SweepResponse{Axis: axis, Solver: solverBody(st)}
+func sweepResponse(axis string, sw model.Sweep, st solve.Stats) api.SweepResponse {
+	resp := api.SweepResponse{Axis: axis, Solver: solverBody(st)}
 	for _, pt := range sw.Points {
-		body := SweepPointBody{
+		body := api.SweepPointBody{
 			Platform:    pt.Platform.Name,
 			Delta:       pt.DeltaPerCore,
 			CPI:         map[string]float64{},
@@ -435,7 +436,7 @@ type healthBody struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only", nil)
+		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only", nil)
 		return
 	}
 	body := healthBody{
@@ -455,7 +456,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only", nil)
+		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only", nil)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/api"
 )
 
 // topoBody is a 2-tier fraction topology mirroring the tiered endpoint's
@@ -19,7 +21,7 @@ func TestTopologyEndpointBasic(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/evaluate/topology = %d: %s", status, blob)
 	}
-	var resp TopologyResponse
+	var resp api.TopologyResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestTopologyEndpointBasic(t *testing.T) {
 
 	// Repeat hits the cache and is marked as such.
 	_, blob2, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", topoBody)
-	var again TopologyResponse
+	var again api.TopologyResponse
 	if err := json.Unmarshal(blob2, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestRemovedEndpointsReturn404(t *testing.T) {
 		{"name":"dram","compulsory_ns":75,"peak_gbps":42},
 		{"name":"link","compulsory_ns":60,"peak_gbps":25}]}}`
 	status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", body)
-	var resp TopologyResponse
+	var resp api.TopologyResponse
 	if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil || resp.Policy != "local-remote" {
 		t.Errorf("numa alias = %d (%v): %s", status, err, blob)
 	}
@@ -79,7 +81,7 @@ func TestTopologyLocalRemotePolicy(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp TopologyResponse
+	var resp api.TopologyResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestTopologyEfficiencyDerating(t *testing.T) {
 
 	_, fb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", full)
 	_, db, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", derated)
-	var fr, dr TopologyResponse
+	var fr, dr api.TopologyResponse
 	if err := json.Unmarshal(fb, &fr); err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // admission controller with load shedding, and live telemetry. The
 // cmd/memmodeld daemon is a thin HTTP shell around this package.
 //
-// The JSON wire types live in the public repro/api package, shared with
-// the client SDK; the names below are aliases kept so the service layer
-// reads naturally. The wire contract itself (class-or-custom params,
+// The JSON wire types and error codes live in the public repro/api
+// package, shared with the client SDK, and the service layer uses them
+// directly. The wire contract itself (class-or-custom params,
 // baseline-defaulting platforms, the unified error envelope) is
 // documented on the api types.
 package serve
@@ -18,40 +18,8 @@ import (
 	"repro/internal/model"
 )
 
-// Wire-type aliases: the canonical definitions live in repro/api.
-type (
-	CurveSpec            = api.CurveSpec
-	CurvePoint           = api.CurvePoint
-	ParamsSpec           = api.ParamsSpec
-	PlatformSpec         = api.PlatformSpec
-	TopologyTierSpec     = api.TopologyTierSpec
-	TopologySpec         = api.TopologySpec
-	BandwidthVariantSpec = api.BandwidthVariantSpec
-
-	EvaluateRequest = api.EvaluateRequest
-	TopologyRequest = api.TopologyRequest
-	SweepRequest    = api.SweepRequest
-
-	OperatingPointBody    = api.OperatingPointBody
-	SolverBody            = api.SolverBody
-	EvaluateResponse      = api.EvaluateResponse
-	TopologyTierPointBody = api.TopologyTierPointBody
-	TopologyResponse      = api.TopologyResponse
-	SweepPointBody        = api.SweepPointBody
-	SweepResponse         = api.SweepResponse
-
-	WorkloadSpec             = api.WorkloadSpec
-	WorkloadClientSpec       = api.WorkloadClientSpec
-	ArrivalSpec              = api.ArrivalSpec
-	WorkloadScenarioSpec     = api.WorkloadScenarioSpec
-	WorkloadValidateRequest  = api.WorkloadValidateRequest
-	WorkloadKPIBody          = api.WorkloadKPIBody
-	WorkloadScenarioBody     = api.WorkloadScenarioBody
-	WorkloadValidateResponse = api.WorkloadValidateResponse
-)
-
-func pointBody(op model.OperatingPoint, pl model.Platform) OperatingPointBody {
-	return OperatingPointBody{
+func pointBody(op model.OperatingPoint, pl model.Platform) api.OperatingPointBody {
+	return api.OperatingPointBody{
 		CPI:            op.CPI,
 		MissPenaltyNS:  op.MissPenalty.Nanoseconds(),
 		QueueNS:        op.QueueDelay.Nanoseconds(),

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/params"
 	"repro/internal/units"
@@ -14,33 +15,33 @@ import (
 
 func TestRequestJSONRoundTrip(t *testing.T) {
 	cases := []any{
-		EvaluateRequest{
-			Params:   ParamsSpec{Class: "bigdata", MPKI: 7.5},
-			Platform: PlatformSpec{Cores: 16, GHz: 3.0, CompulsoryNS: 90, PeakGBps: 60},
+		api.EvaluateRequest{
+			Params:   api.ParamsSpec{Class: "bigdata", MPKI: 7.5},
+			Platform: api.PlatformSpec{Cores: 16, GHz: 3.0, CompulsoryNS: 90, PeakGBps: 60},
 		},
-		TopologyRequest{
-			Params: ParamsSpec{CPICache: 1.0, BF: 0.3, MPKI: 5},
-			Topology: TopologySpec{Tiers: []TopologyTierSpec{
+		api.TopologyRequest{
+			Params: api.ParamsSpec{CPICache: 1.0, BF: 0.3, MPKI: 5},
+			Topology: api.TopologySpec{Tiers: []api.TopologyTierSpec{
 				{Name: "near", Share: 0.8, CompulsoryNS: 75, PeakGBps: 42},
 				{Name: "far", Share: 0.2, CompulsoryNS: 300, PeakGBps: 10, Efficiency: 0.8,
-					Queue: CurveSpec{Type: "md1", ServiceNS: 12}},
+					Queue: api.CurveSpec{Type: "md1", ServiceNS: 12}},
 			}},
 		},
-		TopologyRequest{
-			Params: ParamsSpec{Class: "enterprise"},
-			Topology: TopologySpec{Policy: "local-remote", RemoteFraction: 0.5, Tiers: []TopologyTierSpec{
+		api.TopologyRequest{
+			Params: api.ParamsSpec{Class: "enterprise"},
+			Topology: api.TopologySpec{Policy: "local-remote", RemoteFraction: 0.5, Tiers: []api.TopologyTierSpec{
 				{Name: "dram", CompulsoryNS: 75, PeakGBps: 42},
 				{Name: "link", CompulsoryNS: 60, PeakGBps: 25},
 			}},
 		},
-		SweepRequest{
-			Classes:  []ParamsSpec{{Class: "hpc"}},
-			Platform: PlatformSpec{},
+		api.SweepRequest{
+			Classes:  []api.ParamsSpec{{Class: "hpc"}},
+			Platform: api.PlatformSpec{},
 			Axis:     "latency", Steps: 5, StepNS: 20,
 		},
-		SweepRequest{
+		api.SweepRequest{
 			Axis:     "bandwidth",
-			Variants: []BandwidthVariantSpec{{Channels: 2, GradeMTs: 1600, Efficiency: 0.72}},
+			Variants: []api.BandwidthVariantSpec{{Channels: 2, GradeMTs: 1600, Efficiency: 0.72}},
 		},
 	}
 	for _, in := range cases {
@@ -59,7 +60,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPlatformSpecIsBaseline(t *testing.T) {
-	pl, err := PlatformSpec{}.Platform()
+	pl, err := api.PlatformSpec{}.Platform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +77,14 @@ func TestEmptyPlatformSpecIsBaseline(t *testing.T) {
 }
 
 func TestParamsSpecClassAndOverrides(t *testing.T) {
-	p, err := ParamsSpec{Class: "bigdata"}.Params()
+	p, err := api.ParamsSpec{Class: "bigdata"}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.CPICache != params.Table6[1].CPICache {
 		t.Errorf("class cpi_cache = %v, want Table 6 mean %v", p.CPICache, params.Table6[1].CPICache)
 	}
-	over, err := ParamsSpec{Class: "bigdata", MPKI: 9.9}.Params()
+	over, err := api.ParamsSpec{Class: "bigdata", MPKI: 9.9}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +94,22 @@ func TestParamsSpecClassAndOverrides(t *testing.T) {
 }
 
 func TestSpecValidationSentinels(t *testing.T) {
-	if _, err := (ParamsSpec{Class: "nope"}).Params(); !errors.Is(err, model.ErrInvalidParams) {
+	if _, err := (api.ParamsSpec{Class: "nope"}).Params(); !errors.Is(err, model.ErrInvalidParams) {
 		t.Errorf("unknown class: err = %v, want ErrInvalidParams", err)
 	}
-	if _, err := (ParamsSpec{CPICache: -1}).Params(); !errors.Is(err, model.ErrInvalidParams) {
+	if _, err := (api.ParamsSpec{CPICache: -1}).Params(); !errors.Is(err, model.ErrInvalidParams) {
 		t.Errorf("negative cpi_cache: err = %v, want ErrInvalidParams", err)
 	}
-	if _, err := (PlatformSpec{Queue: CurveSpec{Type: "nope"}}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.PlatformSpec{Queue: api.CurveSpec{Type: "nope"}}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("unknown curve: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (PlatformSpec{Cores: -4}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.PlatformSpec{Cores: -4}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("negative cores: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (TopologySpec{}).Topology(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.TopologySpec{}).Topology(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("no tiers: err = %v, want ErrInvalidPlatform", err)
 	}
-	numa := TopologySpec{Policy: "numa", RemoteFraction: 2, Tiers: []TopologyTierSpec{
+	numa := api.TopologySpec{Policy: "numa", RemoteFraction: 2, Tiers: []api.TopologyTierSpec{
 		{CompulsoryNS: 75, PeakGBps: 42}, {CompulsoryNS: 60, PeakGBps: 25}}}
 	if _, err := numa.Topology(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("remote fraction 2: err = %v, want ErrInvalidPlatform", err)
@@ -116,7 +117,7 @@ func TestSpecValidationSentinels(t *testing.T) {
 }
 
 func TestMeasuredCurveSpec(t *testing.T) {
-	cs := CurveSpec{Type: "measured", Points: []CurvePoint{
+	cs := api.CurveSpec{Type: "measured", Points: []api.CurvePoint{
 		{Utilization: 0, DelayNS: 0},
 		{Utilization: 0.5, DelayNS: 10},
 		{Utilization: 0.95, DelayNS: 80},
@@ -128,7 +129,7 @@ func TestMeasuredCurveSpec(t *testing.T) {
 	if got := c.Delay(0.5); got != 10*units.Nanosecond {
 		t.Errorf("Delay(0.5) = %v, want 10ns", got)
 	}
-	if _, err := (CurveSpec{Type: "measured"}).Curve(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.CurveSpec{Type: "measured"}).Curve(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("measured with no points: err = %v, want ErrInvalidPlatform", err)
 	}
 }

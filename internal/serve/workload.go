@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/workgen"
 )
@@ -16,7 +17,7 @@ import (
 // time. Live calibration — measuring that service time instead of
 // assuming it — is memmodelctl loadgen's job.
 func (s *Server) prepareWorkload(dec *json.Decoder) (preparation, error) {
-	var req WorkloadValidateRequest
+	var req api.WorkloadValidateRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -50,7 +51,7 @@ func (s *Server) prepareWorkload(dec *json.Decoder) (preparation, error) {
 			if err != nil {
 				return nil, err
 			}
-			resp := WorkloadValidateResponse{
+			resp := api.WorkloadValidateResponse{
 				Name:      spec.Name,
 				Seed:      spec.Seed,
 				DurationS: spec.Duration,
@@ -59,7 +60,7 @@ func (s *Server) prepareWorkload(dec *json.Decoder) (preparation, error) {
 				Solver:    solverBody(agg.Stats()),
 			}
 			for _, k := range pred.KPIs {
-				resp.Clients = append(resp.Clients, WorkloadKPIBody{
+				resp.Clients = append(resp.Clients, api.WorkloadKPIBody{
 					Name:          k.Name,
 					OfferedRPS:    k.OfferedRPS,
 					ThroughputRPS: k.ThroughputRPS,
@@ -71,7 +72,7 @@ func (s *Server) prepareWorkload(dec *json.Decoder) (preparation, error) {
 				})
 			}
 			for _, sc := range pred.Scenarios {
-				resp.Scenarios = append(resp.Scenarios, WorkloadScenarioBody{
+				resp.Scenarios = append(resp.Scenarios, api.WorkloadScenarioBody{
 					Name:           sc.Name,
 					Weight:         sc.Weight,
 					CPI:            sc.CPI,

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/api"
 )
 
 func TestWorkloadValidateDefaults(t *testing.T) {
@@ -13,7 +15,7 @@ func TestWorkloadValidateDefaults(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp WorkloadValidateResponse
+	var resp api.WorkloadValidateResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestWorkloadValidateDeterministicAndCached(t *testing.T) {
 	body := `{"spec":{"total_rps":100,"duration_s":1,"seed":42}}`
 
 	_, blob1, _ := doJSON(t, h, http.MethodPost, "/v1/workload/validate", body)
-	var r1, r2, r3 WorkloadValidateResponse
+	var r1, r2, r3 api.WorkloadValidateResponse
 	if err := json.Unmarshal(blob1, &r1); err != nil {
 		t.Fatal(err)
 	}

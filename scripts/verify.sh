@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification: vet, build, the tier-1 test suite, the benchmark
+# Full verification: gofmt, vet, build, the tier-1 test suite, the benchmark
 # module's own vet and tests, and the race detector over the
 # concurrency-bearing packages (the simulator's event
 # loop under the parallel fit grids, the engine scheduler, the
@@ -12,6 +12,17 @@
 # detector's slowdown makes two full -quick suite runs impractical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# gofmt -l lists unformatted files and exits 0 either way, so the gate
+# fails on any output. It covers perfbench/ too, a separate module under
+# the root directory.
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet"
 go vet ./...
