@@ -12,10 +12,10 @@ import (
 	"repro/api"
 )
 
-// emit prints v as JSON on stdout: indented for humans, compact
-// single-line under -json.
+// emit prints v as JSON on the command's output: indented for humans,
+// compact single-line under -json.
 func emit(sh *shared, v any) error {
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(sh.out)
 	if !sh.jsonOut {
 		enc.SetIndent("", "  ")
 	}
@@ -33,7 +33,7 @@ func healthCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 		if sh.jsonOut {
 			return emit(sh, map[string]string{"status": "healthy"})
 		}
-		fmt.Println("healthy")
+		fmt.Fprintln(sh.out, "healthy")
 		return nil
 	}
 }
@@ -113,7 +113,7 @@ func soakCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 			"soak: %d/%d ok in %v (%d attempts, %d retries, %d retry-after honored, backoff %v)\n",
 			*n-failed, *n, elapsed.Round(time.Millisecond),
 			st.Attempts, st.Retries, st.RetryAfterHonored, st.BackoffTotal.Round(time.Millisecond))
-		c.WriteMetrics(os.Stdout)
+		c.WriteMetrics(sh.out)
 		if failed > 0 {
 			return fmt.Errorf("soak: %d/%d requests exhausted their budget", failed, *n)
 		}

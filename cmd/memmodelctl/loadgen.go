@@ -15,8 +15,10 @@ import (
 )
 
 // readSpec loads a workload spec: defaults when path is empty, the JSON
-// file otherwise, with the command-line overrides applied on top.
-func readSpec(path string, rps, duration, warmup float64, seed int64) (api.WorkloadSpec, error) {
+// file otherwise, with the command-line overrides applied on top. The
+// shared -seed fills in a spec without a seed, and replaces a spec
+// file's own seed only when it was given.
+func (sh *shared) readSpec(path string, rps, duration, warmup float64) (api.WorkloadSpec, error) {
 	var ws api.WorkloadSpec
 	if path != "" {
 		b, err := os.ReadFile(path)
@@ -38,27 +40,27 @@ func readSpec(path string, rps, duration, warmup float64, seed int64) (api.Workl
 	if warmup > 0 {
 		ws.WarmupS = warmup
 	}
-	if seed > 0 {
-		ws.Seed = uint64(seed)
+	if sh.seedSet || ws.Seed == 0 {
+		ws.Seed = uint64(sh.seed)
 	}
 	return ws, nil
 }
 
-// loadgenCmd is the live calibration run: compile a seeded workload,
-// probe each scenario's unloaded service time, replay the deterministic
-// arrival trace open-loop against the daemon, predict the same KPIs
-// from the analytic model, and print the scored calibration report.
+// loadgenCmd is the live calibration run: compile a seeded workload and
+// hand it to workgen.Calibrate, which replays the deterministic arrival
+// trace open-loop against the daemon, calibrates service times on one
+// half of the run, predicts the same KPIs from the analytic model and
+// scores them on the other half; print the scored report.
 func loadgenCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	specPath := fs.String("spec", "", "workload spec JSON file (empty = reference three-client mix)")
 	rps := fs.Float64("rps", 0, "override total offered rate (0 = spec default)")
 	duration := fs.Float64("duration", 0, "override arrival horizon in seconds (0 = spec default)")
 	warmup := fs.Float64("warmup", 0, "override warmup discard in seconds (0 = spec default)")
-	probeN := fs.Int("probe", 8, "timed probe requests per unique scenario")
 	inflight := fs.Int("inflight", 0, "max concurrent requests (0 = 256)")
 	slots := fs.Int("slots", runtime.GOMAXPROCS(0), "assumed daemon service slots for the prediction")
 	maxMAPE := fs.Float64("max-mape", 0, "fail (exit 1) if throughput or mean-latency MAPE exceeds this percent (0 = report only)")
 	return func(ctx context.Context, sh *shared) error {
-		ws, err := readSpec(*specPath, *rps, *duration, *warmup, sh.seed)
+		ws, err := sh.readSpec(*specPath, *rps, *duration, *warmup)
 		if err != nil {
 			return err
 		}
@@ -68,27 +70,9 @@ func loadgenCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 		}
 
 		c := sh.client()
-		d := workgen.Driver{Spec: spec, Eval: c.Evaluate}
-
-		fmt.Fprintf(os.Stderr, "loadgen: probing %d scenario(s) x%d\n", uniqueScenarios(spec), *probeN)
-		probe, err := d.Probe(ctx, *probeN)
-		if err != nil {
-			return fmt.Errorf("loadgen: %w", err)
-		}
-
-		c.ResetStats() // probe traffic must not pollute the run's counters
 		fmt.Fprintf(os.Stderr, "loadgen: replaying %.0fs trace at %.0f rps (seed %d)\n",
 			spec.Duration, spec.TotalRPS, spec.Seed)
-		res, err := d.Run(ctx, workgen.RunOptions{MaxInflight: *inflight})
-		if err != nil {
-			return fmt.Errorf("loadgen: %w", err)
-		}
-
-		pred, err := workgen.Predict(ctx, spec, res.Trace, workgen.Calibration{Service: probe, Slots: *slots})
-		if err != nil {
-			return fmt.Errorf("loadgen: %w", err)
-		}
-		rep, err := workgen.Score(spec, res, pred)
+		rep, res, err := workgen.Calibrate(ctx, spec, c.Evaluate, *slots, workgen.RunOptions{MaxInflight: *inflight})
 		if err != nil {
 			return fmt.Errorf("loadgen: %w", err)
 		}
@@ -122,7 +106,7 @@ func validateCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	serviceUS := fs.Float64("service-us", 0, "assumed unloaded service time in microseconds (0 = daemon default)")
 	slots := fs.Int("slots", 0, "assumed service slots (0 = daemon's admission limit)")
 	return func(ctx context.Context, sh *shared) error {
-		ws, err := readSpec(*specPath, *rps, *duration, 0, sh.seed)
+		ws, err := sh.readSpec(*specPath, *rps, *duration, 0)
 		if err != nil {
 			return err
 		}
@@ -136,15 +120,4 @@ func validateCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 		}
 		return emit(sh, resp)
 	}
-}
-
-// uniqueScenarios counts distinct scenario cache keys in a spec.
-func uniqueScenarios(spec *workgen.Spec) int {
-	seen := map[string]struct{}{}
-	for _, c := range spec.Clients {
-		for _, sc := range c.Scenarios {
-			seen[sc.Key] = struct{}{}
-		}
-	}
-	return len(seen)
 }

@@ -33,6 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -53,6 +54,12 @@ type shared struct {
 	backoffCap  time.Duration
 	breaker     int
 	cooldown    time.Duration
+
+	// seedSet records whether -seed was given, so a spec file's own
+	// seed survives the flag's default.
+	seedSet bool
+	// out receives the command's results (stdout in the binary).
+	out io.Writer
 }
 
 // register installs the shared flags on a command's FlagSet.
@@ -104,6 +111,27 @@ func commands() []command {
 	}
 }
 
+// parse builds command c's flag set, parses args into it and returns
+// the command's run function with the shared flags it filled in.
+func (c command) parse(args []string, onError flag.ErrorHandling) (func(context.Context, *shared) error, *shared, error) {
+	fs := flag.NewFlagSet(c.name, onError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: memmodelctl %s [flags]\n\n%s\n\nflags:\n", c.name, c.synopsis)
+		fs.PrintDefaults()
+	}
+	sh := &shared{out: os.Stdout}
+	sh.register(fs)
+	run := c.setup(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	fs.Visit(func(f *flag.Flag) { sh.seedSet = sh.seedSet || f.Name == "seed" })
+	return run, sh, nil
+}
+
 func usage(out *os.File) {
 	fmt.Fprintf(out, "usage: memmodelctl <command> [flags]\n\ncommands:\n")
 	for _, c := range commands() {
@@ -130,20 +158,12 @@ func main() {
 		if c.name != args[0] {
 			continue
 		}
-		fs := flag.NewFlagSet(c.name, flag.ExitOnError)
-		fs.Usage = func() {
-			fmt.Fprintf(fs.Output(), "usage: memmodelctl %s [flags]\n\n%s\n\nflags:\n", c.name, c.synopsis)
-			fs.PrintDefaults()
-		}
-		var sh shared
-		sh.register(fs)
-		run := c.setup(fs)
-		fs.Parse(args[1:])
-		if fs.NArg() > 0 {
-			fmt.Fprintf(os.Stderr, "memmodelctl %s: unexpected argument %q\n", c.name, fs.Arg(0))
+		run, sh, err := c.parse(args[1:], flag.ExitOnError)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "memmodelctl %s: %v\n", c.name, err)
 			os.Exit(2)
 		}
-		if err := run(context.Background(), &sh); err != nil {
+		if err := run(context.Background(), sh); err != nil {
 			fmt.Fprintf(os.Stderr, "memmodelctl: %v\n", err)
 			os.Exit(1)
 		}
@@ -156,7 +176,7 @@ func main() {
 
 func versionCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	return func(ctx context.Context, sh *shared) error {
-		fmt.Println(version.String())
+		fmt.Fprintln(sh.out, version.String())
 		return nil
 	}
 }

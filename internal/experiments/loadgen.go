@@ -58,7 +58,7 @@ func (s *Suite) LoadgenCalibration(ctx context.Context) (Artifact, error) {
 	kpis.AddNote("trace hash %s over %d arrivals: the same spec and seed regenerate this schedule bit-identically", rep.TraceHash, rep.Arrivals)
 	kpis.AddNote("calibration gates: throughput MAPE %.1f%%, mean-latency MAPE %.1f%% (both must stay <= 15%%); overall MAPE %.1f%%, log-space Pearson r %.3f",
 		rep.ThroughputMAPE, rep.MeanLatencyMAPE, rep.OverallMAPE, rep.PearsonR)
-	kpis.AddNote("prediction = per-scenario service times from the run's held-out calibration half (workgen.Holdout) + M/M/c wait from internal/queueing at the offered utilization; scored against the validation half only, warmup discarded")
+	kpis.AddNote("prediction = per-scenario service times from the run's calibration half (workgen.Calibrate's ABBA split) + M/M/c wait from internal/queueing at the whole run's offered utilization; rates count the whole post-warmup run, latency and shed are scored on the held-out half only")
 
 	scen := report.NewTable("Scenario mix behind the workload (analytic operating points)",
 		"scenario", "traffic share", "CPI", "bandwidth-bound", "cache key")
@@ -78,8 +78,8 @@ func (s *Suite) LoadgenCalibration(ctx context.Context) (Artifact, error) {
 // latency, and at sub-millisecond service times the environment drifts
 // measurably between any two multi-second windows — a calibration
 // probed in one window and validated in another inherits that drift as
-// irreducible error. Two defenses: calibration and validation come from
-// the same replay via workgen.Holdout (interleaved halves share their
+// irreducible error. Two defenses: workgen.Calibrate takes calibration
+// and validation from the same replay (interleaved halves share their
 // wall-clock conditions exactly, and the prediction is still scored
 // against arrivals it never saw), and the attempt repeats — up to five
 // times, accepting the first report inside the 15% gates and otherwise
@@ -97,36 +97,12 @@ func runLoadgenCalibration(ctx context.Context) (*workgen.Report, error) {
 	srv := httptest.NewServer(serve.New().Handler())
 	defer srv.Close()
 	c := client.New(srv.URL, client.WithBudget(10*time.Second))
-	d := workgen.Driver{Spec: spec, Eval: c.Evaluate}
-
-	attempt := func() (*workgen.Report, error) {
-		c.ResetStats() // scope the SDK counters to the measured run
-		res, err := d.Run(ctx, workgen.RunOptions{})
-		if err != nil {
-			return nil, err
-		}
-		cal, val := workgen.Holdout(spec, res)
-		pred, err := workgen.Predict(ctx, spec, val.Trace, workgen.Calibration{
-			Service: cal,
-			Slots:   runtime.GOMAXPROCS(0), // the in-process daemon's admission limit
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := workgen.Score(spec, val, pred)
-		if err != nil {
-			return nil, err
-		}
-		// Score counts the held-out half it saw; the report's TraceHash
-		// names the whole replayed trace, so count that.
-		rep.Arrivals = len(res.Trace.Arrivals)
-		return rep, nil
-	}
+	slots := runtime.GOMAXPROCS(0) // the in-process daemon's admission limit
 
 	var reports []*workgen.Report
 	for i := 0; i < 5; i++ {
 		runtime.GC() // no attempt starts with another's accumulated garbage
-		rep, err := attempt()
+		rep, _, err := workgen.Calibrate(ctx, spec, c.Evaluate, slots, workgen.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -52,23 +52,18 @@ type track struct {
 
 // Retained record storage grows a slab at a time, so records already
 // published never move; a new slab starts when the current one has
-// less room than a block can need. A track used alone logs one block at
-// a time in a log of loneRefs.
+// less room than a block can need in any of its arrays. A block logs 19
+// counter words but only a few references and requests, so the slab
+// gives those two arrays less room: with slabRefs and slabReqs, the
+// counter words fill first in every slab the full cmd/repro suite
+// retires (at most 9 650 references and 12 575 requests per slab, plus
+// slabSpare, rounded up to 1 Ki entries).
 const (
-	slabRefs  = 1 << 14
+	slabDelta = 1 << 14
+	slabRefs  = 12 << 10
+	slabReqs  = 15 << 10
 	slabSpare = 1 << 11
-	loneRefs  = 1 << 9
 )
-
-// newLog returns an empty log with room for n references, n requests
-// and n counter words.
-func newLog(n int) cache.Log {
-	return cache.Log{
-		Refs:  make([]cache.RefRec, 0, n),
-		Reqs:  make([]cache.Req, 0, n),
-		Delta: make([]uint32, 0, n),
-	}
-}
 
 // trackPool recycles tracks (hierarchy arrays, record storage) that the
 // last machine using them let go, and slabPool the slabs their retained
@@ -81,7 +76,11 @@ func (t *track) slab() {
 	l, _ := slabPool.Get().(*cache.Log)
 	if l == nil {
 		l = new(cache.Log)
-		*l = newLog(slabRefs)
+		*l = cache.Log{
+			Refs:  make([]cache.RefRec, 0, slabRefs),
+			Reqs:  make([]cache.Req, 0, slabReqs),
+			Delta: make([]uint32, 0, slabDelta),
+		}
 	}
 	l.Reset()
 	t.slabs = append(t.slabs, l)

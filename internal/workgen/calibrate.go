@@ -1,6 +1,7 @@
 package workgen
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -8,56 +9,88 @@ import (
 	"repro/internal/stats"
 )
 
-// Observed reduces a run's observations into the same KPI shape the
+// Calibrate is the live calibration loop. It replays the spec's trace
+// open-loop against eval, splits the run into two ABBA halves (see
+// holdout), takes per-scenario service times from one half, predicts
+// every KPI at the load the whole trace offered to a server with slots
+// concurrent service slots, and scores the prediction. The report's
+// trace identity and its offered and throughput rates cover the whole
+// post-warmup run; its latencies and shed rate are scored on the
+// held-out half only, so the prediction is checked against requests it
+// was not calibrated on. The run result is returned for its wall time,
+// and also with an error when the run was canceled.
+func Calibrate(ctx context.Context, spec *Spec, eval EvalFunc, slots int, opt RunOptions) (*Report, *RunResult, error) {
+	res, err := Run(ctx, spec, spec.Trace(), eval, opt)
+	if err != nil {
+		return nil, res, err
+	}
+	service, held := holdout(spec, res)
+	pred, err := Predict(ctx, spec, res.Trace, Calibration{Service: service, Slots: slots})
+	if err != nil {
+		return nil, res, err
+	}
+	rep, err := score(spec, res, held, pred)
+	return rep, res, err
+}
+
+// observed reduces a run's observations into the same KPI shape the
 // predictor emits: a "total" aggregate first, then one KPI per client.
 // Arrivals inside the spec's warmup window are discarded (daemon and
 // driver caches are filling), and rates are measured over the
 // post-warmup generation window rather than wall time so offered load
-// compares like-for-like with the spec.
-func Observed(spec *Spec, res *RunResult) []KPI {
-	window := spec.Duration - spec.Warmup
-	perClient := make([][]Observation, len(spec.Clients))
-	var all []Observation
-	for _, o := range res.Obs {
+// compares like-for-like with the spec. Offered and throughput rates
+// count every post-warmup observation; latency and shed rate count only
+// the held-out ones (held[i] for res.Obs[i]).
+func observed(spec *Spec, res *RunResult, held []bool) []KPI {
+	type source struct {
+		n, ok, scored, shed int
+		lat                 []float64
+	}
+	srcs := make([]source, len(spec.Clients)+1)
+	for i, o := range res.Obs {
 		if o.At < spec.Warmup {
 			continue
 		}
-		perClient[o.Client] = append(perClient[o.Client], o)
-		all = append(all, o)
-	}
-	kpis := []KPI{observedKPI("total", all, window)}
-	for i, c := range spec.Clients {
-		kpis = append(kpis, observedKPI(c.Name, perClient[i], window))
-	}
-	return kpis
-}
-
-// observedKPI folds one observation set into a KPI over window seconds.
-func observedKPI(name string, obs []Observation, window float64) KPI {
-	k := KPI{Name: name}
-	if window <= 0 || len(obs) == 0 {
-		return k
-	}
-	var ok, shed int
-	var lat []float64
-	for _, o := range obs {
-		if o.OK {
-			ok++
-			lat = append(lat, o.Latency.Seconds())
-		} else if o.Shed {
-			shed++
+		for _, s := range [2]*source{&srcs[0], &srcs[o.Client+1]} {
+			s.n++
+			if o.OK {
+				s.ok++
+			}
+			if !held[i] {
+				continue
+			}
+			s.scored++
+			if o.OK {
+				s.lat = append(s.lat, o.Latency.Seconds())
+			} else if o.Shed {
+				s.shed++
+			}
 		}
 	}
-	k.OfferedRPS = float64(len(obs)) / window
-	k.ThroughputRPS = float64(ok) / window
-	k.ShedRate = float64(shed) / float64(len(obs))
-	if len(lat) > 0 {
-		ps, _ := stats.Percentiles(lat, 95, 99) // lat is non-empty
-		k.MeanMS = robustMean(lat) * 1e3
-		k.P95MS = ps[0] * 1e3
-		k.P99MS = ps[1] * 1e3
+	window := spec.Duration - spec.Warmup
+	kpis := make([]KPI, len(srcs))
+	for i, s := range srcs {
+		k := &kpis[i]
+		k.Name = "total"
+		if i > 0 {
+			k.Name = spec.Clients[i-1].Name
+		}
+		if window <= 0 || s.n == 0 {
+			continue
+		}
+		k.OfferedRPS = float64(s.n) / window
+		k.ThroughputRPS = float64(s.ok) / window
+		if s.scored > 0 {
+			k.ShedRate = float64(s.shed) / float64(s.scored)
+		}
+		if len(s.lat) > 0 {
+			ps, _ := stats.Percentiles(s.lat, 95, 99) // lat is non-empty
+			k.MeanMS = robustMean(s.lat) * 1e3
+			k.P95MS = ps[0] * 1e3
+			k.P99MS = ps[1] * 1e3
+		}
 	}
-	return k
+	return kpis
 }
 
 // robustMean is the 1%-upper-trimmed mean: the largest ceil(1%) of the
@@ -76,44 +109,40 @@ func robustMean(xs []float64) float64 {
 	return stats.Mean(ys[:len(ys)-drop])
 }
 
-// Holdout splits a completed run into a calibration side and a held-out
-// validation side, interleaving post-warmup arrivals within each
-// scenario stream in ABBA blocks. The calibration side becomes
-// ProbeSamples for Predict; the returned result carries only the
-// held-out half (its Trace keeps the full run's hash as the identity
-// witness), so a prediction calibrated on one half is scored against
-// arrivals it never saw. Because the two halves interleave in time they
-// share the same wall-clock conditions — environment drift between a
-// separate probe pass and the measured run, the dominant error source
-// at sub-millisecond service times, cancels instead of accumulating
-// into the score. The ABBA order (rather than plain alternation)
-// matters under queueing: a burst's first arrival runs unqueued while
-// the next waits behind it, so an AB split would hand every fast
-// first position to one side and bias the comparison.
-func Holdout(spec *Spec, res *RunResult) (ProbeSamples, *RunResult) {
-	samples := ProbeSamples{}
-	val := &RunResult{Trace: &Trace{Hash: res.Trace.Hash}, Wall: res.Wall}
+// holdout splits a completed run into a calibration side and a
+// held-out validation side, interleaving post-warmup arrivals within
+// each scenario stream in ABBA blocks. It returns the calibration
+// side's service times (canonical scenario key → seconds, completed
+// requests only) and, per observation, whether it is held out. Because
+// the two halves interleave in time they share the same wall-clock
+// conditions — environment drift between a separate calibration pass
+// and the measured run, the dominant error source at sub-millisecond
+// service times, cancels instead of accumulating into the score. The
+// ABBA order (rather than plain alternation) matters under queueing: a
+// burst's first arrival runs unqueued while the next waits behind it,
+// so an AB split would hand every fast first position to one side and
+// bias the comparison.
+func holdout(spec *Spec, res *RunResult) (map[string][]float64, []bool) {
+	service := map[string][]float64{}
+	held := make([]bool, len(res.Obs))
 	seq := map[string]int{}
-	for _, o := range res.Obs {
+	for i, o := range res.Obs {
 		if o.At < spec.Warmup {
 			continue
 		}
 		key := spec.Clients[o.Client].Scenarios[o.Scenario].Key
 		n := seq[key]
 		seq[key] = n + 1
-		if n%4 == 0 || n%4 == 3 {
+		if n%4 == 1 || n%4 == 2 {
+			// Validation half keeps failures too — shed rate is scored.
+			held[i] = true
+		} else if o.OK {
 			// Calibration half: only completed requests carry a service
 			// time; failures here are simply lost samples.
-			if o.OK {
-				samples[key] = append(samples[key], o.Latency.Seconds())
-			}
-		} else {
-			// Validation half keeps failures too — shed rate is scored.
-			val.Trace.Arrivals = append(val.Trace.Arrivals, Arrival{At: o.At, Client: o.Client, Scenario: o.Scenario})
-			val.Obs = append(val.Obs, o)
+			service[key] = append(service[key], o.Latency.Seconds())
 		}
 	}
-	return samples, val
+	return service, held
 }
 
 // Pair is one (source, KPI) observed/predicted comparison of a report.
@@ -157,11 +186,12 @@ type Report struct {
 	PearsonR    float64 `json:"pearson_r"`
 }
 
-// Score builds the calibration report: per-source observed/predicted
+// score builds the calibration report: per-source observed/predicted
 // pairs for throughput, mean, p95, and p99 latency, the two gated
-// MAPEs, the overall MAPE, and log-space Pearson-r.
-func Score(spec *Spec, res *RunResult, pred *Prediction) (*Report, error) {
-	obs := Observed(spec, res)
+// MAPEs, the overall MAPE, and log-space Pearson-r. held marks the
+// observations whose latency and shed are scored (see observed).
+func score(spec *Spec, res *RunResult, held []bool, pred *Prediction) (*Report, error) {
+	obs := observed(spec, res, held)
 	if len(obs) != len(pred.KPIs) {
 		return nil, fmt.Errorf("workgen: observed %d KPI rows, predicted %d", len(obs), len(pred.KPIs))
 	}

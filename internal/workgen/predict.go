@@ -42,10 +42,10 @@ type ScenarioPoint struct {
 // Calibration carries what the predictor must assume or measure: the
 // per-scenario unloaded service times and the server's concurrency.
 type Calibration struct {
-	// Service maps canonical scenario key → unloaded service-time
-	// samples in seconds, normally from Driver.Probe. A missing key
-	// falls back to Default seconds.
-	Service ProbeSamples
+	// Service maps canonical scenario key → service-time samples in
+	// seconds, from Calibrate's calibration half. A missing key falls
+	// back to Default seconds.
+	Service map[string][]float64
 	// Default is the assumed unloaded service time in seconds for
 	// scenarios without samples (the dry-run endpoint's path).
 	Default float64
@@ -70,7 +70,7 @@ type Prediction struct {
 //   - each unique scenario is priced once with model.EvaluateTopology
 //     (its hardware operating point lands in Scenarios);
 //   - the unloaded per-request service time comes from the calibration
-//     (probe samples or the assumed default);
+//     (calibration samples or the assumed default);
 //   - the queueing lift is an M/M/c approximation via
 //     internal/queueing's MM1 curve with service S/c at utilization
 //     ρ = λ·S/c — an open-loop workload offers rate independent of
@@ -91,16 +91,17 @@ func Predict(ctx context.Context, spec *Spec, tr *Trace, cal Calibration) (*Pred
 	// window (degenerate but possible with a tiny horizon).
 	window := spec.Duration - spec.Warmup
 	rates := make([]float64, len(spec.Clients))
-	total := 0.0
+	n := 0
 	for _, a := range tr.Arrivals {
 		if a.At >= spec.Warmup {
 			rates[a.Client]++
+			n++
 		}
 	}
 	for i := range rates {
 		rates[i] /= window
-		total += rates[i]
 	}
+	total := float64(n) / window
 	if total <= 0 {
 		for i, c := range spec.Clients {
 			rates[i] = c.Rate

@@ -51,16 +51,23 @@ type RunOptions struct {
 	MaxInflight int
 }
 
-// replay pushes arrivals through eval on a pool of persistent workers,
-// pacing each dispatch at its scheduled offset. A warm worker pool
+// Run replays the trace against eval in real time: each arrival is
+// dispatched at its scheduled offset regardless of earlier requests'
+// fates (open loop). It returns when every dispatched request has
+// completed; ctx cancellation abandons undispatched arrivals but
+// drains in-flight ones.
+//
+// Dispatch goes through a pool of persistent workers. A warm pool
 // (rather than a goroutine per request) keeps the measurement overhead
 // flat: goroutine cold starts and their allocation churn otherwise
 // inflate observed latency well beyond the sequential service time.
 // The work queue holds every arrival, so the pacer never blocks — the
 // load stays open-loop and worker exhaustion is visible as latency.
-func replay(ctx context.Context, arrivals []Arrival, reqOf func(Arrival) api.EvaluateRequest, eval EvalFunc, opt RunOptions) ([]Observation, time.Duration, error) {
+func Run(ctx context.Context, spec *Spec, tr *Trace, eval EvalFunc, opt RunOptions) (*RunResult, error) {
+	arrivals := tr.Arrivals
+	res := &RunResult{Trace: tr}
 	if len(arrivals) == 0 {
-		return nil, 0, nil
+		return res, nil
 	}
 	workers := opt.MaxInflight
 	if workers <= 0 {
@@ -79,7 +86,7 @@ func replay(ctx context.Context, arrivals []Arrival, reqOf func(Arrival) api.Eva
 			for i := range work {
 				a := arrivals[i]
 				o := Observation{Index: i, Client: a.Client, Scenario: a.Scenario, At: a.At}
-				resp, err := eval(ctx, reqOf(a))
+				resp, err := eval(ctx, spec.Clients[a.Client].Scenarios[a.Scenario].Request)
 				o.Latency = time.Since(dispatched[i])
 				if err == nil {
 					o.OK = true
@@ -115,24 +122,12 @@ dispatch:
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	wall := time.Since(start)
+	res.Obs, res.Wall = obs[:launched], time.Since(start)
 	if launched < len(arrivals) {
-		return obs[:launched], wall, fmt.Errorf("workgen: run canceled after dispatching %d/%d arrivals: %w",
+		return res, fmt.Errorf("workgen: run canceled after dispatching %d/%d arrivals: %w",
 			launched, len(arrivals), ctx.Err())
 	}
-	return obs, wall, nil
-}
-
-// Run replays the trace against eval in real time: each arrival is
-// dispatched at its scheduled offset regardless of earlier requests'
-// fates (open loop). It returns when every dispatched request has
-// completed; ctx cancellation abandons undispatched arrivals but
-// drains in-flight ones.
-func Run(ctx context.Context, spec *Spec, tr *Trace, eval EvalFunc, opt RunOptions) (*RunResult, error) {
-	obs, wall, err := replay(ctx, tr.Arrivals, func(a Arrival) api.EvaluateRequest {
-		return spec.Clients[a.Client].Scenarios[a.Scenario].Request
-	}, eval, opt)
-	return &RunResult{Trace: tr, Obs: obs, Wall: wall}, err
+	return res, nil
 }
 
 // wireError matches the client SDK's *APIError structurally. workgen
@@ -158,104 +153,4 @@ func classifyEvalErr(err error) (string, bool) {
 		return "deadline", false
 	}
 	return "transport", false
-}
-
-// Driver binds a compiled spec to an EvalFunc so runs and probes share
-// the request literals the spec compiled.
-type Driver struct {
-	Spec *Spec
-	Eval EvalFunc
-}
-
-// Run generates the spec's trace and replays it; see Run.
-func (d Driver) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
-	return Run(ctx, d.Spec, d.Spec.Trace(), d.Eval, opt)
-}
-
-// ProbeSamples is the per-scenario unloaded service-time calibration:
-// canonical scenario key → cache-warm request latencies in seconds.
-type ProbeSamples map[string][]float64
-
-// probeGapS paces top-up probe arrivals far apart (200/s total) so
-// they never queue behind each other.
-const probeGapS = 0.005
-
-// Probe measures each unique scenario's loaded service time in three
-// passes: one discarded cold request per scenario (the daemon's cold
-// solve fills its cache); a dress rehearsal replaying a short prefix
-// of the spec's own trace; and a paced top-up for any scenario the
-// rehearsal under-sampled. The rehearsal matters twice over: it goes
-// through the same worker-pool replay path as the real run (so the
-// pool's dispatch overhead is in every sample), and it reproduces the
-// spec's own arrival burstiness (so transient dispatch contention —
-// which a uniformly paced probe never sees — is in the calibration
-// too). A sequential or evenly spaced probe undershoots both effects
-// and poisons the prediction.
-func (d Driver) Probe(ctx context.Context, n int) (ProbeSamples, error) {
-	if n <= 0 {
-		n = 8
-	}
-	// One representative (client, scenario) per unique cache key.
-	type rep struct{ client, scenario int }
-	var reps []rep
-	seen := map[string]struct{}{}
-	for ci, c := range d.Spec.Clients {
-		for si, sc := range c.Scenarios {
-			if _, ok := seen[sc.Key]; ok {
-				continue
-			}
-			seen[sc.Key] = struct{}{}
-			reps = append(reps, rep{ci, si})
-		}
-	}
-
-	// Cold pass, sequential: fill the daemon's scenario cache.
-	for _, r := range reps {
-		sc := d.Spec.Clients[r.client].Scenarios[r.scenario]
-		if _, err := d.Eval(ctx, sc.Request); err != nil {
-			return nil, fmt.Errorf("workgen: probe %s (cold): %w", sc.Name, err)
-		}
-	}
-
-	// Rehearsal: a prefix of the spec's own schedule. Trace generation
-	// draws each client's gaps until the horizon, so shortening the
-	// horizon on a copy yields a bit-exact prefix of the run's streams.
-	rehearsal := *d.Spec
-	rehearsal.Duration = 4 * float64(n*len(reps)) / d.Spec.TotalRPS
-	if rehearsal.Duration > d.Spec.Duration {
-		rehearsal.Duration = d.Spec.Duration
-	}
-	arrivals := append([]Arrival(nil), rehearsal.Trace().Arrivals...)
-
-	// Top-up: rare scenarios may not reach n samples in a short
-	// rehearsal; append paced arrivals after the rehearsal window.
-	count := map[string]int{}
-	for _, a := range arrivals {
-		count[d.Spec.Clients[a.Client].Scenarios[a.Scenario].Key]++
-	}
-	at := rehearsal.Duration
-	for _, r := range reps {
-		sc := d.Spec.Clients[r.client].Scenarios[r.scenario]
-		for count[sc.Key] < n {
-			at += probeGapS
-			arrivals = append(arrivals, Arrival{At: at, Client: r.client, Scenario: r.scenario})
-			count[sc.Key]++
-		}
-	}
-
-	obs, _, err := replay(ctx, arrivals, func(a Arrival) api.EvaluateRequest {
-		return d.Spec.Clients[a.Client].Scenarios[a.Scenario].Request
-	}, d.Eval, RunOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("workgen: probe: %w", err)
-	}
-	samples := ProbeSamples{}
-	for _, o := range obs {
-		sc := d.Spec.Clients[o.Client].Scenarios[o.Scenario]
-		if !o.OK {
-			return nil, fmt.Errorf("workgen: probe %s: request failed with code %s", sc.Name, o.Code)
-		}
-		samples[sc.Key] = append(samples[sc.Key], o.Latency.Seconds())
-	}
-	return samples, nil
 }

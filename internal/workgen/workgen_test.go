@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,9 +304,9 @@ func TestPredictScorePlumbing(t *testing.T) {
 		}
 	}
 
-	rep, err := Score(spec, res, pred)
+	rep, err := score(spec, res, heldAll(res), pred)
 	if err != nil {
-		t.Fatalf("Score: %v", err)
+		t.Fatalf("score: %v", err)
 	}
 	if rep.TraceHash != tr.HashHex() || rep.Arrivals != len(tr.Arrivals) {
 		t.Fatalf("report identity mismatch: %+v", rep)
@@ -343,7 +345,7 @@ func TestObservedWarmupFiltering(t *testing.T) {
 		}
 		res.Obs[i] = o
 	}
-	kpis := Observed(spec, res)
+	kpis := observed(spec, res, heldAll(res))
 	total := kpis[0]
 	if got := total.ThroughputRPS * (spec.Duration - spec.Warmup); math.Abs(got-float64(kept)) > 0.5 {
 		t.Fatalf("post-warmup completions = %g, want %d", got, kept)
@@ -355,8 +357,7 @@ func TestObservedWarmupFiltering(t *testing.T) {
 
 // TestHoldoutSplit: the split must partition post-warmup arrivals into
 // disjoint, near-equal halves per scenario, keep failures out of the
-// calibration samples, drop the warmup window entirely, and preserve
-// the full trace's hash on the validation result.
+// calibration samples and drop the warmup window entirely.
 func TestHoldoutSplit(t *testing.T) {
 	spec := mustCompile(t, api.WorkloadSpec{TotalRPS: 400, DurationS: 2, WarmupS: 0.5, Seed: 3})
 	tr := spec.Trace()
@@ -373,32 +374,37 @@ func TestHoldoutSplit(t *testing.T) {
 		}
 		res.Obs[i] = o
 	}
-	cal, val := Holdout(spec, res)
+	cal, held := holdout(spec, res)
 
 	calN := 0
 	for _, xs := range cal {
 		calN += len(xs)
 	}
+	var val []Observation
 	shedVal := 0
-	for _, o := range val.Obs {
+	for i, o := range res.Obs {
+		if !held[i] {
+			continue
+		}
 		if o.At < spec.Warmup {
 			t.Fatalf("warmup arrival at %.3fs leaked into the validation half", o.At)
 		}
 		if o.Shed {
 			shedVal++
 		}
+		val = append(val, o)
 	}
 	// Every post-warmup arrival lands in exactly one half; the
 	// calibration side additionally drops failed requests.
-	if calN+shedVal+len(val.Obs)-shedVal > postWarm || len(val.Obs) == 0 || calN == 0 {
-		t.Fatalf("split sizes: cal %d + val %d vs %d post-warmup", calN, len(val.Obs), postWarm)
+	if calN+len(val) > postWarm || len(val) == 0 || calN == 0 {
+		t.Fatalf("split sizes: cal %d + val %d vs %d post-warmup", calN, len(val), postWarm)
 	}
-	if d := calN + len(val.Obs); postWarm-d > postWarm/25 {
+	if d := calN + len(val); postWarm-d > postWarm/25 {
 		t.Fatalf("split lost %d of %d post-warmup arrivals (only failed calibration samples may drop)", postWarm-d, postWarm)
 	}
 	// Near-equal halves per scenario stream.
 	valPerKey := map[string]int{}
-	for _, o := range val.Obs {
+	for _, o := range val {
 		valPerKey[spec.Clients[o.Client].Scenarios[o.Scenario].Key]++
 	}
 	for key, xs := range cal {
@@ -406,20 +412,130 @@ func TestHoldoutSplit(t *testing.T) {
 			t.Errorf("key %s: unbalanced split cal %d / val %d", key[:12], len(xs), v)
 		}
 	}
-	if val.Trace.Hash != tr.Hash {
-		t.Errorf("validation trace lost the run's hash witness")
-	}
 	if shedVal == 0 {
 		t.Errorf("no shed observations reached the validation half")
 	}
 	// Determinism: the same inputs split identically.
-	cal2, val2 := Holdout(spec, res)
-	if len(val2.Obs) != len(val.Obs) {
-		t.Fatalf("holdout split is not deterministic: %d vs %d", len(val2.Obs), len(val.Obs))
+	cal2, held2 := holdout(spec, res)
+	for i := range held {
+		if held2[i] != held[i] {
+			t.Fatalf("holdout split is not deterministic at observation %d", i)
+		}
 	}
 	for key, xs := range cal {
 		if len(cal2[key]) != len(xs) {
 			t.Fatalf("holdout calibration half is not deterministic for %s", key[:12])
 		}
 	}
+}
+
+// heldAll scores every observation of res.
+func heldAll(res *RunResult) []bool {
+	held := make([]bool, len(res.Obs))
+	for i := range held {
+		held[i] = true
+	}
+	return held
+}
+
+// TestCalibrate: the report names the whole replayed trace, prices the
+// whole run's load, and keeps failed requests out of the calibration
+// samples. No wall-clock latency is asserted.
+func TestCalibrate(t *testing.T) {
+	ctx := context.Background()
+	spec := mustCompile(t, api.WorkloadSpec{TotalRPS: 300, DurationS: 1, WarmupS: 0.2, Seed: 13})
+	tr := spec.Trace()
+	post := 0
+	for _, a := range tr.Arrivals {
+		if a.At >= spec.Warmup {
+			post++
+		}
+	}
+	const slots = 64
+
+	t.Run("whole-run", func(t *testing.T) {
+		rep, res, err := Calibrate(ctx, spec, stubEval(0, nil), slots, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TraceHash != tr.HashHex() || rep.Arrivals != len(tr.Arrivals) || len(res.Obs) != len(tr.Arrivals) {
+			t.Fatalf("report names %s / %d arrivals (%d observed), the trace is %s / %d",
+				rep.TraceHash, rep.Arrivals, len(res.Obs), tr.HashHex(), len(tr.Arrivals))
+		}
+		want := float64(post) / (spec.Duration - spec.Warmup)
+		if o, p := rep.Observed[0].OfferedRPS, rep.Predicted[0].OfferedRPS; o != want || p != want {
+			t.Errorf("total offered_rps observed %v, predicted %v, want %v", o, p, want)
+		}
+		if rep.ThroughputMAPE != 0 {
+			t.Errorf("throughput MAPE = %v on a run where every request completes", rep.ThroughputMAPE)
+		}
+	})
+
+	t.Run("failures", func(t *testing.T) {
+		// Fail each scenario's first post-warmup request: the first
+		// position of its ABBA sequence, a calibration one.
+		first := map[string]int{}
+		for _, a := range tr.Arrivals {
+			if a.At < spec.Warmup {
+				first[spec.Clients[a.Client].Scenarios[a.Scenario].Key]++
+			}
+		}
+		var mu sync.Mutex
+		calls := map[string]int{}
+		eval := func(ctx context.Context, req api.EvaluateRequest) (*api.EvaluateResponse, error) {
+			key := ""
+			for _, c := range spec.Clients {
+				for _, sc := range c.Scenarios {
+					if reflect.DeepEqual(sc.Request, req) {
+						key = sc.Key
+					}
+				}
+			}
+			mu.Lock()
+			n := calls[key]
+			calls[key] = n + 1
+			mu.Unlock()
+			if n == first[key] {
+				return nil, errors.New("injected failure")
+			}
+			return &api.EvaluateResponse{}, nil
+		}
+		rep, res, err := Calibrate(ctx, spec, eval, slots, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		service, held := holdout(spec, res)
+		calOK, calFailed, failed := 0, 0, 0
+		for i, o := range res.Obs {
+			if !o.OK {
+				failed++
+			}
+			if o.At < spec.Warmup || held[i] {
+				continue
+			}
+			if o.OK {
+				calOK++
+			} else {
+				calFailed++
+			}
+		}
+		if failed != len(calls) || calFailed == 0 {
+			t.Fatalf("%d failed requests (%d on the calibration side) for %d scenarios", failed, calFailed, len(calls))
+		}
+		samples := 0
+		for _, xs := range service {
+			samples += len(xs)
+		}
+		if samples != calOK {
+			t.Errorf("calibration holds %d samples, the calibration side completed %d requests", samples, calOK)
+		}
+		pred, err := Predict(ctx, spec, tr, Calibration{Service: service, Slots: slots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Predicted, pred.KPIs) {
+			t.Errorf("report's prediction is not the one its calibration half gives:\n%+v\n%+v", rep.Predicted, pred.KPIs)
+		}
+	})
 }
