@@ -13,7 +13,7 @@
 // Usage:
 //
 //	repro [-out results] [-quick] [-only fig7,table2,...]
-//	      [-workers N] [-sim-cache off|mem]
+//	      [-workers N] [-sim-cache off|mem (no effect)]
 //	      [-timeout 30m] [-cpuprofile cpu.prof] [-memprofile mem.prof] [-v]
 //	repro -list [-json]
 package main
@@ -32,13 +32,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/simcache"
 )
-
-// simCacheCapacity bounds the in-process measurement LRU. A full run
-// needs a few hundred distinct measurement runs; this holds them all
-// with headroom.
-const simCacheCapacity = 4096
 
 // main delegates to run so the deferred profile writers flush on every
 // exit path (os.Exit skips defers).
@@ -52,7 +46,7 @@ func run() int {
 		list       = flag.Bool("list", false, "print the experiment registry and exit")
 		asJSON     = flag.Bool("json", false, "with -list, print the registry as JSON")
 		workers    = flag.Int("workers", runtime.NumCPU(), "max experiments/fits in flight")
-		simCache   = flag.String("sim-cache", "mem", "in-process measurement cache: off or mem")
+		simCache   = flag.String("sim-cache", "mem", "off or mem; does nothing (nothing is cached), kept for perfbench's command line")
 		timeout    = flag.Duration("timeout", 0, "overall run deadline (0 = none)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -94,11 +88,7 @@ func run() int {
 	if *quick {
 		scale = experiments.Quick()
 	}
-	switch *simCache {
-	case "off":
-	case "mem":
-		scale.SimCache = simcache.New(simCacheCapacity)
-	default:
+	if *simCache != "off" && *simCache != "mem" {
 		fmt.Fprintf(os.Stderr, "repro: -sim-cache must be off or mem (got %q)\n", *simCache)
 		return 2
 	}
@@ -175,33 +165,31 @@ func run() int {
 	}
 	fmt.Printf("%d experiments in %.1fs (%d workers, peak parallelism %d) -> %s/manifest.json\n",
 		len(rr.Experiments), rr.Wall.Seconds(), *workers, rr.MaxParallel, *out)
-	var simInstr, funcInstr uint64
+	var simInstr, funcInstr, probes uint64
 	for _, res := range rr.Experiments {
 		simInstr += res.SimInstr
 		funcInstr += res.FuncInstr
+		probes += res.Probes
 	}
 	for _, res := range rr.Resources {
 		simInstr += res.SimInstr
 		funcInstr += res.FuncInstr
+		probes += res.Probes
 	}
 	fmt.Printf("simulated instructions: %d\n", simInstr)
 	fmt.Printf("functional instructions: %d\n", funcInstr)
-	if c := scale.SimCache; c != nil {
-		fmt.Println(simCacheSummary(c.Stats()))
-	}
+	fmt.Println(probeSummary(probes))
 	if failures > 0 || rr.Failed() > 0 {
 		return 1
 	}
 	return 0
 }
 
-// simCacheSummary is the run's closing line under a measurement cache.
-// perfbench/repro.go parses it with its simCacheLine regexp, so the form
-// is fixed; the disk-hit count is a literal 0 (the cache is in-process
-// only) that the regexp still expects.
-func simCacheSummary(st simcache.Stats) string {
-	return fmt.Sprintf("sim cache: %d hits / 0 disk hits / %d misses (%.0f%% hit ratio, %d held)",
-		st.Hits, st.Misses, st.HitRatio()*100, st.Size)
+// probeSummary is the run's closing line: the measurements it took. The
+// parenthesized form is the one perfbench/repro.go's simCacheLine regexp
+// reads; nothing is cached, so it counts 0 hits and every probe a miss.
+func probeSummary(probes uint64) string {
+	return fmt.Sprintf("probes: %d (sim cache: 0 hits / 0 disk hits / %d misses)", probes, probes)
 }
 
 // printList renders the registry: the ids accepted by -only, with paper

@@ -36,9 +36,11 @@ type ExperimentResult struct {
 	// experiment ran (recorded via RecordSimInstr); FuncInstr counts
 	// those of them simulated functionally — generated and stepped
 	// through the caches — rather than replayed from a shared track
-	// (recorded via RecordFuncInstr).
+	// (recorded via RecordFuncInstr); Probes counts the measurements it
+	// took (recorded via RecordProbe).
 	SimInstr  uint64
 	FuncInstr uint64
+	Probes    uint64
 	// Solver telemetry aggregated across every fixed-point solve the
 	// experiment ran (recorded via the solve.Recorder the scheduler
 	// plants in the experiment's context).
@@ -55,10 +57,12 @@ type ResourceResult struct {
 	Start time.Duration // when the resource began, from the run's start
 	Wall  time.Duration
 	// SimInstr and FuncInstr count the aggregate and the functionally
-	// simulated instructions while the resource was prepared (recorded
-	// via RecordSimInstr and RecordFuncInstr).
+	// simulated instructions while the resource was prepared, and Probes
+	// the measurements it took (recorded via RecordSimInstr,
+	// RecordFuncInstr and RecordProbe).
 	SimInstr  uint64
 	FuncInstr uint64
+	Probes    uint64
 }
 
 // RunResult aggregates a whole scheduler run.
@@ -84,10 +88,11 @@ func (rr RunResult) Failed() int {
 // one scheduled node. The scheduler plants a Metrics in each
 // experiment's and each resource's context; the experiment layer
 // reports simulated instructions via RecordSimInstr and
-// RecordFuncInstr, and the solve kernel reports every fixed-point
-// outcome through the solve.Recorder interface Metrics implements.
+// RecordFuncInstr and measurements via RecordProbe, and the solve
+// kernel reports every fixed-point outcome through the solve.Recorder
+// interface Metrics implements.
 type Metrics struct {
-	simInstr, funcInstr atomic.Uint64
+	simInstr, funcInstr, probes atomic.Uint64
 
 	// The embedded Aggregate accumulates the solver telemetry and
 	// promotes RecordSolve, which is what makes Metrics a
@@ -124,6 +129,14 @@ func RecordSimInstr(ctx context.Context, n uint64) {
 func RecordFuncInstr(ctx context.Context, n uint64) {
 	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
 		m.funcInstr.Add(n)
+	}
+}
+
+// RecordProbe counts one measurement taken on a machine. No-op when the
+// context carries no recorder.
+func RecordProbe(ctx context.Context) {
+	if m, _ := ctx.Value(metricsKey{}).(*Metrics); m != nil {
+		m.probes.Add(1)
 	}
 }
 
@@ -249,13 +262,13 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 		t0 := time.Now()
 		began := t0.Sub(start)
 		if n.res != nil {
-			var simInstr, funcInstr uint64
+			var simInstr, funcInstr, probes uint64
 			if nodeErr == nil {
 				mctx, m := WithMetrics(ctx)
 				nodeErr = n.res.Prepare(mctx)
-				simInstr, funcInstr = m.simInstr.Load(), m.funcInstr.Load()
+				simInstr, funcInstr, probes = m.simInstr.Load(), m.funcInstr.Load(), m.probes.Load()
 			}
-			res := ResourceResult{Name: n.name, Err: nodeErr, Start: began, Wall: time.Since(t0), SimInstr: simInstr, FuncInstr: funcInstr}
+			res := ResourceResult{Name: n.name, Err: nodeErr, Start: began, Wall: time.Since(t0), SimInstr: simInstr, FuncInstr: funcInstr, Probes: probes}
 			resMu.Lock()
 			rr.Resources = append(rr.Resources, res)
 			resMu.Unlock()
@@ -274,6 +287,7 @@ func Run(ctx context.Context, reg *Registry, ids []string, opts Options) (RunRes
 			result.Artifact, result.Err = n.exp.Run(mctx)
 			result.SimInstr = m.simInstr.Load()
 			result.FuncInstr = m.funcInstr.Load()
+			result.Probes = m.probes.Load()
 			st := m.Aggregate.Stats()
 			result.Solves = st.Solves
 			result.SolveIterations = st.Iterations

@@ -282,22 +282,25 @@ func TestMetricsFlowIntoResults(t *testing.T) {
 		RecordSimInstr(ctx, 1000)
 		RecordFuncInstr(ctx, 400)
 		RecordSimInstr(ctx, 500)
+		RecordProbe(ctx)
+		RecordProbe(ctx)
 		return nil
 	}})
 	r.MustRegister(Experiment{ID: "counting", Deps: []string{"grid"}, Run: func(ctx context.Context) (Artifact, error) {
 		RecordSimInstr(ctx, 7)
 		RecordFuncInstr(ctx, 3)
+		RecordProbe(ctx)
 		return Artifact{}, nil
 	}})
 	rr, err := Run(context.Background(), r, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := rr.Resources[0]; res.SimInstr != 1500 || res.FuncInstr != 400 {
-		t.Fatalf("resource metrics = %d sim / %d func, want 1500/400", res.SimInstr, res.FuncInstr)
+	if res := rr.Resources[0]; res.SimInstr != 1500 || res.FuncInstr != 400 || res.Probes != 2 {
+		t.Fatalf("resource metrics = %d sim / %d func / %d probes, want 1500/400/2", res.SimInstr, res.FuncInstr, res.Probes)
 	}
-	if res := rr.Experiments[0]; res.SimInstr != 7 || res.FuncInstr != 3 {
-		t.Fatalf("experiment metrics = %d sim / %d func, want 7/3", res.SimInstr, res.FuncInstr)
+	if res := rr.Experiments[0]; res.SimInstr != 7 || res.FuncInstr != 3 || res.Probes != 1 {
+		t.Fatalf("experiment metrics = %d sim / %d func / %d probes, want 7/3/1", res.SimInstr, res.FuncInstr, res.Probes)
 	}
 }
 
@@ -306,4 +309,5 @@ func TestRecordersAreNoOpsWithoutMetrics(t *testing.T) {
 	// bare context must not panic.
 	RecordSimInstr(context.Background(), 1)
 	RecordFuncInstr(context.Background(), 1)
+	RecordProbe(context.Background())
 }

@@ -40,8 +40,10 @@ type ManifestEntry struct {
 	// SimInstr is the aggregate instruction count simulated while this
 	// experiment ran, and FuncInstr the part of it simulated functionally
 	// (the rest replayed shared tracks). Absent when it simulated nothing.
+	// Probes counts the measurements it took, absent when none.
 	SimInstr  uint64 `json:"sim_instr,omitempty"`
 	FuncInstr uint64 `json:"func_instr,omitempty"`
+	Probes    uint64 `json:"probes,omitempty"`
 	// Solver telemetry: how the experiment's fixed points converged
 	// (counts of solves, total kernel iterations, bandwidth-limited
 	// outcomes, and the worst converged residual).
@@ -63,6 +65,7 @@ type ManifestResource struct {
 	WallMS    int64  `json:"wall_ms"`
 	SimInstr  uint64 `json:"sim_instr,omitempty"`
 	FuncInstr uint64 `json:"func_instr,omitempty"`
+	Probes    uint64 `json:"probes,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
 
@@ -119,6 +122,7 @@ func (s *DirSink) Write(res ExperimentResult) error {
 		WallMS:          res.Wall.Milliseconds(),
 		SimInstr:        res.SimInstr,
 		FuncInstr:       res.FuncInstr,
+		Probes:          res.Probes,
 		Solves:          res.Solves,
 		SolveIterations: res.SolveIterations,
 		SolveBWLimited:  res.SolveBWLimited,
@@ -185,7 +189,7 @@ func (s *DirSink) Close() error {
 		m.WallMS = s.run.Wall.Milliseconds()
 		m.MaxParallel = s.run.MaxParallel
 		for _, r := range s.run.Resources {
-			mr := ManifestResource{Name: r.Name, StartMS: r.Start.Milliseconds(), WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr, FuncInstr: r.FuncInstr}
+			mr := ManifestResource{Name: r.Name, StartMS: r.Start.Milliseconds(), WallMS: r.Wall.Milliseconds(), SimInstr: r.SimInstr, FuncInstr: r.FuncInstr, Probes: r.Probes}
 			if r.Err != nil {
 				mr.Error = r.Err.Error()
 			}

@@ -8,20 +8,12 @@ package experiments
 import (
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/units"
 )
 
 // Scale controls how much simulated work each experiment does. Paper
 // fidelity does not need long runs — steady-state statistics converge
 // quickly — but tests want shorter ones still.
-//
-// Scale also carries the measurement cache (SimCache). Like the grid's
-// worker count (GOMAXPROCS), it changes how fast a grid runs, never what
-// it measures: each sim.Machine is independent and seeded
-// deterministically, results are reassembled in grid order, and the
-// cache key is content only — so fits are bit-identical across any
-// worker count and cache state.
 type Scale struct {
 	// WarmupInstr and MeasureInstr are aggregate instruction counts per
 	// machine run.
@@ -31,11 +23,6 @@ type Scale struct {
 	SampleInterval units.Duration
 	// MLCDuration is the simulated injection time per MLC point.
 	MLCDuration units.Duration
-
-	// SimCache, when non-nil, replays measurement runs addressed by
-	// content (machine config, workload, run length) instead of
-	// re-simulating them.
-	SimCache *simcache.Cache
 }
 
 // Full is the scale used by cmd/repro. MeasureInstr is the smallest

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
@@ -105,7 +104,7 @@ func gridMachine(name string) (workloads.Workload, sim.Config, error) {
 // in sim/reset_test.go), even after a cancelled run, and CopyFrom
 // overwrites all timing state and re-attaches every track
 // (sim/copy_test.go), so pooled machines are interchangeable with fresh
-// ones and cache keys (computed from configs alone) are unaffected.
+// ones.
 var machinePool sync.Pool
 
 // acquireMachine Resets a pooled machine for cfg, or builds a fresh one.
@@ -192,23 +191,21 @@ var warmScaling = ScalingConfig{CoreGHz: 2.5, Grade: memsys.DDR3_1867}
 // probe is one measurement on a copy of a warm machine (measure): the
 // copy is retimed to cfg's core speed and memory grade, samples at cfg's
 // interval, re-warms rewarm aggregate instructions and then measures
-// Scale.MeasureInstr. key names the measurement in the simcache.
+// Scale.MeasureInstr.
 type probe struct {
 	cfg    sim.Config
 	rewarm uint64
-	key    string
 }
 
 // gridProbes are the points of a scaling grid: the warm machine retimed
 // to each of configs and re-warmed for rewarmInstr.
-func gridProbes(name string, warm sim.Config, configs []ScalingConfig, scale Scale) []probe {
+func gridProbes(warm sim.Config, configs []ScalingConfig) []probe {
 	probes := make([]probe, len(configs))
 	for i, sc := range configs {
 		cfg := warm
 		cfg.Core.Freq = units.GHzOf(sc.CoreGHz)
 		cfg.Mem.Grade = sc.Grade
-		probes[i] = probe{cfg: cfg, rewarm: rewarmInstr,
-			key: simcache.CopyKey(cfg, warm, name, scale.WarmupInstr, rewarmInstr, scale.MeasureInstr)}
+		probes[i] = probe{cfg: cfg, rewarm: rewarmInstr}
 	}
 	return probes
 }
@@ -216,40 +213,23 @@ func gridProbes(name string, warm sim.Config, configs []ScalingConfig, scale Sca
 // asIsProbe is the warm machine measured as it stands, sampled at
 // interval (0 samples nothing). Warm-ups never sample and CopyFrom is
 // exact, so it equals the cold run of a machine built with that interval
-// — warmed and measured in one Run — and shares that run's key.
-func asIsProbe(name string, warm sim.Config, interval units.Duration, scale Scale) probe {
+// — warmed and measured in one Run.
+func asIsProbe(warm sim.Config, interval units.Duration) probe {
 	cfg := warm
 	cfg.SampleInterval = interval
-	return probe{cfg: cfg, key: simcache.Key(cfg, name, scale.WarmupInstr, scale.MeasureInstr)}
+	return probe{cfg: cfg}
 }
 
 // measure takes probes of workload w on copies of one machine warmed for
 // Scale.WarmupInstr at warm — the paper's §V.A method of turning the
 // knobs of one running server. Every probe measures from the same warm
 // state, so workload phase effects are common to all of them and cancel
-// in a fit. Each probe is looked up in the measurement cache first; a
-// machine warms only if one misses. A lone missing probe runs on the warm
-// machine itself (CopyFrom is exact, so a copy would measure the same);
-// several fan out over runGrid, each on a pooled copy that shares the
-// warm machine's tracks, so the grid steps each block through the
-// caches once and every probe replays its own timing. Results come back
-// in probe order.
+// in a fit. A lone probe runs on the warm machine itself (CopyFrom is
+// exact, so a copy would measure the same); several fan out over
+// runGrid, each on a pooled copy that shares the warm machine's tracks,
+// so the grid steps each block through the caches once and every probe
+// replays its own timing. Results come back in probe order.
 func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes []probe, scale Scale) ([]sim.Measurement, error) {
-	out := make([]sim.Measurement, len(probes))
-	c := scale.SimCache
-	var todo []int
-	for i, p := range probes {
-		if c != nil {
-			if m, ok := c.Get(p.key); ok {
-				out[i] = m
-				continue
-			}
-		}
-		todo = append(todo, i)
-	}
-	if len(todo) == 0 {
-		return out, nil
-	}
 	src, err := acquireMachine(warm, w.Name(), w)
 	if err != nil {
 		return nil, err
@@ -264,38 +244,30 @@ func measure(ctx context.Context, w workloads.Workload, warm sim.Config, probes 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: warm %s: %w", w.Name(), err)
 	}
-	var runs []sim.Measurement
-	if len(todo) == 1 {
-		runs = make([]sim.Measurement, 1)
-		runs[0], err = probes[todo[0]].run(ctx, w, src, scale)
-	} else {
-		runs, err = runGrid(ctx, len(todo), func(ctx context.Context, j int) (sim.Measurement, error) {
-			m, _ := machinePool.Get().(*sim.Machine)
-			if m == nil {
-				m = new(sim.Machine)
-			}
-			defer release(m)
-			if err := m.CopyFrom(src); err != nil {
-				return sim.Measurement{}, err
-			}
-			return probes[todo[j]].run(ctx, w, m, scale)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range todo {
-		out[i] = runs[j]
-		if c != nil {
-			c.Put(probes[i].key, out[i])
+	if len(probes) == 1 {
+		m, err := probes[0].run(ctx, w, src, scale)
+		if err != nil {
+			return nil, err
 		}
+		return []sim.Measurement{m}, nil
 	}
-	return out, nil
+	return runGrid(ctx, len(probes), func(ctx context.Context, i int) (sim.Measurement, error) {
+		m, _ := machinePool.Get().(*sim.Machine)
+		if m == nil {
+			m = new(sim.Machine)
+		}
+		defer release(m)
+		if err := m.CopyFrom(src); err != nil {
+			return sim.Measurement{}, err
+		}
+		return probes[i].run(ctx, w, m, scale)
+	})
 }
 
 // run takes probe p on m, a warm machine or a copy of one: it retimes m
 // to p's core speed and memory grade, sets p's sampling interval,
-// re-warms and measures, and records the instructions it simulated.
+// re-warms and measures, and records the probe and the instructions it
+// simulated.
 func (p probe) run(ctx context.Context, w workloads.Workload, m *sim.Machine, scale Scale) (sim.Measurement, error) {
 	if err := m.Retime(p.cfg.Core.Freq, p.cfg.Mem.Grade); err != nil {
 		return sim.Measurement{}, err
@@ -303,6 +275,7 @@ func (p probe) run(ctx context.Context, w workloads.Workload, m *sim.Machine, sc
 	m.SetSampleInterval(p.cfg.SampleInterval)
 	before, funcBefore := m.Retired(), m.Functional()
 	meas, err := m.Run(ctx, p.rewarm, scale.MeasureInstr)
+	engine.RecordProbe(ctx)
 	engine.RecordSimInstr(ctx, m.Retired()-before)
 	engine.RecordFuncInstr(ctx, m.Functional()-funcBefore)
 	if err != nil {
@@ -320,7 +293,7 @@ func RunWorkload(ctx context.Context, w workloads.Workload, sc ScalingConfig, sc
 		interval = scale.SampleInterval
 	}
 	warm := machineConfig(w, sc)
-	runs, err := measure(ctx, w, warm, []probe{asIsProbe(w.Name(), warm, interval, scale)}, scale)
+	runs, err := measure(ctx, w, warm, []probe{asIsProbe(warm, interval)}, scale)
 	if err != nil {
 		return sim.Measurement{}, err
 	}
@@ -343,7 +316,7 @@ func fitRuns(fitName string, runs []sim.Measurement) (model.Fit, error) {
 // sequential run.
 func FitWorkload(ctx context.Context, w workloads.Workload, configs []ScalingConfig, scale Scale) (model.Fit, []sim.Measurement, error) {
 	warm := machineConfig(w, warmScaling)
-	runs, err := measure(ctx, w, warm, gridProbes(w.Name(), warm, configs, scale), scale)
+	runs, err := measure(ctx, w, warm, gridProbes(warm, configs), scale)
 	if err != nil {
 		return model.Fit{}, nil, err
 	}

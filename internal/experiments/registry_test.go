@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
 
@@ -116,20 +116,35 @@ func TestRegistryFitDepsShareCache(t *testing.T) {
 	}
 }
 
+// gridProbeCount is the length of the probe list Suite.grid builds for
+// a resource: a fit grid's scaling points, plus the baseline copy of a
+// workload a time-series figure plots and the grades of GradeSweep's
+// workload. A resource that is not a fit grid takes no probe.
+func gridProbeCount(resource string) uint64 {
+	name, ok := strings.CutPrefix(resource, FitResource(""))
+	if !ok {
+		return 0
+	}
+	n := len(PaperScalingConfigs())
+	if plotted(name) {
+		n++
+	}
+	if name == gradeWorkload {
+		n += len(gradeConfigs())
+	}
+	return uint64(n)
+}
+
 // TestGridStudiesOnlyRender: the prefetch studies and the grade sweep
 // render grids they declare as resources. The resources take every
-// probe, so the experiments simulate nothing, and no probe is requested
-// twice: the run's measurement cache counts no hit, and each miss stored
-// a distinct entry.
+// probe, each exactly the ones its grid lists, so the experiments
+// simulate and measure nothing.
 func TestGridStudiesOnlyRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs nine grids")
 	}
-	c := simcache.New(1024)
-	scale := Quick()
-	scale.SimCache = c
 	ids := []string{"prefetch-ablation", "prefetch-depth", "grades-hpc"}
-	rr, err := engine.Run(bg, NewSuite(scale).Registry(), ids, engine.Options{Workers: 2})
+	rr, err := engine.Run(bg, NewSuite(Quick()).Registry(), ids, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +152,17 @@ func TestGridStudiesOnlyRender(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.ID, res.Err)
 		}
-		if res.SimInstr != 0 {
-			t.Errorf("%s simulated %d instructions, want none", res.ID, res.SimInstr)
+		if res.SimInstr != 0 || res.Probes != 0 {
+			t.Errorf("%s simulated %d instructions in %d probes, want none", res.ID, res.SimInstr, res.Probes)
 		}
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses == 0 || st.Misses != int64(st.Size) {
-		t.Fatalf("sim cache %+v, want no hits and one distinct entry per miss", st)
+	if len(rr.Resources) == 0 {
+		t.Fatal("no resource prepared")
+	}
+	for _, r := range rr.Resources {
+		if want := gridProbeCount(r.Name); r.Probes != want {
+			t.Errorf("%s recorded %d probes, want %d", r.Name, r.Probes, want)
+		}
 	}
 }
 
@@ -248,11 +268,22 @@ func TestGoldenManifestNoDrift(t *testing.T) {
 	}
 	m := runQuickManifest(t, ids, workers)
 	// Every simulation belongs to a resource: no experiment of the run
-	// simulates, functionally or by replay.
+	// simulates, functionally or by replay, or takes a probe. Each fit
+	// grid takes exactly the probes it lists, once each.
 	for _, e := range m.Experiments {
-		if e.SimInstr != 0 || e.FuncInstr != 0 {
-			t.Errorf("%s simulated %d instructions (%d functionally), want none", e.ID, e.SimInstr, e.FuncInstr)
+		if e.SimInstr != 0 || e.FuncInstr != 0 || e.Probes != 0 {
+			t.Errorf("%s simulated %d instructions (%d functionally) in %d probes, want none", e.ID, e.SimInstr, e.FuncInstr, e.Probes)
 		}
+	}
+	var probes uint64
+	for _, r := range m.Resources {
+		if want := gridProbeCount(r.Name); r.Probes != want {
+			t.Errorf("%s recorded %d probes, want %d", r.Name, r.Probes, want)
+		}
+		probes += r.Probes
+	}
+	if fullSuite := !raceEnabled || *update; fullSuite && probes != 176 {
+		t.Errorf("the suite took %d probes, want 176", probes)
 	}
 	got := goldenHashes(m)
 	if *update {

@@ -125,12 +125,12 @@ func (s *Suite) grid(ctx context.Context, name string) (*fitEntry, error) {
 			return
 		}
 		configs := PaperScalingConfigs()
-		probes := gridProbes(w.Name(), warm, configs, s.Scale)
+		probes := gridProbes(warm, configs)
 		if plotted(name) {
-			probes = append(probes, asIsProbe(w.Name(), warm, s.Scale.SampleInterval, s.Scale))
+			probes = append(probes, asIsProbe(warm, s.Scale.SampleInterval))
 		}
 		if name == gradeWorkload {
-			probes = append(probes, gridProbes(w.Name(), warm, gradeConfigs(), s.Scale)...)
+			probes = append(probes, gridProbes(warm, gradeConfigs())...)
 		}
 		runs, err := measure(ctx, w, warm, probes, s.Scale)
 		if err != nil {

@@ -1,9 +1,7 @@
-// Package lru is the one sharded LRU behind the repo's content-addressed
-// caches: memmodeld's scenario cache (serve.Cache) and cmd/repro's
-// in-process measurement cache (simcache.Cache), each an alias of
-// Cache. Sixteen shards, each a mutex over a container/list recency
-// list and a key map, keep the LRU bookkeeping off a single lock under
-// concurrent load. Do adds singleflight collapsing on top, through a
+// Package lru is the sharded LRU behind memmodeld's content-addressed
+// scenario cache (serve.Cache, an alias of Cache). Sixteen shards, each
+// a mutex over a container/list recency list and a key map, keep the
+// LRU bookkeeping off a single lock under concurrent load. Do adds singleflight collapsing on top, through a
 // flight table that is touched only on misses.
 package lru
 
@@ -29,7 +27,7 @@ type Cache[V any] struct {
 
 	hits      atomic.Int64 // served from the LRU
 	shared    atomic.Int64 // collapsed onto another caller's flight
-	misses    atomic.Int64 // Get misses and Do's cold executions
+	misses    atomic.Int64 // Do's cold executions
 	evictions atomic.Int64
 }
 
@@ -87,20 +85,9 @@ func (c *Cache[V]) lookup(key string) (V, bool) {
 	return el.Value.(*entry[V]).val, true
 }
 
-// Get returns the value stored under key, counting a hit or a miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	v, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
-// Put stores val under key as the most recently used entry, evicting
+// put stores val under key as the most recently used entry, evicting
 // from the tail of its shard past capacity.
-func (c *Cache[V]) Put(key string, val V) {
+func (c *Cache[V]) put(key string, val V) {
 	s := &c.shards[shardIndex(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,7 +139,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V,
 		}
 		// Re-check the LRU under the flight lock: a leader that finished
 		// between the first lookup and here has already published its
-		// value (Put precedes the flight entry's deletion), so a key is
+		// value (put precedes the flight entry's deletion), so a key is
 		// run exactly once.
 		if v, ok := c.lookup(key); ok {
 			c.fmu.Unlock()
@@ -166,7 +153,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V,
 		c.misses.Add(1)
 		f.val, f.err = fn()
 		if f.err == nil {
-			c.Put(key, f.val)
+			c.put(key, f.val)
 		}
 		c.fmu.Lock()
 		delete(c.flight, key)
@@ -180,7 +167,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V,
 type Stats struct {
 	Hits      int64 // LRU hits
 	Shared    int64 // singleflight-collapsed calls of Do
-	Misses    int64 // Get misses and cold executions in Do
+	Misses    int64 // cold executions in Do
 	Evictions int64
 	Size      int // entries currently held
 }

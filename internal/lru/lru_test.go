@@ -31,16 +31,13 @@ func TestShardIndexMatchesFNV32a(t *testing.T) {
 	}
 }
 
-// TestHitPathAllocs: a Get hit and a Do hit allocate nothing.
+// TestHitPathAllocs: a Do hit allocates nothing.
 func TestHitPathAllocs(t *testing.T) {
 	ctx := context.Background()
 	c := New[any](64)
 	fn := func() (any, error) { return 1, nil }
 	if _, _, err := c.Do(ctx, "k", fn); err != nil {
 		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(1000, func() { c.Get("k") }); n != 0 {
-		t.Errorf("Get hit: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { c.Do(ctx, "k", fn) }); n != 0 {
 		t.Errorf("Do hit: %v allocs/op, want 0", n)
@@ -106,13 +103,15 @@ func TestCacheLRUOrder(t *testing.T) {
 			b = k
 		}
 	}
-	c.Put(a, 1)
-	c.Put(b, 2) // evicts a (cap 1)
-	if _, ok := c.Get(a); ok {
-		t.Error("a should have been evicted")
+	c.put(a, 1)
+	c.put(b, 2) // evicts a (cap 1)
+	ctx := context.Background()
+	miss := func() (any, error) { return 0, nil }
+	if v, cached, err := c.Do(ctx, b, miss); !cached || v != 2 || err != nil {
+		t.Errorf("b = (%v, %v, %v), want (2, true, nil)", v, cached, err)
 	}
-	if v, ok := c.Get(b); !ok || v != 2 {
-		t.Errorf("b = (%v, %v), want (2, true)", v, ok)
+	if _, cached, _ := c.Do(ctx, a, miss); cached {
+		t.Error("a should have been evicted")
 	}
 }
 
