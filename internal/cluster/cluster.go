@@ -14,7 +14,9 @@
 // a single-clock event loop plays the traffic through routing policies,
 // token-bucket admission, and FCFS multi-slot hosts. The loop replays
 // internal/workgen's arrival Stream (each tenant is a one-scenario
-// Poisson client) against a 4-ary min-heap of pending completions.
+// Poisson client) against a 4-ary min-heap of pending completions; the
+// policies of one request share a single Stream, each policy's fleet
+// replaying it a chunk at a time with its own hosts and heap.
 //
 // The determinism contract matches internal/sim: the same Spec and seed
 // produce a bit-identical event order (asserted by folding every handled

@@ -345,7 +345,7 @@ func TestCompletionBeforeArrivalOnTie(t *testing.T) {
 	pr.arrivals.Clients[0].Process = halfSecond{}
 	pr.prices[0][0].service = units.Second / 2
 	f := newFleet(spec, pr)
-	if err := f.run(bg); err != nil {
+	if err := runFleets(bg, pr.arrivals.Stream(), []*fleet{f}); err != nil {
 		t.Fatal(err)
 	}
 	res := f.result()
@@ -417,7 +417,7 @@ func TestJainFairness(t *testing.T) {
 
 // TestClusterSimulateAllocs gates the allocations of one Simulate of
 // the reference fleet under the weighted policy, the spec
-// BenchmarkSimulate times. It measures 984 allocs/op (the pricing pass's
+// BenchmarkSimulate times. It measures 979 allocs/op (the pricing pass's
 // canonical strings and solves dominate), and 1020–1060 under the race
 // detector, whose sync.Pool drops a share of Puts at random. The
 // ceiling of 1100 leaves ~4% over the race worst and ~12% over a plain
@@ -451,4 +451,24 @@ func BenchmarkSimulate(b *testing.B) {
 		events = res.Events
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSimulatePolicies runs the shape of one default fleet
+// request: the reference fleet under all three policies, on a distinct
+// seed per iteration. events/s counts every policy's events.
+func BenchmarkSimulatePolicies(b *testing.B) {
+	spec := defaultSpec(WeightedScore)
+	var events int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec.Seed = uint64(i + 1)
+		res, err := SimulatePolicies(bg, spec, Policies())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			events += r.Events
+		}
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

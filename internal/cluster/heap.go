@@ -1,6 +1,11 @@
 package cluster
 
-import "repro/internal/units"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/units"
+)
 
 // event is one pending completion, 32 bytes: the serving host and the
 // request's arrival time. seq is the monotone push counter that makes
@@ -15,12 +20,15 @@ type event struct {
 	host    int32
 }
 
-// before is the (at, seq) order. Keys are unique, so it is total.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// earlier is 1 when e precedes o in (at, seq) order and 0 otherwise,
+// computed without a branch. at is never negative or NaN, so its IEEE
+// bits order like its value (+Inf included), and (at bits, seq)
+// compares as one 128-bit number: e - o borrows exactly when e is
+// first. Keys are unique, so the order is total.
+func (e *event) earlier(o *event) uint64 {
+	_, borrow := bits.Sub64(e.seq, o.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(float64(e.at)), math.Float64bits(float64(o.at)), borrow)
+	return borrow
 }
 
 // eventHeap is a slice-backed 4-ary min-heap over (at, seq). Sifts
@@ -33,7 +41,7 @@ func (h *eventHeap) push(e event) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.before(&q[parent]) {
+		if e.earlier(&q[parent]) == 0 {
 			break
 		}
 		q[i] = q[parent]
@@ -56,7 +64,10 @@ func (h *eventHeap) pop() {
 }
 
 // replaceTop overwrites the root with e and restores the heap order in
-// one sift-down; pop uses it to move the last leaf into the root.
+// one sift-down; pop uses it to move the last leaf into the root. The
+// earliest child is selected by masking, not branching: with ~50
+// completions pending, which child wins is a coin toss the branch
+// predictor would mostly lose.
 func (h eventHeap) replaceTop(e event) {
 	n := len(h)
 	i := 0
@@ -66,16 +77,11 @@ func (h eventHeap) replaceTop(e event) {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[best]) {
-				best = c
-			}
+			best += (c - best) & -int(h[c].earlier(&h[best]))
 		}
-		if !h[best].before(&e) {
+		if h[best].earlier(&e) == 0 {
 			break
 		}
 		h[i] = h[best]

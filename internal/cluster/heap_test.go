@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,17 +9,28 @@ import (
 	"repro/internal/units"
 )
 
+// heapTimes are the timestamps TestEventHeapOrder draws from: zero,
+// the smallest subnormal, integral and non-integral nanoseconds, values
+// whose bits differ only in the low mantissa, and +Inf. There are few
+// enough that most comparisons tie on at and seq decides.
+var heapTimes = []units.Duration{
+	0, units.Duration(math.SmallestNonzeroFloat64), 0.25, 1, 1.5, 3,
+	2.5e7, units.Duration(math.Nextafter(2.5e7, 3e7)), 3.7e12 + 0.125,
+	units.Duration(math.Inf(1)),
+}
+
 // TestEventHeapOrder drives random push, pop and replace-top sequences
-// against a sorted (at, seq) reference. Timestamps come from a handful
-// of values, so most comparisons tie on at and seq decides.
+// against a sorted (at, seq) reference, whose float comparison the
+// heap's bitwise order must agree with.
 func TestEventHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		var h eventHeap
 		var ref []event
 		var seq uint64
+		times := heapTimes[:2+rng.Intn(len(heapTimes)-1)]
 		next := func() event {
-			e := event{at: units.Duration(rng.Intn(4)), seq: seq, tenant: int32(rng.Intn(3)), host: -1}
+			e := event{at: times[rng.Intn(len(times))], seq: seq, tenant: int32(rng.Intn(3)), host: -1}
 			seq++
 			return e
 		}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sort"
+
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -73,7 +75,8 @@ func JainFairness(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumsq)
 }
 
-// result assembles the Result from the drained fleet state.
+// result assembles the Result from the drained fleet state. It sorts
+// the latency samples in place, so it runs once per fleet.
 func (f *fleet) result() Result {
 	res := Result{
 		Policy:    f.spec.Policy,
@@ -101,14 +104,18 @@ func (f *fleet) result() Result {
 		if tm.Offered > 0 {
 			tm.ShedRate = float64(tm.Shed) / float64(tm.Offered)
 		}
-		if len(ts.samples) > 0 {
-			ps, _ := stats.Percentiles(ts.samples, 50, 95, 99) // samples is non-empty
+		if xs := ts.samples; len(xs) > 0 {
+			// Sum in completion order before sorting: the sorted order
+			// would round the mean differently.
 			var sum float64
-			for _, s := range ts.samples {
-				sum += s
+			for _, x := range xs {
+				sum += x
 			}
-			tm.P50, tm.P95, tm.P99 = units.Duration(ps[0]), units.Duration(ps[1]), units.Duration(ps[2])
-			tm.Mean = units.Duration(sum / float64(len(ts.samples)))
+			tm.Mean = units.Duration(sum / float64(len(xs)))
+			sort.Float64s(xs)
+			tm.P50 = units.Duration(stats.SortedPercentile(xs, 50))
+			tm.P95 = units.Duration(stats.SortedPercentile(xs, 95))
+			tm.P99 = units.Duration(stats.SortedPercentile(xs, 99))
 		}
 		// Delivered-performance share: the completion ratio discounted by
 		// mean slowdown against the tenant's best-host ideal. Shedding and

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/model"
@@ -62,32 +63,31 @@ func ParsePolicy(s string) (Policy, error) {
 func Policies() []Policy { return []Policy{RoundRobin, LeastLoaded, WeightedScore} }
 
 // route picks the host for one arrival of tenant t. All inputs are
-// deterministic simulation state, so the choice is too.
+// deterministic simulation state, so the choice is too. The load-aware
+// policies start from host 0 and take a later host only when it is
+// strictly better, so ties go to the lower index; the selection masks
+// instead of branching, since which host wins changes arrival to
+// arrival.
 func (f *fleet) route(t int) int {
 	switch f.spec.Policy {
 	case LeastLoaded:
-		best, bestLoad := 0, -1
-		for h := range f.hosts {
+		best, bestLoad := 0, f.hosts[0].inflight+f.hosts[0].queued()
+		for h := 1; h < len(f.hosts); h++ {
 			load := f.hosts[h].inflight + f.hosts[h].queued()
-			if bestLoad < 0 || load < bestLoad {
-				best, bestLoad = h, load
-			}
+			m := -b2i(load < bestLoad)
+			best += (h - best) & m
+			bestLoad += (load - bestLoad) & m
 		}
 		return best
 	case WeightedScore:
-		best, bestScore := 0, -1.0
-		for h := range f.hosts {
-			hs := &f.hosts[h]
-			pr := f.price(t, h)
-			occupancy := 1 + float64(hs.inflight+hs.queued())/float64(hs.slots)
-			headroom := (hs.demand + pr.demand) / hs.capacity
-			if headroom < 1 {
-				headroom = 1
-			}
-			score := pr.service.Nanoseconds() * occupancy * headroom
-			if bestScore < 0 || score < bestScore {
-				best, bestScore = h, score
-			}
+		prices := f.pr.prices[t]
+		best, bestScore := 0, f.score(&f.hosts[0], &prices[0])
+		for h := 1; h < len(f.hosts); h++ {
+			score := f.score(&f.hosts[h], &prices[h])
+			m := -b2i(score < bestScore)
+			best += (h - best) & m
+			bestScore = math.Float64frombits(math.Float64bits(bestScore) ^
+				(math.Float64bits(score)^math.Float64bits(bestScore))&uint64(m))
 		}
 		return best
 	default: // RoundRobin
@@ -95,4 +95,20 @@ func (f *fleet) route(t int) int {
 		f.rr[t]++
 		return h
 	}
+}
+
+// score is the weighted policy's predicted completion cost of one
+// request priced pr on host hs: its service time, scaled by the host's
+// occupancy and by its bandwidth headroom after adding the request.
+func (f *fleet) score(hs *hostState, pr *price) float64 {
+	headroom := max((hs.demand+pr.demand)/hs.capacity, 1)
+	return pr.service.Nanoseconds() * hs.occupancy * headroom
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

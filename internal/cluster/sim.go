@@ -25,7 +25,7 @@ type price struct {
 
 // pricing is the policy-independent pass of one Spec, shared by every
 // policy run over it: routing never feeds back into the prices, and
-// each run replays the same arrivals from a fresh Stream.
+// every policy's fleet replays the same arrivals from one Stream.
 type pricing struct {
 	prices   [][]price        // [tenant][host]
 	minServe []units.Duration // per tenant: the best host's service time
@@ -44,10 +44,11 @@ type hostState struct {
 	slots    int
 	capacity float64 // Σ tier sustained bandwidth, B/s
 
-	inflight int
-	queue    []pending // FIFO; queue[head:] is waiting
-	head     int
-	demand   float64 // B/s of in-service requests
+	inflight  int
+	queue     []pending // FIFO; queue[head:] is waiting
+	head      int
+	occupancy float64 // 1 + (inflight+queued)/slots, kept by recount
+	demand    float64 // B/s of in-service requests
 
 	tokens     float64
 	lastRefill units.Duration
@@ -60,6 +61,12 @@ type hostState struct {
 
 // queued is the wait-queue length.
 func (hs *hostState) queued() int { return len(hs.queue) - hs.head }
+
+// recount refreshes the cached occupancy the weighted policy scores
+// by; call it whenever inflight or the queue length changes.
+func (hs *hostState) recount() {
+	hs.occupancy = 1 + float64(hs.inflight+hs.queued())/float64(hs.slots)
+}
 
 // enqueue appends req, first sliding the waiting requests down to the
 // front when the backing array is full, so memory tracks the live
@@ -96,14 +103,25 @@ type fleet struct {
 	hosts  []hostState
 	tens   []tenantState
 	pr     *pricing
-	rr     []int           // per-tenant round-robin cursor
-	arr    *workgen.Stream // the tenants' merged arrivals, never materialized
-	heap   eventHeap       // pending completions only
+	rr     []int     // per-tenant round-robin cursor
+	heap   eventHeap // pending completions only
 	seq    uint64
 	hash   trace.Hash64
 	events int64
+	limit  int64          // event budget
 	last   units.Duration // latest completion timestamp seen
 }
+
+// arrival is one request of the shared stream, its time converted to
+// nanoseconds once for every policy's fleet.
+type arrival struct {
+	at     units.Duration
+	tenant int32
+}
+
+// arrivalChunk is how many arrivals runFleets reads from the stream
+// before handing them to each fleet in turn.
+const arrivalChunk = 1024
 
 // Simulate runs the fleet to completion: arrivals over [0, Duration),
 // then a full drain of every queue. ctx cancellation is honored both in
@@ -118,9 +136,9 @@ func Simulate(ctx context.Context, spec Spec) (Result, error) {
 
 // SimulatePolicies runs spec once under each policy (spec.Policy is
 // ignored) and returns the results in policy order. The model pricing
-// pass runs once and is shared; each policy starts from fresh traffic
-// and host state, so results[i] is exactly Simulate with
-// Policy = policies[i].
+// pass and the arrival stream are generated once and shared; each
+// policy has its own host state and event loop, so results[i] is
+// exactly Simulate with Policy = policies[i].
 func SimulatePolicies(ctx context.Context, spec Spec, policies []Policy) ([]Result, error) {
 	for _, p := range policies {
 		s := spec
@@ -133,17 +151,50 @@ func SimulatePolicies(ctx context.Context, spec Spec, policies []Policy) ([]Resu
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(policies))
+	fleets := make([]*fleet, len(policies))
 	for i, p := range policies {
 		s := spec
 		s.Policy = p
-		f := newFleet(s, pr)
-		if err := f.run(ctx); err != nil {
-			return nil, err
-		}
+		fleets[i] = newFleet(s, pr)
+	}
+	if err := runFleets(ctx, pr.arrivals.Stream(), fleets); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(policies))
+	for i, f := range fleets {
 		out[i] = f.result()
 	}
 	return out, nil
+}
+
+// runFleets plays one arrival stream through every fleet: it reads the
+// stream a chunk at a time and replays each chunk on each fleet in
+// turn, then drains every fleet once the stream ends. No fleet reads
+// another's state, so the chunking moves no event.
+func runFleets(ctx context.Context, arr *workgen.Stream, fleets []*fleet) error {
+	chunk := make([]arrival, 0, arrivalChunk)
+	for more := true; more; {
+		chunk = chunk[:0]
+		for len(chunk) < arrivalChunk {
+			a, ok := arr.Next()
+			if !ok {
+				more = false
+				break
+			}
+			chunk = append(chunk, arrival{at: units.Duration(a.At * 1e9), tenant: int32(a.Client)})
+		}
+		for _, f := range fleets {
+			if err := f.replay(ctx, chunk); err != nil {
+				return err
+			}
+		}
+	}
+	for _, f := range fleets {
+		if err := f.drain(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // newPricing prices every (tenant, host) pair through the analytic
@@ -218,76 +269,112 @@ func newFleet(spec Spec, pr *pricing) *fleet {
 		tens:  make([]tenantState, len(spec.Tenants)),
 		pr:    pr,
 		rr:    make([]int, len(spec.Tenants)),
-		arr:   pr.arrivals.Stream(),
 		hash:  trace.NewHash64(),
+		limit: defaultMaxEvents,
 	}
-	depth := 0 // at most one pending completion per slot
+	if spec.MaxEvents > 0 {
+		f.limit = int64(spec.MaxEvents)
+	}
+	// A run within budget completes at most limit/2 requests, each one
+	// arrival and one completion; no buffer below outgrows that.
+	maxRequests := f.limit / 2
+	var rate float64
+	for t := range spec.Tenants {
+		rate += spec.Tenants[t].Rate
+	}
+	// The heap holds at most one pending completion per slot and one
+	// per arrival. The expected arrival count caps the presize, so a
+	// host declaring more slots than its traffic can fill costs nothing.
+	maxDepth := expectedCount(rate*spec.Duration.Seconds(), maxRequests)
+	depth := 0
 	for h := range spec.Hosts {
 		hs := &f.hosts[h]
 		hs.spec = &spec.Hosts[h]
 		hs.slots = hs.spec.slots()
-		depth += hs.slots
+		depth = min(depth+min(hs.slots, maxDepth), maxDepth)
 		for _, tier := range hs.spec.Topology.Tiers {
 			hs.capacity += float64(tier.SustainedBW())
 		}
 		if hs.spec.AdmitRate > 0 {
 			hs.tokens = hs.spec.burst()
 		}
+		hs.recount()
 	}
 	f.heap = make(eventHeap, 0, depth)
 	window := (spec.Duration - spec.Warmup).Seconds()
-	maxSamples := f.maxEvents() / 2
 	for t := range spec.Tenants {
-		// The expected measured arrivals plus four standard deviations
-		// of the Poisson count, so the sample slice rarely regrows.
-		n := spec.Tenants[t].Rate * window
-		f.tens[t].samples = make([]float64, 0, int64(math.Min(n+4*math.Sqrt(n)+16, float64(maxSamples))))
+		f.tens[t].samples = make([]float64, 0, expectedCount(spec.Tenants[t].Rate*window, maxRequests))
 	}
 	return f
 }
 
-func (f *fleet) maxEvents() int64 {
-	if f.spec.MaxEvents > 0 {
-		return int64(f.spec.MaxEvents)
-	}
-	return defaultMaxEvents
+// expectedCount sizes a buffer for a Poisson count of mean n: the mean
+// plus four standard deviations, so the buffer rarely regrows, and
+// never more than ceiling.
+func expectedCount(n float64, ceiling int64) int {
+	return int(math.Min(n+4*math.Sqrt(n)+16, float64(ceiling)))
 }
 
-// run merges the arrival stream with the completion heap, whose events
-// leave in (at, seq) order, until both drain. An arrival is handled only
-// when strictly earlier than heap[0]: on equal timestamps the completion
-// goes first, so a slot freed at t is free for a request arriving at t.
-func (f *fleet) run(ctx context.Context) error {
-	limit := f.maxEvents()
-	a, more := f.arr.Next()
-	for more || len(f.heap) > 0 {
-		if f.events%ctxCheckEvents == 0 {
-			if err := ctx.Err(); err != nil {
+// replay handles one chunk of the arrival stream. Before each arrival
+// it handles every completion due at or before it: on equal timestamps
+// the completion goes first, so a slot freed at t is free for a
+// request arriving at t.
+func (f *fleet) replay(ctx context.Context, chunk []arrival) error {
+	for i := range chunk {
+		a := &chunk[i]
+		for len(f.heap) > 0 && f.heap[0].at <= a.at {
+			if err := f.count(ctx); err != nil {
 				return err
 			}
+			f.completeNext()
 		}
-		if f.events >= limit {
-			return fmt.Errorf("%w: cluster event budget exceeded (%d events; shrink duration or rates)",
-				model.ErrInvalidPlatform, limit)
+		if err := f.count(ctx); err != nil {
+			return err
 		}
-		f.events++
-		if at := units.Duration(a.At * 1e9); more && (len(f.heap) == 0 || at < f.heap[0].at) {
-			f.hash.Fold(0)
-			f.hash.Fold(uint64(a.Client))
-			f.hash.Fold(math.Float64bits(float64(at)))
-			f.arrive(int32(a.Client), at)
-			a, more = f.arr.Next()
-			continue
-		}
-		e := f.heap[0]
-		f.heap.pop()
-		f.hash.Fold(1)
-		f.hash.Fold(uint64(e.tenant))
-		f.hash.Fold(uint64(e.host))
-		f.hash.Fold(math.Float64bits(float64(e.at)))
-		f.complete(&e)
+		f.hash.Fold(0)
+		f.hash.Fold(uint64(a.tenant))
+		f.hash.Fold(math.Float64bits(float64(a.at)))
+		f.arrive(a.tenant, a.at)
 	}
 	return nil
+}
+
+// drain handles the completions left once the stream has ended.
+func (f *fleet) drain(ctx context.Context) error {
+	for len(f.heap) > 0 {
+		if err := f.count(ctx); err != nil {
+			return err
+		}
+		f.completeNext()
+	}
+	return nil
+}
+
+// count admits one more event against the budget, polling ctx every
+// ctxCheckEvents events.
+func (f *fleet) count(ctx context.Context) error {
+	if f.events%ctxCheckEvents == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	if f.events >= f.limit {
+		return fmt.Errorf("%w: cluster event budget exceeded (%d events; shrink duration or rates)",
+			model.ErrInvalidPlatform, f.limit)
+	}
+	f.events++
+	return nil
+}
+
+// completeNext pops the earliest completion and handles it.
+func (f *fleet) completeNext() {
+	e := f.heap[0]
+	f.heap.pop()
+	f.hash.Fold(1)
+	f.hash.Fold(uint64(e.tenant))
+	f.hash.Fold(uint64(e.host))
+	f.hash.Fold(math.Float64bits(float64(e.at)))
+	f.complete(&e)
 }
 
 // arrive routes, admits, and either starts or queues one request of
@@ -311,12 +398,11 @@ func (f *fleet) arrive(t int32, now units.Duration) {
 	req := pending{tenant: t, arrived: now}
 	if hs.inflight < hs.slots {
 		f.startService(h, req, now)
-		return
+	} else {
+		hs.enqueue(req)
+		hs.peakQueue = max(hs.peakQueue, hs.queued())
 	}
-	hs.enqueue(req)
-	if q := hs.queued(); q > hs.peakQueue {
-		hs.peakQueue = q
-	}
+	hs.recount()
 }
 
 // admit refills the token bucket up to now and spends one token if
@@ -377,6 +463,7 @@ func (f *fleet) complete(e *event) {
 	if hs.queued() > 0 {
 		f.startService(h, hs.dequeue(), e.at)
 	}
+	hs.recount()
 }
 
 func (f *fleet) price(t, h int) *price { return &f.pr.prices[t][h] }

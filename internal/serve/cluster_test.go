@@ -135,6 +135,38 @@ func TestClusterEndpointRejectsBadBodies(t *testing.T) {
 	}
 }
 
+// TestClusterEndpointHugeSlots: a slot or thread count far beyond any
+// traffic is a valid fleet whose slots never fill, not a reason to
+// presize the event heap by it. Each body once panicked the handler
+// with makeslice: cap out of range, the last by overflowing Σ slots.
+func TestClusterEndpointHugeSlots(t *testing.T) {
+	h := New().Handler()
+	const tiers = `"tiers":[{"share":1,"compulsory_ns":75,"peak_gbps":40}]`
+	for name, hosts := range map[string]string{
+		"slots":   `{"slots":4611686018427387904,"topology":{` + tiers + `}}`,
+		"threads": `{"topology":{"threads":4611686018427387904,` + tiers + `}}`,
+		"sum":     `{"count":2,"slots":9223372036854775807,"topology":{` + tiers + `}}`,
+	} {
+		body := `{"duration_s":0.5,"hosts":[` + hosts + `]}`
+		status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/cluster/simulate", body)
+		if status != http.StatusOK {
+			t.Errorf("%s: status = %d, want 200: %s", name, status, blob)
+			continue
+		}
+		var resp api.ClusterResponse
+		if err := json.Unmarshal(blob, &resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pol := range resp.Policies {
+			for _, hm := range pol.Hosts {
+				if hm.PeakQueue != 0 {
+					t.Errorf("%s: %s on %s queued %d requests; no host should run out of slots", name, pol.Policy, hm.Name, hm.PeakQueue)
+				}
+			}
+		}
+	}
+}
+
 // TestClusterMetricsLabel: the endpoint shows up in /metrics alongside
 // the evaluators.
 func TestClusterMetricsLabel(t *testing.T) {

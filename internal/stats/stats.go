@@ -102,17 +102,23 @@ func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 	sort.Float64s(ys)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		rank := p / 100 * float64(len(ys)-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		if lo == hi {
-			out[i] = ys[lo]
-			continue
-		}
-		frac := rank - float64(lo)
-		out[i] = ys[lo]*(1-frac) + ys[hi]*frac
+		out[i] = SortedPercentile(ys, p)
 	}
 	return out, nil
+}
+
+// SortedPercentile is the interpolation behind Percentiles, for a
+// caller that owns its data and sorts it in place: ys must be non-empty
+// and sorted ascending, and p in [0, 100].
+func SortedPercentile(ys []float64, p float64) float64 {
+	rank := p / 100 * float64(len(ys)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return ys[lo]
+	}
+	frac := rank - float64(lo)
+	return ys[lo]*(1-frac) + ys[hi]*frac
 }
 
 // Running accumulates a stream of observations with O(1) memory using
