@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/memsys"
+	"repro/internal/model"
+	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -232,4 +234,19 @@ func TestAllocsMachineGrid(t *testing.T) {
 		t.Skip("simulates 14M instructions per run")
 	}
 	checkAllocs(t, "MachineGrid", 3, 530, machineGridOp(t))
+}
+
+// TestAllocsModelEvaluate gates one analytic-model solve of the Big
+// Data class on the baseline's one-tier topology: it allocates only its
+// per-tier slices (visit fractions, queues and the reported points). It
+// measures 3 allocs/op; the ceiling is 4.
+func TestAllocsModelEvaluate(t *testing.T) {
+	top := model.BaselinePlatform(queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95}).Topology()
+	p := model.Params{Name: "Big Data", CPICache: 0.91, BF: 0.21, MPKI: 5.5, WBR: 0.92}
+	ctx := context.Background()
+	checkAllocs(t, "ModelEvaluate", 1000, 4, func() {
+		if _, err := model.EvaluateTopology(ctx, p, top); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

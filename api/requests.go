@@ -21,8 +21,8 @@ type BandwidthVariantSpec struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep: a latency or bandwidth
-// grid in the style of Figs. 8–11, batched through the bounded-parallel
-// solve kernel.
+// grid in the style of Figs. 8–11, batched through the model's
+// bounded-parallel grid evaluator.
 type SweepRequest struct {
 	// Classes are the workloads swept; empty means the three Table 6
 	// class means.

@@ -73,8 +73,8 @@ func main() {
 	fmt.Printf("platform: %dC/%dT @ %.1fGHz, %dch DDR-%d, peak %v, compulsory %v\n",
 		*cores, *threads, *ghz, *channels, *grade, peak, pl.Compulsory)
 
-	// All three scenarios go through the unified solver as one batch; the
-	// Metrics context collects the kernel's telemetry for the footer line.
+	// All three scenarios go through the model's solver as one batch; the
+	// Metrics context collects its telemetry for the footer line.
 	ctx, metrics := engine.WithMetrics(context.Background())
 	grid, err := model.EvaluateAll(ctx, []model.Params{p}, []model.Platform{
 		pl,

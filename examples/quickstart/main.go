@@ -34,8 +34,8 @@ func main() {
 	// (cmd/repro calibrates a measured curve instead — Fig. 7.)
 	platform := model.BaselinePlatform(queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95})
 
-	// All three questions solve as one batch through the shared
-	// fixed-point kernel (internal/solve).
+	// All three questions solve as one batch over the model's grid
+	// worker pool (model.EvaluateTopologyAll).
 	grid, err := model.EvaluateAll(context.Background(), []model.Params{bigData}, []model.Platform{
 		platform,
 		platform.WithCompulsory(platform.Compulsory + 10*units.Nanosecond), // +10 ns latency

@@ -61,7 +61,7 @@ func main() {
 		// Search the design space for the lowest hit rate within budget
 		// (CPI is monotone in hit rate). This is a parameter search over
 		// finished model evaluations — the model's own fixed points all
-		// solve inside internal/solve.
+		// solve inside model.EvaluateTopology.
 		breakEven := "never within budget"
 		if tieredCPI(0)/baseOp.CPI-1 <= budget {
 			breakEven = "any (even 0%)"

@@ -417,10 +417,10 @@ func TestJainFairness(t *testing.T) {
 
 // TestClusterSimulateAllocs gates the allocations of one Simulate of
 // the reference fleet under the weighted policy, the spec
-// BenchmarkSimulate times. It measures 979 allocs/op (the pricing pass's
-// canonical strings and solves dominate), and 1020–1060 under the race
+// BenchmarkSimulate times. It measures 886 allocs/op (the pricing pass's
+// canonical strings and solves dominate), and 935–950 under the race
 // detector, whose sync.Pool drops a share of Puts at random. The
-// ceiling of 1100 leaves ~4% over the race worst and ~12% over a plain
+// ceiling of 1100 leaves ~16% over the race worst and ~24% over a plain
 // run.
 func TestClusterSimulateAllocs(t *testing.T) {
 	const ceiling = 1100

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/solve"
+	"repro/internal/model"
 )
 
 // Options configures a scheduler run.
@@ -42,10 +42,10 @@ type ExperimentResult struct {
 	FuncInstr uint64
 	Probes    uint64
 	// Solver telemetry aggregated across every fixed-point solve the
-	// experiment ran (recorded via the solve.Recorder the scheduler
+	// experiment ran (recorded on the model.Aggregate the scheduler
 	// plants in the experiment's context).
 	Solves          int64   // fixed points solved
-	SolveIterations int64   // total kernel iterations across them
+	SolveIterations int64   // total bisection steps across them
 	SolveBWLimited  int64   // outcomes in the bandwidth-limited regime
 	SolveResidual   float64 // worst |F(x)−x| among converged solves
 }
@@ -88,29 +88,26 @@ func (rr RunResult) Failed() int {
 // one scheduled node. The scheduler plants a Metrics in each
 // experiment's and each resource's context; the experiment layer
 // reports simulated instructions via RecordSimInstr and
-// RecordFuncInstr and measurements via RecordProbe, and the solve
-// kernel reports every fixed-point outcome through the solve.Recorder
-// interface Metrics implements.
+// RecordFuncInstr and measurements via RecordProbe, and every model
+// solve records its fixed-point telemetry on the embedded Aggregate.
 type Metrics struct {
 	simInstr, funcInstr, probes atomic.Uint64
 
-	// The embedded Aggregate accumulates the solver telemetry and
-	// promotes RecordSolve, which is what makes Metrics a
-	// solve.Recorder, and Stats, which snapshots it. The serving daemon
-	// shares the same Aggregate implementation for its process-wide
-	// /metrics counters.
-	solve.Aggregate
+	// Aggregate accumulates the solver telemetry and promotes Stats,
+	// which snapshots it. The serving daemon shares the same Aggregate
+	// implementation for its process-wide /metrics counters.
+	model.Aggregate
 }
 
 type metricsKey struct{}
 
-// WithMetrics returns a context carrying a fresh Metrics recorder, also
-// installed as the context's solve.Recorder so every evaluator call
-// under it reports its fixed-point telemetry here.
+// WithMetrics returns a context carrying a fresh Metrics recorder whose
+// Aggregate is also the context's solver aggregate, so every evaluator
+// call under it records its fixed-point telemetry here.
 func WithMetrics(ctx context.Context) (context.Context, *Metrics) {
 	m := &Metrics{}
 	ctx = context.WithValue(ctx, metricsKey{}, m)
-	return solve.WithRecorder(ctx, m), m
+	return model.WithSolverStats(ctx, &m.Aggregate), m
 }
 
 // RecordSimInstr adds n aggregate instructions simulated on a machine

@@ -40,8 +40,9 @@ const EquivDeltaBWPerCore = 1.0 // GB/s
 const EquivDeltaLatNS = 10.0
 
 // Equivalences computes Table 7 for the given classes around a baseline.
-// The three platform variants × all classes run as one batch grid, so a
-// solve.Recorder in ctx observes the full grid's telemetry.
+// The three platform variants × all classes run as one batch grid, so
+// the aggregates WithSolverStats plants in ctx record the full grid's
+// telemetry.
 //
 // The paper's published equivalences are linearized ratios of the two
 // finite-difference sensitivities (e.g. enterprise: 3.5%/10 ns ÷

@@ -208,9 +208,9 @@ func CombinePhases(name string, phases []Phase) (Params, error) {
 // PhaseCPI evaluates each phase independently on a platform and combines
 // the phase CPIs by instruction weight — the §IV.D procedure when the
 // single-steady-state assumption does not hold. It returns the weighted
-// CPI and the per-phase operating points. Each phase is one scenario of
-// the shared solve kernel (via Evaluate), so a solve.Recorder in ctx
-// observes every phase's telemetry.
+// CPI and the per-phase operating points. Each phase is one solve (via
+// Evaluate), so the aggregates WithSolverStats plants in ctx record
+// every phase's telemetry.
 func PhaseCPI(ctx context.Context, phases []Phase, pl Platform) (float64, []OperatingPoint, error) {
 	if len(phases) == 0 {
 		return 0, nil, errors.New("model: PhaseCPI of no phases")

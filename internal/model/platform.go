@@ -134,12 +134,12 @@ func opFromTopology(pl Platform, pt TopologyPoint) OperatingPoint {
 // Evaluate finds the stable operating point of workload class p on
 // platform pl, per §VI.C.1: an iterative fixed-point between miss penalty
 // and bandwidth demand, switching to the bandwidth-limited CPI when the
-// channel saturates. It is the one-tier adapter over EvaluateTopology
-// (which in turn drives the shared kernel in internal/solve).
+// channel saturates. It is the one-tier adapter over EvaluateTopology's
+// solver.
 //
-// A solve.Recorder planted in ctx (the engine's scheduler and the serve
-// layer do this) observes the solver telemetry, and cancellation is
-// honored between batch points.
+// Aggregates planted in ctx by WithSolverStats (the engine's scheduler
+// and the serve layer do this) record the solver telemetry, and
+// cancellation is honored between batch points.
 func Evaluate(ctx context.Context, p Params, pl Platform) (OperatingPoint, error) {
 	if err := p.Validate(); err != nil {
 		return OperatingPoint{}, err
@@ -147,7 +147,8 @@ func Evaluate(ctx context.Context, p Params, pl Platform) (OperatingPoint, error
 	if err := pl.Validate(); err != nil {
 		return OperatingPoint{}, err
 	}
-	pt, err := EvaluateTopology(ctx, p, pl.Topology())
+	// A valid platform is a valid one-tier topology.
+	pt, err := evaluate(ctx, p, pl.Topology())
 	if err != nil {
 		return OperatingPoint{}, err
 	}
@@ -155,10 +156,10 @@ func Evaluate(ctx context.Context, p Params, pl Platform) (OperatingPoint, error
 }
 
 // EvaluateAll evaluates the full cross product of classes × platforms
-// through the kernel's batch API — the point-grid path used by sweeps
-// and the experiment engine. Points are returned as [class][platform];
-// the error is the first failure in that order, wrapped with the
-// failing (class, platform) indices and names.
+// over EvaluateTopologyAll's worker pool — the point-grid path used by
+// sweeps and the experiment engine. Points are returned as
+// [class][platform]; the error is the first failure in that order,
+// wrapped with the failing (class, platform) indices and names.
 func EvaluateAll(ctx context.Context, classes []Params, platforms []Platform) ([][]OperatingPoint, error) {
 	tops := make([]Topology, len(platforms))
 	for j, pl := range platforms {
@@ -167,7 +168,7 @@ func EvaluateAll(ctx context.Context, classes []Params, platforms []Platform) ([
 		}
 		tops[j] = pl.Topology()
 	}
-	topoGrid, err := EvaluateTopologyAll(ctx, classes, tops)
+	topoGrid, err := evaluateGrid(ctx, classes, tops, make([]error, len(tops)))
 	if err != nil {
 		return nil, err
 	}

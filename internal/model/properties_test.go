@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/queueing"
-	"repro/internal/solve"
 	"repro/internal/units"
 )
 
@@ -53,7 +52,7 @@ func propertyCPI(t *testing.T, p Params, top Topology) float64 {
 
 // slack absorbs the bisection tolerance when two solves land on the
 // same CPI from different brackets.
-func slack(cpi float64) float64 { return 4 * solve.Tol * math.Max(1, cpi) }
+func slack(cpi float64) float64 { return 4 * solveTol * math.Max(1, cpi) }
 
 // starvedClasses adds the bandwidth-starved HPC case so every policy is
 // also exercised with a tier clamp active.
@@ -199,7 +198,7 @@ func FuzzEvaluateTopology(f *testing.F) {
 		}
 		pt, err := EvaluateTopology(context.Background(), p, top)
 		if err != nil {
-			if !errors.Is(err, ErrInvalidParams) && !errors.Is(err, ErrInvalidPlatform) && !errors.Is(err, solve.ErrNoConvergence) {
+			if !errors.Is(err, ErrInvalidParams) && !errors.Is(err, ErrInvalidPlatform) && !errors.Is(err, ErrNoConvergence) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return

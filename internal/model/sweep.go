@@ -35,9 +35,9 @@ func runSweep(ctx context.Context, baseline Platform, classes []Params, variants
 	if len(classes) == 0 {
 		return Sweep{}, errors.New("model: sweep needs at least one class")
 	}
-	// One batch over the whole classes × (baseline + variants) grid: the
-	// kernel's SolveAll spreads the points over a worker pool, which is
-	// where sweep-sized grids (3 classes × 10 platforms) win wall clock.
+	// One batch over the whole classes × (baseline + variants) grid:
+	// EvaluateAll spreads the points over a worker pool, which is where
+	// sweep-sized grids (3 classes × 10 platforms) win wall clock.
 	platforms := append([]Platform{baseline}, variants...)
 	grid, err := EvaluateAll(ctx, classes, platforms)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 
 // consistencyTol bounds the CPI disagreement between two topologies
 // that describe the same machine through different splits: both solve
-// Eq. 5 in CPI space to solve.Tol, so they differ by rounding only.
+// Eq. 5 in CPI space to solveTol, so they differ by rounding only.
 const consistencyTol = 1e-9
 
 // fractionTopology builds a fraction-split topology on pl's core side.

@@ -1,11 +1,15 @@
 package model
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/queueing"
-	"repro/internal/solve"
 	"repro/internal/units"
 )
 
@@ -303,17 +307,25 @@ type TopologyPoint struct {
 	Iterations int
 }
 
-// topoCase is one compiled evaluation: the kernel scenario plus the
-// conversion from its Outcome back to a TopologyPoint.
-type topoCase struct {
-	sc    solve.Scenario
-	point func(solve.Outcome) TopologyPoint
+// EvaluateTopology finds the stable operating point of workload class p
+// on an N-tier memory topology — the single evaluator behind Evaluate
+// and every tiered, NUMA and die-stacked study. Aggregates planted in
+// ctx by WithSolverStats record the solver telemetry, and cancellation
+// is honored before any model evaluation.
+func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoint, error) {
+	if err := p.Validate(); err != nil {
+		return TopologyPoint{}, err
+	}
+	if err := top.Validate(); err != nil {
+		return TopologyPoint{}, err
+	}
+	return evaluate(ctx, p, top)
 }
 
-// newTopoCase validates and compiles one evaluation — the one scenario
-// builder behind every topology shape. Each tier i is visited by a
-// fraction v_i of the misses (see Topology.visits) and queues on its
-// v_i share of the demand, and the solve runs in CPI space on Eq. 5:
+// evaluate solves one validated (p, top) pair. Each tier i is visited
+// by a fraction v_i of the misses (see Topology.visits) and queues on
+// its v_i share of the demand, and the solve runs in CPI space on
+// Eq. 5:
 //
 //	CPI = CPI_cache + MPI × BF × Σ v_i × MP_i(v_i × demand(CPI))
 //
@@ -321,95 +333,146 @@ type topoCase struct {
 // reaches 0.999 × its sustained bandwidth. The clamps run in tier
 // order on the running CPI, so a clamp applied by one tier raises the
 // CPI — and so lowers the demand — the next tier's check sees.
-func newTopoCase(p Params, top Topology) (*topoCase, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := top.Validate(); err != nil {
-		return nil, err
+func evaluate(ctx context.Context, p Params, top Topology) (TopologyPoint, error) {
+	if err := ctx.Err(); err != nil {
+		return TopologyPoint{}, err
 	}
 	v := top.visits()
-	n := len(top.Tiers)
-	systems := make([]queueing.System, n)
-	susts := make([]units.BytesPerSecond, n)
-	for i, t := range top.Tiers {
-		susts[i] = t.SustainedBW()
-		systems[i] = queueing.System{Compulsory: t.Compulsory, PeakBW: susts[i], Curve: t.Queue}
-	}
-	tiers := make([]TopologyTierPoint, n)
-
-	// eq5 evaluates Eq. 5 with each tier's loaded latency implied by the
-	// demand at candidate CPI cpi0; with keep set it also records the
-	// per-tier state the limits and the reported point read.
-	eq5 := func(cpi0 float64, keep bool) float64 {
-		demandTotal := p.Demand(cpi0, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		cpi := p.CPICache
-		for i := range systems {
-			d := demandTotal * units.BytesPerSecond(v[i])
-			mp := systems[i].LoadedLatency(d)
-			cpi += p.MPI() * v[i] * float64(mp.Cycles(top.CoreSpeed)) * p.BF
-			if keep {
-				tiers[i] = TopologyTierPoint{
-					Name:        top.Tiers[i].Name,
-					MissPenalty: mp,
-					Demand:      d,
-					Utilization: systems[i].Utilization(d),
-				}
-			}
-		}
-		return cpi
-	}
-
+	// systems[i].PeakBW is tier i's sustained bandwidth.
+	systems := make([]queueing.System, len(top.Tiers))
+	tiers := make([]TopologyTierPoint, len(top.Tiers))
 	// Bracket: CPI at zero queuing ≤ fixed point ≤ CPI at max stable
 	// queuing on every tier.
 	lo, hi := p.CPICache, p.CPICache
 	for i, t := range top.Tiers {
+		systems[i] = queueing.System{Compulsory: t.Compulsory, PeakBW: t.SustainedBW(), Curve: t.Queue}
+		tiers[i].Name = t.Name
 		lo += p.MPI() * v[i] * float64(t.Compulsory.Cycles(top.CoreSpeed)) * p.BF
 		maxMP := t.Compulsory + t.Queue.MaxStableDelay()
 		hi += p.MPI() * v[i] * float64(maxMP.Cycles(top.CoreSpeed)) * p.BF
 	}
+	threads := units.BytesPerSecond(top.Threads)
 
-	c := &topoCase{sc: solve.Scenario{
-		Name:  p.Name + "@" + top.Name,
-		Lo:    lo,
-		Hi:    hi,
-		F:     func(cpi0 float64) float64 { return eq5(cpi0, false) },
-		CPIOf: func(cpi0 float64) float64 { return eq5(cpi0, true) },
-	}}
-	for i, t := range top.Tiers {
-		c.sc.Limits = append(c.sc.Limits, func(_, cpi float64) (solve.Limit, bool) {
-			demandTotal := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-			d := demandTotal * units.BytesPerSecond(v[i])
-			if float64(d) < float64(susts[i])*0.999 {
-				return solve.Limit{}, false
+	// eq5 evaluates Eq. 5 with each tier's loaded latency implied by the
+	// demand at candidate CPI cpi0, leaving each tier's state in tiers.
+	eq5 := func(cpi0 float64) float64 {
+		demandTotal := p.Demand(cpi0, top.CoreSpeed, top.LineSize) * threads
+		cpi := p.CPICache
+		for i, sys := range systems {
+			tp := &tiers[i]
+			tp.Demand = demandTotal * units.BytesPerSecond(v[i])
+			tp.MissPenalty = sys.LoadedLatency(tp.Demand)
+			tp.Utilization = sys.Utilization(tp.Demand)
+			cpi += p.MPI() * v[i] * float64(tp.MissPenalty.Cycles(top.CoreSpeed)) * p.BF
+		}
+		return cpi
+	}
+	x, cpi, iters, err := bisect(lo, hi, eq5)
+	if err != nil {
+		recordSolve(ctx, iters, false, false, 0)
+		return TopologyPoint{Iterations: iters}, err
+	}
+	residual := math.Abs(cpi - x)
+
+	bound, limiter := false, ""
+	for i, sys := range systems {
+		demandTotal := p.Demand(cpi, top.CoreSpeed, top.LineSize) * threads
+		if float64(demandTotal*units.BytesPerSecond(v[i])) < float64(sys.PeakBW)*0.999 {
+			continue
+		}
+		tiers[i].Saturated = true
+		bound = true
+		share := p.BytesPerInstruction(top.LineSize) * v[i]
+		if bwCPI := share * float64(top.CoreSpeed) / (float64(sys.PeakBW) / float64(top.Threads)); bwCPI > cpi {
+			cpi, limiter = bwCPI, tiers[i].Name
+		}
+	}
+	converged := finite(cpi)
+	recordSolve(ctx, iters, bound, converged, residual)
+	if !converged {
+		return TopologyPoint{Iterations: iters}, ErrNoConvergence
+	}
+
+	eff := 0.0
+	for i := range tiers {
+		tiers[i].Delivered = minBW(tiers[i].Demand, systems[i].PeakBW)
+		eff += v[i] * float64(tiers[i].MissPenalty)
+	}
+	if top.Policy == SplitLocalRemote {
+		// A remote miss traverses the local tier and the link serially;
+		// report the whole remote path.
+		tiers[1].MissPenalty += tiers[0].MissPenalty
+	}
+	return TopologyPoint{
+		CPI:            cpi,
+		EffectiveMP:    units.Duration(eff),
+		Tiers:          tiers,
+		BandwidthBound: bound,
+		Limiter:        limiter,
+		Iterations:     iters,
+	}, nil
+}
+
+// EvaluateTopologyAll evaluates the full cross product of classes ×
+// topologies over a bounded worker pool — the point-grid path used by
+// sweeps and the experiment engine. Points are returned as
+// [class][topology]; the error is the first failure in that order,
+// wrapped with the failing (class, topology) pair so batch callers can
+// report which grid cell broke.
+func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology) ([][]TopologyPoint, error) {
+	topErrs := make([]error, len(tops))
+	for j, top := range tops {
+		topErrs[j] = top.Validate()
+	}
+	return evaluateGrid(ctx, classes, tops, topErrs)
+}
+
+// evaluateGrid is EvaluateTopologyAll with each topology's validation
+// error already known (nil for one the caller validated), so every
+// input is validated once per call. Every cell is validated before any
+// is solved: an invalid grid records no telemetry.
+func evaluateGrid(ctx context.Context, classes []Params, tops []Topology, topErrs []error) ([][]TopologyPoint, error) {
+	for i, p := range classes {
+		pErr := p.Validate()
+		for j, top := range tops {
+			// Abandoned grids (a server-side deadline, a disconnected
+			// sweep client) stop between points.
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			tiers[i].Saturated = true
-			share := p.BytesPerInstruction(top.LineSize) * v[i]
-			bwCPI := share * float64(top.CoreSpeed) / (float64(susts[i]) / float64(top.Threads))
-			return solve.Limit{Resource: t.Name, CPI: bwCPI, Bound: true}, true
-		})
-	}
-	c.point = func(out solve.Outcome) TopologyPoint {
-		eff := 0.0
-		for i := range tiers {
-			tiers[i].Delivered = minBW(tiers[i].Demand, susts[i])
-			eff += v[i] * float64(tiers[i].MissPenalty)
-		}
-		if top.Policy == SplitLocalRemote {
-			// A remote miss traverses the local tier and the link
-			// serially; report the whole remote path.
-			tiers[1].MissPenalty += tiers[0].MissPenalty
-		}
-		return TopologyPoint{
-			CPI:            out.CPI,
-			EffectiveMP:    units.Duration(eff),
-			Tiers:          tiers,
-			BandwidthBound: out.Regime == solve.BandwidthLimited,
-			Limiter:        out.Limiter,
-			Iterations:     out.Iterations,
+			if err := cmp.Or(pErr, topErrs[j]); err != nil {
+				return nil, gridErr(i, p, j, top.Name, err)
+			}
 		}
 	}
-	return c, nil
+	grid := make([][]TopologyPoint, len(classes))
+	for i := range grid {
+		grid[i] = make([]TopologyPoint, len(tops))
+	}
+	n := len(classes) * len(tops)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Cells claimed after a cancellation return the context
+			// error from evaluate without solving.
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				i, j := k/len(tops), k%len(tops)
+				grid[i][j], errs[k] = evaluate(ctx, classes[i], tops[j])
+			}
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			i, j := k/len(tops), k%len(tops)
+			return nil, gridErr(i, classes[i], j, tops[j].Name, err)
+		}
+	}
+	return grid, nil
 }
 
 func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
@@ -417,63 +480,6 @@ func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
 		return a
 	}
 	return b
-}
-
-// EvaluateTopology finds the stable operating point of workload class p
-// on an N-tier memory topology — the single evaluator behind Evaluate
-// and every tiered, NUMA and die-stacked study. A solve.Recorder
-// planted in ctx observes the solver telemetry, and cancellation is
-// honored before any model evaluation.
-func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoint, error) {
-	c, err := newTopoCase(p, top)
-	if err != nil {
-		return TopologyPoint{}, err
-	}
-	out, err := solve.Solve(ctx, c.sc)
-	if err != nil {
-		return TopologyPoint{Iterations: out.Iterations}, err
-	}
-	return c.point(out), nil
-}
-
-// EvaluateTopologyAll evaluates the full cross product of classes ×
-// topologies through the kernel's batch API — the point-grid path used
-// by sweeps and the experiment engine. Points are returned as
-// [class][topology]; the error is the first failure in that order,
-// wrapped with the failing (class, topology) pair so batch callers can
-// report which grid cell broke.
-func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology) ([][]TopologyPoint, error) {
-	cases := make([]*topoCase, 0, len(classes)*len(tops))
-	scs := make([]solve.Scenario, 0, len(classes)*len(tops))
-	for i, p := range classes {
-		for j, top := range tops {
-			// Abandoned grids (a server-side deadline, a disconnected
-			// sweep client) stop between points rather than validating
-			// and queueing the rest of the cross product.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := newTopoCase(p, top)
-			if err != nil {
-				return nil, gridErr(i, p, j, top.Name, err)
-			}
-			cases = append(cases, c)
-			scs = append(scs, c.sc)
-		}
-	}
-	outs, errs := solve.SolveEach(ctx, scs)
-	grid := make([][]TopologyPoint, len(classes))
-	for i, p := range classes {
-		grid[i] = make([]TopologyPoint, len(tops))
-		for j, top := range tops {
-			k := i*len(tops) + j
-			if errs[k] != nil {
-				return nil, gridErr(i, p, j, top.Name, errs[k])
-			}
-			grid[i][j] = cases[k].point(outs[k])
-		}
-	}
-	return grid, nil
 }
 
 // gridErr wraps a batch failure with the indices and names of the grid

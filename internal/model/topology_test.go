@@ -393,7 +393,8 @@ func TestEvaluateTopologyAllIndexedErrors(t *testing.T) {
 	badP := Params{Name: "broken"} // fails Params.Validate
 	top := BaselinePlatform(curve).Topology()
 
-	_, err := EvaluateTopologyAll(context.Background(), []Params{goodP, badP}, []Topology{top})
+	var agg Aggregate
+	_, err := EvaluateTopologyAll(WithSolverStats(context.Background(), &agg), []Params{goodP, badP}, []Topology{top})
 	if err == nil {
 		t.Fatal("expected an error for the invalid class")
 	}
@@ -401,6 +402,10 @@ func TestEvaluateTopologyAllIndexedErrors(t *testing.T) {
 		if !contains(err.Error(), want) {
 			t.Errorf("error %q should mention %q", err, want)
 		}
+	}
+	// The grid is validated whole before any cell solves.
+	if st := agg.Stats(); st.Solves != 0 {
+		t.Errorf("invalid grid recorded %d solves, want 0", st.Solves)
 	}
 }
 

@@ -11,7 +11,7 @@
 // analytic M/M/1-shaped alternative for ablation, composite averaging,
 // and the System that turns a bandwidth demand into a loaded latency.
 // The fixed point that makes demand and latency self-consistent is
-// solved by internal/model over the internal/solve kernel.
+// solved by internal/model (EvaluateTopology).
 package queueing
 
 import (

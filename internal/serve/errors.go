@@ -8,7 +8,6 @@ import (
 
 	"repro/api"
 	"repro/internal/model"
-	"repro/internal/solve"
 )
 
 // classify maps evaluation errors onto (HTTP status, wire code):
@@ -26,7 +25,7 @@ func classify(err error) (int, string) {
 		return http.StatusGatewayTimeout, api.CodeDeadlineExceeded
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, api.CodeUnavailable
-	case errors.Is(err, solve.ErrNoConvergence):
+	case errors.Is(err, model.ErrNoConvergence):
 		return http.StatusUnprocessableEntity, api.CodeNoConvergence
 	default:
 		return http.StatusInternalServerError, api.CodeInternal

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/solve"
+	"repro/internal/model"
 )
 
 // latencyBuckets are the per-endpoint histogram upper bounds in
@@ -78,9 +78,9 @@ type Metrics struct {
 	endpoints map[string]*endpointMetrics
 
 	// Solver aggregates the fixed-point telemetry of every solve the
-	// daemon ran (iterations, bandwidth-limited regime counts, worst
-	// residual) via the solve.Recorder each request context carries.
-	Solver solve.Aggregate
+	// daemon ran (iterations, bandwidth-limited counts, worst residual):
+	// each request context records on it (see Server.record).
+	Solver model.Aggregate
 }
 
 func newMetrics(endpoints []string) *Metrics {
@@ -151,18 +151,7 @@ func (m *Metrics) render(w io.Writer, cache CacheStats, adm AdmissionStats, faul
 	fmt.Fprintf(w, "memmodeld_solver_worst_residual %g\n", st.MaxResidual)
 }
 
-// teeRecorder fans one solver outcome out to the process-wide aggregate
-// and the per-request aggregate that fills the response's solver body.
-type teeRecorder struct {
-	a, b solve.Recorder
-}
-
-func (t teeRecorder) RecordSolve(out solve.Outcome) {
-	t.a.RecordSolve(out)
-	t.b.RecordSolve(out)
-}
-
-func solverBody(st solve.Stats) api.SolverBody {
+func solverBody(st model.Stats) api.SolverBody {
 	return api.SolverBody{
 		Solves:           st.Solves,
 		Iterations:       st.Iterations,

@@ -10,7 +10,6 @@ import (
 
 	"repro/api"
 	"repro/internal/model"
-	"repro/internal/solve"
 	"repro/internal/version"
 )
 
@@ -35,7 +34,7 @@ const (
 )
 
 // Server is the model-evaluation service: the JSON evaluation, sweep,
-// fleet and workload endpoints over the unified solve kernel, fronted
+// fleet and workload endpoints over the model's evaluator, fronted
 // by the scenario cache and the admission controller, plus /healthz
 // and /metrics. An
 // optional fault-injection middleware (WithFaults) manufactures
@@ -228,11 +227,12 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 	}
 }
 
-// record returns a context that tees solver outcomes into the
-// process-wide aggregate and a fresh per-request aggregate.
-func (s *Server) record(ctx context.Context) (context.Context, *solve.Aggregate) {
-	agg := &solve.Aggregate{}
-	return solve.WithRecorder(ctx, teeRecorder{&s.metrics.Solver, agg}), agg
+// record returns a context whose solves record on the process-wide
+// aggregate and on a fresh per-request aggregate, which fills the
+// response's solver body.
+func (s *Server) record(ctx context.Context) (context.Context, *model.Aggregate) {
+	agg := &model.Aggregate{}
+	return model.WithSolverStats(ctx, &s.metrics.Solver, agg), agg
 }
 
 func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
@@ -406,7 +406,7 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 	}
 }
 
-func sweepResponse(axis string, sw model.Sweep, st solve.Stats) api.SweepResponse {
+func sweepResponse(axis string, sw model.Sweep, st model.Stats) api.SweepResponse {
 	resp := api.SweepResponse{Axis: axis, Solver: solverBody(st)}
 	for _, pt := range sw.Points {
 		body := api.SweepPointBody{

@@ -4,8 +4,8 @@
 # concurrency-bearing packages (the simulator's event
 # loop under the parallel fit grids, the engine scheduler, the
 # experiment suite's shared once-cells, the sharded LRU behind the
-# scenario cache, the fleet simulator, the memmodeld service layer, and
-# the resilient client SDK).
+# scenario cache, the model's grid worker pool, the fleet simulator, the
+# memmodeld service layer, and the resilient client SDK).
 #
 # The race pass shrinks the golden-manifest drift test's scope via the
 # `race` build tag (see internal/experiments/race_on_test.go) — the
@@ -39,7 +39,7 @@ go test ./...
 echo "== perfbench: go vet + go test"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== go test -race (sim + cluster + engine + experiments + lru + serve + client + workgen)"
-go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/lru/ ./internal/serve/ ./client/ ./internal/workgen/
+echo "== go test -race (sim + cluster + engine + experiments + lru + model + serve + client + workgen)"
+go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/lru/ ./internal/model/ ./internal/serve/ ./client/ ./internal/workgen/
 
 echo "verify: OK"
