@@ -387,19 +387,6 @@ func TestAvgMissPenalty(t *testing.T) {
 	}
 }
 
-func TestResetCountersKeepsContents(t *testing.T) {
-	h, _ := newSmall(t, false)
-	load(h, 0, 0x5000)
-	h.ResetCounters()
-	if h.Counters().MemDemandReads != 0 {
-		t.Fatal("counters must clear")
-	}
-	out := load(h, 1, 0x5000)
-	if out.DemandMiss {
-		t.Fatal("cache contents must survive a counter reset")
-	}
-}
-
 func TestStoresDoNotAccrueMissPenalty(t *testing.T) {
 	h, _ := newSmall(t, false)
 	store(h, 0, 0x6000)
@@ -437,7 +424,7 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Config().LineSize != 64 {
+	if h.cfg.LineSize != 64 {
 		t.Fatal("line size")
 	}
 }

@@ -124,9 +124,6 @@ func New(cfg Config, mem Memory) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // Counters returns a snapshot of the accumulated statistics: the
 // functional counters, plus PrefLate and DemandMissLatency of the
 // references Access timed.
@@ -143,16 +140,6 @@ func (h *Hierarchy) CountersInto(dst *Counters) {
 	if h.tm != nil {
 		dst.PrefLate = h.tm.ctr.PrefLate
 		dst.DemandMissLatency = h.tm.ctr.DemandMissLatency
-	}
-}
-
-// ResetCounters clears statistics, keeping cache contents (for measuring
-// after warm-up). The Levels slice is reused, not reallocated.
-func (h *Hierarchy) ResetCounters() {
-	h.ctr.reset()
-	h.logged.reset()
-	if h.tm != nil {
-		h.tm.ResetCounters()
 	}
 }
 

@@ -237,3 +237,10 @@ h cxl-0 done=692 shed=0 util=0x1.f798aa25c8e04p-01 peakq=12
 h cxl-1 done=692 shed=0 util=0x1.f76deba59a3f7p-01 peakq=12
 `,
 }
+
+// CanonicalSpec serializes everything Simulate's outcome depends on for
+// s.Policy alone: the single-policy form CanonicalSpecs must agree with.
+func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})[0] }
+
+// Key folds the canonical spec into a compact cache key.
+func Key(s Spec) string { return model.ScenarioKey("cluster", CanonicalSpec(s)) }

@@ -14,11 +14,9 @@ import (
 // and tenant order is significant — it is the routing and seeding
 // order.
 
-// CanonicalSpec serializes everything Simulate's outcome depends on.
-func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})[0] }
-
-// CanonicalSpecs returns CanonicalSpec(s) with s.Policy set to each of
-// policies in turn, rendering the policy-independent rest once.
+// CanonicalSpecs serializes everything Simulate's outcome depends on,
+// once for each of policies in place of s.Policy, rendering the
+// policy-independent rest once.
 func CanonicalSpecs(s Spec, policies []Policy) []string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ",dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[",
@@ -46,6 +44,3 @@ func CanonicalSpecs(s Spec, policies []Policy) []string {
 	}
 	return out
 }
-
-// Key folds the canonical spec into a compact cache key.
-func Key(s Spec) string { return model.ScenarioKey("cluster", CanonicalSpec(s)) }

@@ -198,9 +198,7 @@ func runFleets(ctx context.Context, arr *workgen.Stream, fleets []*fleet) error 
 }
 
 // newPricing prices every (tenant, host) pair through the analytic
-// model and builds each tenant's arrival process. Each host topology
-// and each tenant's params are canonicalized once; pairs with equal
-// canonical forms share one solve.
+// model, one solve per pair, and builds each tenant's arrival process.
 func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 	pr := &pricing{
 		prices:   make([][]price, len(spec.Tenants)),
@@ -208,13 +206,6 @@ func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 		arrivals: workgen.Spec{Duration: spec.Duration.Seconds(), Seed: spec.Seed,
 			Clients: make([]workgen.Client, len(spec.Tenants))},
 	}
-	topClass := make([]int, len(spec.Hosts))
-	topIndex := map[string]int{}
-	for h := range spec.Hosts {
-		topClass[h] = classOf(topIndex, model.CanonicalTopology(spec.Hosts[h].Topology))
-	}
-	paramIndex := map[string]int{}
-	memo := map[[2]int]model.TopologyPoint{}
 	for t := range spec.Tenants {
 		ten := &spec.Tenants[t]
 		proc, err := workgen.NewProcess(api.ArrivalSpec{}, ten.Rate)
@@ -222,19 +213,12 @@ func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 			return nil, fmt.Errorf("cluster: tenant %s: %w", ten.Name, err)
 		}
 		pr.arrivals.Clients[t] = workgen.Client{Name: ten.Name, Rate: ten.Rate, Process: proc}
-		pc := classOf(paramIndex, model.CanonicalParams(ten.Params))
 		pr.prices[t] = make([]price, len(spec.Hosts))
 		for h := range spec.Hosts {
 			top := &spec.Hosts[h].Topology
-			key := [2]int{pc, topClass[h]}
-			pt, ok := memo[key]
-			if !ok {
-				var err error
-				pt, err = model.EvaluateTopology(ctx, ten.Params, *top)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: tenant %s on host %s: %w", ten.Name, spec.Hosts[h].Name, err)
-				}
-				memo[key] = pt
+			pt, err := model.EvaluateTopology(ctx, ten.Params, *top)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: tenant %s on host %s: %w", ten.Name, spec.Hosts[h].Name, err)
 			}
 			service := units.Duration(ten.Work * pt.CPI / float64(top.CoreSpeed) * 1e9)
 			var total float64
@@ -248,16 +232,6 @@ func newPricing(ctx context.Context, spec Spec) (*pricing, error) {
 		}
 	}
 	return pr, nil
-}
-
-// classOf numbers distinct canonical strings in first-seen order.
-func classOf(index map[string]int, key string) int {
-	c, ok := index[key]
-	if !ok {
-		c = len(index)
-		index[key] = c
-	}
-	return c
 }
 
 // newFleet builds fresh host and tenant state for one policy run and

@@ -75,23 +75,6 @@ func (c Counters) Cycles(f units.Hertz) float64 {
 	return c.BusyNS / 1e9 * float64(f)
 }
 
-// CPI returns measured cycles per instruction at frequency f.
-func (c Counters) CPI(f units.Hertz) float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return c.Cycles(f) / float64(c.Instructions)
-}
-
-// Utilization returns the unhalted fraction of wall time.
-func (c Counters) Utilization() float64 {
-	total := c.BusyNS + c.IdleNS
-	if total == 0 {
-		return 0
-	}
-	return c.BusyNS / total
-}
-
 // Block is one trace block as its thread's functional track recorded it:
 // the block's timing fields, the records of its timed references with
 // their memory requests, and its references' functional counter delta.
@@ -166,9 +149,6 @@ func (c *Core) Counters() Counters { return c.ctr }
 
 // Timing returns the thread's cache timing state (for its counters).
 func (c *Core) Timing() *cache.Timing { return c.tm }
-
-// Config returns the thread's configuration.
-func (c *Core) Config() Config { return c.cfg }
 
 // ResetCounters clears execution and cache statistics (post-warm-up).
 func (c *Core) ResetCounters() {

@@ -147,14 +147,14 @@ func TestFigure10And11Headlines(t *testing.T) {
 		}
 		byName[c.Name] = m/b - 1
 	}
-	if got := byName["Enterprise"]; got < 0.025 || got > 0.045 {
-		t.Fatalf("enterprise per 10ns = %.2f%%, paper ≈3.5%%", got*100)
+	if got := byName["Enterprise"]; got < params.EnterprisePctPer10ns-0.010 || got > params.EnterprisePctPer10ns+0.010 {
+		t.Fatalf("enterprise per 10ns = %.2f%%, paper ≈%.1f%%", got*100, params.EnterprisePctPer10ns*100)
 	}
-	if got := byName["Big Data"]; got < 0.017 || got > 0.033 {
-		t.Fatalf("big data per 10ns = %.2f%%, paper ≈2.5%%", got*100)
+	if got := byName["Big Data"]; got < params.BigDataPctPer10ns-0.008 || got > params.BigDataPctPer10ns+0.008 {
+		t.Fatalf("big data per 10ns = %.2f%%, paper ≈%.1f%%", got*100, params.BigDataPctPer10ns*100)
 	}
-	if got := byName["HPC"]; got > 0.005 {
-		t.Fatalf("HPC per 10ns = %.2f%%, paper ≈0%%", got*100)
+	if got := byName["HPC"]; got > params.HPCPctPer10ns+0.005 {
+		t.Fatalf("HPC per 10ns = %.2f%%, paper ≈%.0f%%", got*100, params.HPCPctPer10ns*100)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestTable7HPCBenefit(t *testing.T) {
 	if _, err := fmtSscanf(hpcRow[1], &benefit); err != nil {
 		t.Fatalf("parse %q: %v", hpcRow[1], err)
 	}
-	if benefit < 18 || benefit > 30 {
-		t.Fatalf("HPC BW benefit = %v%%, paper ≈24%%", benefit)
+	if benefit < params.HPCBenefitPer1GBs*100-6 || benefit > params.HPCBenefitPer1GBs*100+6 {
+		t.Fatalf("HPC BW benefit = %v%%, paper ≈%.0f%%", benefit, params.HPCBenefitPer1GBs*100)
 	}
 	if hpcRow[4] != "unbounded" {
 		t.Fatalf("HPC latency equivalence = %q, want unbounded", hpcRow[4])

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/model"
+	"repro/internal/params"
 	"repro/internal/report"
 )
 
@@ -164,8 +165,9 @@ func (s *Suite) Figure11(ctx context.Context) (Artifact, error) {
 			avg[c.Name] += d.PerUnit[c.Name] * 10 / float64(len(derivs))
 		}
 	}
-	table.AddNote("average per +10ns: Enterprise %.1f%%, Big Data %.1f%%, HPC %.1f%% (paper: ~3.5%%, ~2.5%%, ~0%%)",
-		avg["Enterprise"]*100, avg["Big Data"]*100, avg["HPC"]*100)
+	table.AddNote("average per +10ns: Enterprise %.1f%%, Big Data %.1f%%, HPC %.1f%% (paper: ~%.1f%%, ~%.1f%%, ~%.0f%%)",
+		avg["Enterprise"]*100, avg["Big Data"]*100, avg["HPC"]*100,
+		params.EnterprisePctPer10ns*100, params.BigDataPctPer10ns*100, params.HPCPctPer10ns*100)
 	return Artifact{ID: "fig11", Tables: []*report.Table{table}}, nil
 }
 
@@ -205,6 +207,8 @@ func (s *Suite) Table7(ctx context.Context) (Artifact, error) {
 			fmt.Sprintf("%.2f%%", eq.BWBenefit*100),
 			fmt.Sprintf("%.2f%%", eq.LatBenefit*100), bw, lat)
 	}
-	table.AddNote("paper: 10ns ≈ 39.7 GB/s (enterprise) / 27.1 GB/s (big data); 1 GB/s/core ≈ 2.0ns / 2.9ns; HPC: ~24%% per GB/s/core, no latency benefit")
+	table.AddNote("paper: 10ns ≈ %.1f GB/s (enterprise) / %.1f GB/s (big data); 1 GB/s/core ≈ %.1fns / %.1fns; HPC: ~%.0f%% per GB/s/core, no latency benefit",
+		params.Enterprise10nsEquivGBs, params.BigData10nsEquivGBs,
+		params.Enterprise1GBsEquivNs, params.BigData1GBsEquivNs, params.HPCBenefitPer1GBs*100)
 	return Artifact{ID: "table7", Tables: []*report.Table{table}}, nil
 }

@@ -157,9 +157,3 @@ func (c Config) NominalPeak() units.BytesPerSecond {
 	}
 	return min
 }
-
-// Efficiency returns NominalPeak/RawBandwidth, the paper's "observed
-// efficiency of about 70 %" for the DDR3-1867 baseline.
-func (c Config) Efficiency() float64 {
-	return float64(c.NominalPeak()) / float64(c.RawBandwidth())
-}

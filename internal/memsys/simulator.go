@@ -26,28 +26,19 @@ func (o Op) String() string {
 
 // Counters accumulates traffic statistics for a Simulator.
 type Counters struct {
-	Reads, Writes     uint64
-	BytesRead         units.Bytes
-	BytesWritten      units.Bytes
-	TotalReadLatency  units.Duration // sum of read latencies (arrival→data)
-	TotalQueueDelay   units.Duration // sum of queuing components, all ops
-	Turnarounds       uint64
-	BankConflicts     uint64
-	BusWait           units.Duration // queue time attributable to the channel bus
-	BankWait          units.Duration // queue time attributable to bank recycle
-	LastCompletion    units.Duration // completion time of the latest-finishing request
-	FirstArrival      units.Duration
-	haveFirstArrival  bool
-	MaxObservedQueue  units.Duration
-	totalReadRequests uint64
-}
-
-// AvgReadLatency returns the mean arrival-to-data latency of reads.
-func (c Counters) AvgReadLatency() units.Duration {
-	if c.totalReadRequests == 0 {
-		return 0
-	}
-	return units.Duration(float64(c.TotalReadLatency) / float64(c.totalReadRequests))
+	Reads, Writes    uint64
+	BytesRead        units.Bytes
+	BytesWritten     units.Bytes
+	TotalReadLatency units.Duration // sum of read latencies (arrival→data)
+	TotalQueueDelay  units.Duration // sum of queuing components, all ops
+	Turnarounds      uint64
+	BankConflicts    uint64
+	BusWait          units.Duration // queue time attributable to the channel bus
+	BankWait         units.Duration // queue time attributable to bank recycle
+	LastCompletion   units.Duration // completion time of the latest-finishing request
+	FirstArrival     units.Duration
+	haveFirstArrival bool
+	MaxObservedQueue units.Duration
 }
 
 // AvgQueueDelay returns the mean queuing delay across all requests.
@@ -312,7 +303,6 @@ func (s *Simulator) Access(now units.Duration, addr uint64, op Op) Result {
 		s.counters.Reads++
 		s.counters.BytesRead += s.cfg.LineSize
 		s.counters.TotalReadLatency += latency
-		s.counters.totalReadRequests++
 	case Write:
 		latency = queue + s.transfer
 		s.counters.Writes++

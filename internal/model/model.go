@@ -106,16 +106,6 @@ func (p Params) Demand(cpi float64, cps units.Hertz, lineSize units.Bytes) units
 	return units.BytesPerSecond(p.BytesPerInstruction(lineSize) * float64(cps) / cpi)
 }
 
-// BandwidthLimitedCPI solves Eq. 4 for CPI_eff with BW set to the
-// available bandwidth per thread — the paper's treatment of
-// bandwidth-bound operating points (§VI.C.1).
-func (p Params) BandwidthLimitedCPI(availPerThread units.BytesPerSecond, cps units.Hertz, lineSize units.Bytes) (float64, error) {
-	if availPerThread <= 0 {
-		return 0, errors.New("model: available bandwidth must be positive")
-	}
-	return p.BytesPerInstruction(lineSize) * float64(cps) / float64(availPerThread), nil
-}
-
 // ReferencesPerCycle returns the y axis of Fig. 6: memory reads and
 // writebacks per core cycle with CPI_eff = CPI_cache — the workload's
 // intrinsic bandwidth demand, independent of core speed and line size.
@@ -147,18 +137,4 @@ func BlockingFactorFromMLP(cpiCache, overlap, mpi float64, mp units.Cycles, mlp 
 		return 0, errors.New("model: MPI and MP must be positive")
 	}
 	return 1/mlp - cpiCache*overlap/(mpi*float64(mp)), nil
-}
-
-// PrefetchBFImprovement estimates the §VII observation that a better
-// prefetcher lowers the blocking factor: given a fraction of misses
-// converted from demand to timely prefetch, the exposed fraction of the
-// miss penalty scales down proportionally.
-func PrefetchBFImprovement(p Params, coverage float64) (Params, error) {
-	if coverage < 0 || coverage > 1 {
-		return Params{}, errors.New("model: prefetch coverage must be in [0,1]")
-	}
-	q := p
-	q.Name = fmt.Sprintf("%s+pf%.0f%%", p.Name, coverage*100)
-	q.BF = p.BF * (1 - coverage)
-	return q, nil
 }

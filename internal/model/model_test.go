@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -170,4 +171,14 @@ func TestChouErrors(t *testing.T) {
 	if _, err := BlockingFactorFromMLP(1, 0.1, 0, 100, 2); err == nil {
 		t.Fatal("want error for MPI 0")
 	}
+}
+
+// BandwidthLimitedCPI solves Eq. 4 for CPI_eff with BW set to the
+// available bandwidth per thread — the paper's treatment of
+// bandwidth-bound operating points (§VI.C.1).
+func (p Params) BandwidthLimitedCPI(availPerThread units.BytesPerSecond, cps units.Hertz, lineSize units.Bytes) (float64, error) {
+	if availPerThread <= 0 {
+		return 0, errors.New("model: available bandwidth must be positive")
+	}
+	return p.BytesPerInstruction(lineSize) * float64(cps) / float64(availPerThread), nil
 }

@@ -6,37 +6,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/units"
 )
-
-func TestPathlengthThroughput(t *testing.T) {
-	// 2.5e9 cycles/s at CPI 1.25 and 10k instructions/txn →
-	// 2.5e9/(1.25×1e4) = 200k txn/s.
-	pl := Pathlength(10_000)
-	got := pl.Throughput(1.25, units.GHzOf(2.5))
-	if math.Abs(got-200_000) > 1 {
-		t.Fatalf("throughput = %v, want 200000", got)
-	}
-	if Pathlength(0).Throughput(1, units.GHzOf(2.5)) != 0 {
-		t.Fatal("zero pathlength must give 0")
-	}
-	if pl.Throughput(0, units.GHzOf(2.5)) != 0 {
-		t.Fatal("zero CPI must give 0")
-	}
-}
-
-func TestPathlengthRunTime(t *testing.T) {
-	pl := Pathlength(10_000)
-	// 200k txn/s → 1M txns in 5 s.
-	got := pl.RunTime(1_000_000, 1.25, units.GHzOf(2.5))
-	if math.Abs(got.Seconds()-5) > 1e-9 {
-		t.Fatalf("run time = %v, want 5s", got)
-	}
-	if Pathlength(0).RunTime(1, 1, units.GHzOf(2.5)) != 0 {
-		t.Fatal("degenerate run time must be 0")
-	}
-}
 
 func TestCombinePhasesSingleIsIdentity(t *testing.T) {
 	p := bigDataClass()

@@ -280,23 +280,6 @@ func TestTieredRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestPrefetchBFImprovement(t *testing.T) {
-	p := bigDataClass()
-	q, err := PrefetchBFImprovement(p, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q.BF-p.BF/2) > 1e-12 {
-		t.Fatalf("BF = %v, want halved", q.BF)
-	}
-	if q.Name == p.Name {
-		t.Fatal("name must change")
-	}
-	if _, err := PrefetchBFImprovement(p, 1.5); err == nil {
-		t.Fatal("want error for coverage > 1")
-	}
-}
-
 func dualSocket() Topology {
 	return DualSocketBaseline(testCurve())
 }

@@ -112,13 +112,9 @@ func (b BaselinePlatform) EffectiveBandwidth() units.BytesPerSecond {
 	return units.BytesPerSecond(raw * b.Efficiency)
 }
 
-// PerCoreBandwidth returns EffectiveBandwidth divided by core count
-// (≈5.25 GB/s for the baseline).
-func (b BaselinePlatform) PerCoreBandwidth() units.BytesPerSecond {
-	return b.EffectiveBandwidth() / units.BytesPerSecond(b.Cores)
-}
-
-// Headline results for benchmark comparison (§VI.C.3, §VI.D, Table 7).
+// The paper's headline results (§VI.C.3, §VI.D, Table 7): the Fig. 11
+// and Table 7 artifacts print them next to the reproduced values, and
+// the experiments' accuracy pins are bounds around them.
 const (
 	// Fig. 11: CPI increase per +10 ns compulsory latency.
 	EnterprisePctPer10ns = 0.035

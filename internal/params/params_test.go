@@ -3,6 +3,8 @@ package params
 import (
 	"math"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func TestTable2Verbatim(t *testing.T) {
@@ -76,7 +78,7 @@ func TestBaselineArithmetic(t *testing.T) {
 	if got := b.EffectiveBandwidth().GBps(); math.Abs(got-41.8) > 0.5 {
 		t.Fatalf("effective = %v, want ≈41.8 (paper: ~42 GB/s)", got)
 	}
-	if got := b.PerCoreBandwidth().GBps(); math.Abs(got-5.23) > 0.1 {
+	if got := (b.EffectiveBandwidth() / units.BytesPerSecond(b.Cores)).GBps(); math.Abs(got-5.23) > 0.1 {
 		t.Fatalf("per-core = %v, want ≈5.25", got)
 	}
 	if b.Cores*b.ThreadsPerCore != 16 {
@@ -102,21 +104,5 @@ func TestFig1Trend(t *testing.T) {
 	}
 	if trend[1].Year != 2013 {
 		t.Fatalf("years must advance: %d", trend[1].Year)
-	}
-}
-
-func TestHeadlineConstants(t *testing.T) {
-	// Sanity anchors used by benchmarks and EXPERIMENTS.md.
-	if EnterprisePctPer10ns != 0.035 || BigDataPctPer10ns != 0.025 || HPCPctPer10ns != 0 {
-		t.Fatal("Fig. 11 headline constants")
-	}
-	if HPCBenefitPer1GBs != 0.24 {
-		t.Fatal("Table 7 HPC constant")
-	}
-	if Enterprise10nsEquivGBs <= BigData10nsEquivGBs {
-		t.Fatal("Table 7: enterprise needs more bandwidth to match 10ns than big data")
-	}
-	if Enterprise1GBsEquivNs >= BigData1GBsEquivNs {
-		t.Fatal("Table 7: big data's bandwidth benefit is worth more latency")
 	}
 }

@@ -76,9 +76,6 @@ func (s *Sampler) Reset(interval units.Duration) {
 // Enabled reports whether the sampler records anything.
 func (s *Sampler) Enabled() bool { return s != nil && s.interval > 0 }
 
-// Interval returns the sampling interval.
-func (s *Sampler) Interval() units.Duration { return s.interval }
-
 // Record ingests a snapshot taken at time now. The first call sets the
 // baseline; subsequent calls append one sample covering [lastTime, now].
 func (s *Sampler) Record(now units.Duration, snap Snapshot) {

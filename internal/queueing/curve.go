@@ -177,13 +177,6 @@ func (m *Measured) MaxStableDelay() units.Duration { return m.delays[len(m.delay
 // limit.
 func (m *Measured) ULimit() float64 { return m.us[len(m.us)-1] }
 
-// Samples returns copies of the underlying (utilization, delay) samples.
-func (m *Measured) Samples() ([]float64, []units.Duration) {
-	us := append([]float64(nil), m.us...)
-	ds := append([]units.Duration(nil), m.delays...)
-	return us, ds
-}
-
 // Composite averages several curves pointwise, reproducing the paper's
 // construction of a single model curve from the four measured
 // speed/read-write-mix combinations ("we average these curves to create a

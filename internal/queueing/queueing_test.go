@@ -94,7 +94,7 @@ func TestMeasuredSortsAndDedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, ds := m.Samples()
+	us, ds := m.us, m.delays
 	if len(us) != 2 || us[0] != 0.2 || us[1] != 0.8 {
 		t.Fatalf("us = %v", us)
 	}

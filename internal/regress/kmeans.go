@@ -139,22 +139,3 @@ func clonePoint(p Point) Point {
 	copy(q, p)
 	return q
 }
-
-// Mean returns the per-dimension mean of a set of points — the paper's
-// "mean" red markers in Fig. 6, computed per named workload class.
-func Mean(points []Point) Point {
-	if len(points) == 0 {
-		return nil
-	}
-	dim := len(points[0])
-	m := make(Point, dim)
-	for _, p := range points {
-		for d := range p {
-			m[d] += p[d]
-		}
-	}
-	for d := range m {
-		m[d] /= float64(len(points))
-	}
-	return m
-}

@@ -114,16 +114,6 @@ func TestKMeansInertiaZeroForKEqualsN(t *testing.T) {
 	}
 }
 
-func TestMeanPoint(t *testing.T) {
-	got := Mean([]Point{{1, 2}, {3, 4}})
-	if !reflect.DeepEqual(got, Point{2, 3}) {
-		t.Fatalf("Mean = %v", got)
-	}
-	if Mean(nil) != nil {
-		t.Fatal("Mean(nil) should be nil")
-	}
-}
-
 func TestSortedByDim(t *testing.T) {
 	pts := []Point{{3}, {1}, {2}}
 	got := SortedByDim(pts, 0)

@@ -33,11 +33,6 @@ type Line struct {
 	SESlope     float64
 }
 
-// SlopeCI returns the ±half-width of an approximate 95% confidence
-// interval on the slope (two standard errors; the paper's sample sizes
-// are too small for exact t quantiles to change the conclusion).
-func (l Line) SlopeCI() float64 { return 2 * l.SESlope }
-
 // Eval returns the fitted value at x.
 func (l Line) Eval(x float64) float64 { return l.Intercept + l.Slope*x }
 
@@ -93,17 +88,4 @@ func Fit(xs, ys []float64) (Line, error) {
 		l.SEIntercept = math.Sqrt(s2 * (1/n + mx*mx/sxx))
 	}
 	return l, nil
-}
-
-// MaxAbsResidual returns the largest |residual| of the fit, a convenient
-// validation bound (Table 3 reports per-point error within a few percent).
-// It allocates nothing, so hot validation loops can call it per fit.
-func MaxAbsResidual(l Line, xs, ys []float64) float64 {
-	m := 0.0
-	for i := range xs {
-		if a := math.Abs(ys[i] - l.Eval(xs[i])); a > m {
-			m = a
-		}
-	}
-	return m
 }

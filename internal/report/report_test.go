@@ -41,22 +41,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	out := sampleTable().Markdown()
-	if !strings.Contains(out, "### Sample") {
-		t.Fatal("missing title")
-	}
-	if !strings.Contains(out, "| name | value | pct |") {
-		t.Fatalf("missing header row:\n%s", out)
-	}
-	if !strings.Contains(out, "| --- | --- | --- |") {
-		t.Fatal("missing separator row")
-	}
-	if !strings.Contains(out, "| alpha |") {
-		t.Fatal("missing body row")
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tab := NewTable("t", "a", "b")
 	tab.AddRow(`x,y`, `say "hi"`)

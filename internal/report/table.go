@@ -123,27 +123,6 @@ func (t *Table) ASCII() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavoured Markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	seps := make([]string, len(t.Headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(seps, " | ") + " |\n")
-	for _, r := range t.rows {
-		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*%s*\n", n)
-	}
-	return b.String()
-}
-
 // CSV renders the table as comma-separated values (quoting cells that
 // contain commas or quotes).
 func (t *Table) CSV() string {

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/internal/model"
@@ -134,23 +136,31 @@ func TestMeasuredCurveSpec(t *testing.T) {
 	}
 }
 
+// fuzzBodies seeds the request fuzz targets: one valid body per
+// endpoint, a measured curve, and malformed, invalid and
+// out-of-range ones.
+var fuzzBodies = []string{
+	`{"params":{"class":"bigdata"},"platform":{}}`,
+	`{"params":{"cpi_cache":1.2,"bf":0.4,"mpki":8},"platform":{"cores":16,"peak_gbps":60}}`,
+	`{"params":{},"topology":{"tiers":[{"share":1,"compulsory_ns":75,"peak_gbps":42}]}}`,
+	`{"axis":"latency","steps":3,"step_ns":10,"platform":{}}`,
+	`{"params":{"class":"bigdata"},"platform":{"queue":{"type":"measured","points":[{"utilization":0,"delay_ns":0},{"utilization":1,"delay_ns":90}]}}}`,
+	`{"params":{"mpki":-1}}`,
+	`{`,
+	`null`,
+	`{"params":{"class":"bigdata"},"platform":{"ghz":-3}}`,
+	`{"duration_s":1,"policies":["weighted","round-robin"],"seed":7,"rate_scale":1.5}`,
+	`{"spec":{"name":"mix","total_rps":2000,"duration_s":5,"seed":42},"service_us":150,"slots":8}`,
+}
+
 // FuzzDecodeRequests feeds arbitrary bodies through the same decode +
 // validate + canonicalize path the daemon uses: whatever the bytes,
 // the pipeline must return an error or a usable preparation — never
-// panic. Solving itself is excluded to keep fuzz iterations cheap.
+// panic. Solving itself is FuzzRunRequests' job.
 func FuzzDecodeRequests(f *testing.F) {
-	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{}}`))
-	f.Add([]byte(`{"params":{"cpi_cache":1.2,"bf":0.4,"mpki":8},"platform":{"cores":16,"peak_gbps":60}}`))
-	f.Add([]byte(`{"params":{},"topology":{"tiers":[{"share":1,"compulsory_ns":75,"peak_gbps":42}]}}`))
-	f.Add([]byte(`{"axis":"latency","steps":3,"step_ns":10,"platform":{}}`))
-	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{"queue":{"type":"measured","points":[{"utilization":0,"delay_ns":0},{"utilization":1,"delay_ns":90}]}}}`))
-	f.Add([]byte(`{"params":{"mpki":-1}}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"params":{"class":"bigdata"},"platform":{"ghz":-3}}`))
-	f.Add([]byte(`{"duration_s":1,"policies":["weighted","round-robin"],"seed":7,"rate_scale":1.5}`))
-	f.Add([]byte(`{"spec":{"name":"mix","total_rps":2000,"duration_s":5,"seed":42},"service_us":150,"slots":8}`))
-
+	for _, b := range fuzzBodies {
+		f.Add([]byte(b))
+	}
 	s := New()
 	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep, s.prepareCluster, s.prepareWorkload}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -164,6 +174,62 @@ func FuzzDecodeRequests(f *testing.F) {
 			}
 			if prep.run == nil {
 				t.Error("accepted request produced a nil run closure")
+			}
+		}
+	})
+}
+
+// FuzzRunRequests runs what each accepted body asks for — the solve,
+// sweep, fleet simulation or workload compile behind its endpoint —
+// under the 2 s deadline, then again under a cancelled context.
+// Whatever the bytes, a run must not panic, must end in a typed error
+// (one classify maps to a code other than internal) or in a response
+// json.Marshal accepts, and must return promptly once cancelled.
+func FuzzRunRequests(f *testing.F) {
+	for _, b := range fuzzBodies {
+		f.Add([]byte(b))
+	}
+	s := New()
+	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep, s.prepareCluster, s.prepareWorkload}
+	check := func(t *testing.T, what string, val any, err error) {
+		t.Helper()
+		if err != nil {
+			if _, code := classify(err); code == api.CodeInternal {
+				t.Errorf("%s: untyped error: %v", what, err)
+			}
+			return
+		}
+		if _, err := json.Marshal(val); err != nil {
+			t.Errorf("%s: response does not marshal: %v", what, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, prepare := range preps {
+			prep, err := prepare(jsonDecoder(body))
+			if err != nil {
+				continue
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			val, err := prep.run(ctx)
+			cancel()
+			check(t, "run", val, err)
+
+			ctx, cancel = context.WithCancel(context.Background())
+			cancel()
+			type result struct {
+				val any
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				val, err := prep.run(ctx)
+				done <- result{val, err}
+			}()
+			select {
+			case r := <-done:
+				check(t, "cancelled run", r.val, r.err)
+			case <-time.After(2 * time.Second):
+				t.Fatal("cancelled run still running after 2 s")
 			}
 		}
 	})

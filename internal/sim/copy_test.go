@@ -178,8 +178,8 @@ func TestRetimeMatchesConfig(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("retimed machine diverged from one built at the point:\nretimed %+v\nbuilt   %+v", got, want)
 	}
-	if !reflect.DeepEqual(m.Config(), cfg) {
-		t.Fatalf("Config after Retime = %+v, want %+v", m.Config(), cfg)
+	if !reflect.DeepEqual(m.cfg, cfg) {
+		t.Fatalf("Config after Retime = %+v, want %+v", m.cfg, cfg)
 	}
 	if err := m.Retime(0, memsys.DDR3_1867); err == nil {
 		t.Fatal("Retime accepted a zero frequency")

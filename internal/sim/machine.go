@@ -370,9 +370,6 @@ func (m *Machine) Retired() uint64 { return m.retired }
 // rather than replayed from a shared track.
 func (m *Machine) Functional() uint64 { return m.functional }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // before reports whether thread a orders before thread b in the event
 // heap: earlier timestamp first, lower index on ties.
 func (m *Machine) before(a, b int) bool {

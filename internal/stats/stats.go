@@ -1,7 +1,6 @@
 // Package stats provides the small set of summary statistics the
-// characterization methodology needs: means, variances, percentiles,
-// weighted aggregation across program phases (paper §IV.D), and running
-// (online) accumulators used by the PMU sampler.
+// characterization methodology needs: means, percentiles and
+// the error measures of the calibration loop.
 package stats
 
 import (
@@ -30,51 +29,6 @@ func MeanErr(xs []float64) (float64, error) {
 		s += x
 	}
 	return s / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs (0 for empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs (0 for empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
@@ -120,55 +74,6 @@ func SortedPercentile(ys []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return ys[lo]*(1-frac) + ys[hi]*frac
 }
-
-// Running accumulates a stream of observations with O(1) memory using
-// Welford's algorithm. The PMU sampler uses one per event ratio.
-type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N reports the number of observations added.
-func (r *Running) N() int { return r.n }
-
-// Mean reports the running mean (0 before any observation).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance reports the running population variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev reports the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min reports the smallest observation (0 before any observation).
-func (r *Running) Min() float64 { return r.min }
-
-// Max reports the largest observation (0 before any observation).
-func (r *Running) Max() float64 { return r.max }
 
 // RelError returns (got-want)/want. The paper's Table 3 reports model error
 // this way ("Error" row, within ±3%).

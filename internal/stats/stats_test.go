@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -50,24 +49,26 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if got := Variance(xs); got != 4 {
 		t.Fatalf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); got != 2 {
-		t.Fatalf("StdDev = %v, want 2", got)
+	if got := math.Sqrt(Variance(xs)); got != 2 {
+		t.Fatalf("standard deviation = %v, want 2", got)
 	}
 	if got := Variance([]float64{5}); got != 0 {
 		t.Fatalf("Variance of single value = %v, want 0", got)
 	}
 }
 
+// The extremes of a sample are its 0th and 100th percentiles.
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Fatalf("Min = %v", got)
+	got, err := Percentiles(xs, 0, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := Max(xs); got != 7 {
-		t.Fatalf("Max = %v", got)
+	if got[0] != -1 || got[1] != 7 {
+		t.Fatalf("min/max = %v, want [-1 7]", got)
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("Min/Max of empty should be 0")
+	if _, err := Percentiles(nil, 0, 100); err != ErrEmpty {
+		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -169,44 +170,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-// Property: the Running accumulator matches the batch computations.
-func TestRunningMatchesBatch(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var r Running
-		for _, x := range xs {
-			r.Add(x)
-		}
-		tol := 1e-6 * math.Max(1, math.Abs(Mean(xs)))
-		if math.Abs(r.Mean()-Mean(xs)) > tol {
-			return false
-		}
-		if r.Min() != Min(xs) || r.Max() != Max(xs) {
-			return false
-		}
-		vTol := 1e-6 * math.Max(1, Variance(xs))
-		return math.Abs(r.Variance()-Variance(xs)) <= vTol && r.N() == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.N() != 0 || r.StdDev() != 0 {
-		t.Fatal("zero Running should report zeros")
-	}
-}
-
 func TestRelError(t *testing.T) {
 	if got := RelError(1.02, 1.0); math.Abs(got-0.02) > 1e-12 {
 		t.Fatalf("RelError = %v, want 0.02", got)
@@ -302,5 +265,19 @@ func CoefficientOfVariation(xs []float64) float64 {
 	if m == 0 {
 		return 0
 	}
-	return StdDev(xs) / m
+	return math.Sqrt(Variance(xs)) / m
+}
+
+// Variance returns the population variance of xs (0 for n < 2).
+func Variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(xs))
 }

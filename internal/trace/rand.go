@@ -47,11 +47,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	return r.Uint64() % n
 }
 
-// Intn returns a pseudo-random int in [0, n).
-func (r *RNG) Intn(n int) int {
-	return int(r.Uint64n(uint64(n)))
-}
-
 // Float64 returns a pseudo-random value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

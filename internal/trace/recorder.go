@@ -77,9 +77,6 @@ func (r *Recorder) NextBlock(dst *Block) {
 	}
 }
 
-// Err reports the first write error, if any.
-func (r *Recorder) Err() error { return r.err }
-
 // Close writes the stream terminator and flushes.
 func (r *Recorder) Close() error {
 	if r.err != nil {
@@ -244,9 +241,6 @@ func checkBlock(b *Block) error {
 	}
 	return nil
 }
-
-// Len reports the number of recorded blocks.
-func (r *Replayer) Len() int { return len(r.blocks) }
 
 // NextBlock implements Generator, looping over the recorded window.
 func (r *Replayer) NextBlock(dst *Block) {

@@ -26,10 +26,10 @@ func (g *synthGen) NextBlock(b *Block) {
 	if g.i%11 == 0 {
 		b.IdleNS = 250
 	}
-	n := g.rng.Intn(6)
+	n := int(g.rng.Uint64n(6))
 	for j := 0; j < n; j++ {
 		addr := g.rng.Uint64n(1<<40) + 64
-		switch g.rng.Intn(4) {
+		switch g.rng.Uint64n(4) {
 		case 0:
 			b.AddRef(addr, true)
 		case 1:
@@ -60,8 +60,8 @@ func record(t testing.TB, n int, seed uint64) ([]Block, []byte) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Err() != nil {
-		t.Fatal(rec.Err())
+	if rec.err != nil {
+		t.Fatal(rec.err)
 	}
 	return want, buf.Bytes()
 }
@@ -72,8 +72,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != len(want) {
-		t.Fatalf("replay length = %d, want %d", rep.Len(), len(want))
+	if len(rep.blocks) != len(want) {
+		t.Fatalf("replay length = %d, want %d", len(rep.blocks), len(want))
 	}
 	var got Block
 	for i, w := range want {
@@ -175,8 +175,8 @@ func TestRecorderRejectsBadBlock(t *testing.T) {
 	}
 	var b Block
 	rec.NextBlock(&b)
-	if !errors.Is(rec.Err(), ErrBadTrace) {
-		t.Fatalf("Err = %v, want ErrBadTrace", rec.Err())
+	if !errors.Is(rec.err, ErrBadTrace) {
+		t.Fatalf("Err = %v, want ErrBadTrace", rec.err)
 	}
 	if err := rec.Close(); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("Close = %v, want ErrBadTrace", err)
@@ -193,7 +193,7 @@ func rerecord(t *testing.T, rep *Replayer) []byte {
 		t.Fatal(err)
 	}
 	var b Block
-	for range rep.Len() {
+	for range len(rep.blocks) {
 		b.Reset()
 		rec.NextBlock(&b)
 	}
@@ -226,8 +226,8 @@ func FuzzReplayer(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-recorded trace rejected: %v", err)
 		}
-		if again.Len() != rep.Len() {
-			t.Fatalf("round trip has %d blocks, want %d", again.Len(), rep.Len())
+		if len(again.blocks) != len(rep.blocks) {
+			t.Fatalf("round trip has %d blocks, want %d", len(again.blocks), len(rep.blocks))
 		}
 		if twice := rerecord(t, again); !bytes.Equal(twice, once) {
 			t.Fatal("re-recording a round-tripped trace changed its bytes")

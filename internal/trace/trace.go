@@ -129,16 +129,6 @@ func (s *AddressSpace) AllocRegion(size uint64) Region {
 	return Region{Base: s.Alloc(size, 4096), Size: size}
 }
 
-// ElemAddr returns the address of element i of elemSize bytes, wrapping at
-// the region end.
-func (r Region) ElemAddr(i uint64, elemSize uint64) uint64 {
-	if r.Size == 0 {
-		return r.Base
-	}
-	off := (i * elemSize) % r.Size
-	return r.Base + off
-}
-
 // Lines returns the number of cache lines in the region.
 func (r Region) Lines(lineSize uint64) uint64 {
 	if lineSize == 0 {

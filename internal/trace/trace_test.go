@@ -193,20 +193,6 @@ func TestNewAddressSpaceBase(t *testing.T) {
 	}
 }
 
-func TestRegionElemAddrWraps(t *testing.T) {
-	r := Region{Base: 0x1000, Size: 256}
-	if got := r.ElemAddr(0, 8); got != 0x1000 {
-		t.Fatalf("elem 0 = %x", got)
-	}
-	if got := r.ElemAddr(32, 8); got != 0x1000 {
-		t.Fatalf("elem 32 must wrap to base, got %x", got)
-	}
-	empty := Region{Base: 5}
-	if empty.ElemAddr(9, 8) != 5 {
-		t.Fatal("empty region returns base")
-	}
-}
-
 func TestRegionLines(t *testing.T) {
 	r := Region{Base: 0, Size: 130}
 	if got := r.Lines(64); got != 3 {

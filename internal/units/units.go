@@ -27,14 +27,6 @@ func GHzOf(g float64) Hertz { return Hertz(g) * GHz }
 // GHz reports the frequency in gigahertz.
 func (h Hertz) GHz() float64 { return float64(h) / 1e9 }
 
-// Period returns the duration of one cycle at this frequency.
-func (h Hertz) Period() Duration {
-	if h == 0 {
-		return 0
-	}
-	return Duration(1 / float64(h) * 1e9)
-}
-
 // String renders the frequency with the natural SI prefix.
 func (h Hertz) String() string {
 	switch {

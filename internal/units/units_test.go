@@ -19,14 +19,15 @@ func TestGHzOf(t *testing.T) {
 	}
 }
 
+// One cycle's period, through Cycles.Duration.
 func TestHertzPeriod(t *testing.T) {
-	if got := GHzOf(1).Period(); !almostEqual(float64(got), 1.0, 1e-12) {
+	if got := Cycles(1).Duration(GHzOf(1)); !almostEqual(float64(got), 1.0, 1e-12) {
 		t.Fatalf("1GHz period = %v ns, want 1", got)
 	}
-	if got := GHzOf(2).Period(); !almostEqual(float64(got), 0.5, 1e-12) {
+	if got := Cycles(1).Duration(GHzOf(2)); !almostEqual(float64(got), 0.5, 1e-12) {
 		t.Fatalf("2GHz period = %v ns, want 0.5", got)
 	}
-	if got := Hertz(0).Period(); got != 0 {
+	if got := Cycles(1).Duration(0); got != 0 {
 		t.Fatalf("zero frequency period = %v, want 0", got)
 	}
 }

@@ -1,12 +1,16 @@
 package workgen
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/api"
+	"repro/internal/model"
 	"repro/internal/trace"
 )
 
@@ -175,6 +179,52 @@ func FuzzCompileTrace(f *testing.F) {
 		}
 		if again := spec.Trace(); again.Hash != tr.Hash {
 			t.Fatalf("hash %s then %s", tr.HashHex(), again.HashHex())
+		}
+	})
+}
+
+// FuzzSpecBytes decodes arbitrary bytes into a wire spec the way
+// memmodelctl reads a -spec file (unknown fields rejected), then
+// compiles it and generates its trace. A body that decodes must end in
+// an error wrapping model.ErrInvalidParams or ErrInvalidPlatform, or in
+// a trace — never a panic.
+func FuzzSpecBytes(f *testing.F) {
+	ref, err := json.Marshal(api.WorkloadSpec{Name: "mix", TotalRPS: 200, DurationS: 2, Seed: 42, Clients: DefaultClients()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ref)
+	for _, b := range []string{
+		`{}`,
+		`{"total_rps":-1}`,
+		`{"duration_s":1e308}`,
+		`{"clients":[{"share":0}]}`,
+		`{"clients":[{"share":1,"arrival":{"process":"gamma","shape":0}}]}`,
+		`{"clients":[{"share":1,"scenarios":[{"weight":1,"params":{"mpki":-1}}]}]}`,
+		`{"unknown":1}`,
+		`{`,
+	} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var ws api.WorkloadSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ws); err != nil {
+			return
+		}
+		spec, err := Compile(ws)
+		if err != nil {
+			if !errors.Is(err, model.ErrInvalidParams) && !errors.Is(err, model.ErrInvalidPlatform) {
+				t.Fatalf("untyped compile error: %v", err)
+			}
+			return
+		}
+		if spec.TotalRPS*spec.Duration > 1e4 {
+			t.Skip("too many expected arrivals for one fuzz execution")
+		}
+		if spec.Trace() == nil {
+			t.Fatal("compiled spec produced no trace")
 		}
 	})
 }
