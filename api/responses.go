@@ -28,7 +28,7 @@ type EvaluateResponse struct {
 	Platform string             `json:"platform"`
 	Point    OperatingPointBody `json:"point"`
 	Solver   SolverBody         `json:"solver"`
-	Cached   bool               `json:"cached"`
+	Cached   bool               `json:"cached"` // always false: solved per request
 }
 
 // TopologyTierPointBody is one tier's share of a topology reply.
@@ -52,7 +52,7 @@ type TopologyResponse struct {
 	Limiter        string                  `json:"limiter,omitempty"`
 	Tiers          []TopologyTierPointBody `json:"tiers"`
 	Solver         SolverBody              `json:"solver"`
-	Cached         bool                    `json:"cached"`
+	Cached         bool                    `json:"cached"` // always false: solved per request
 }
 
 // SweepPointBody is one platform variant of a sweep reply.

@@ -84,7 +84,7 @@ func clusterCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 func soakCmd(fs *flag.FlagSet) func(context.Context, *shared) error {
 	n := fs.Int("n", 200, "number of evaluate requests")
 	workers := fs.Int("workers", 4, "bounded parallelism")
-	spread := fs.Int("spread", 8, "distinct compulsory-latency variants (cache-miss spread)")
+	spread := fs.Int("spread", 8, "distinct compulsory-latency variants the requests cycle through")
 	return func(ctx context.Context, sh *shared) error {
 		classes := []string{"bigdata", "enterprise", "hpc"}
 		reqs := make([]api.EvaluateRequest, *n)

@@ -1,7 +1,7 @@
 // Command memmodeld serves the analytic performance model over
 // HTTP/JSON: single-tier (Eq. 1/4), tiered (Eq. 5), and NUMA
-// evaluations plus latency/bandwidth sweep grids, with a scenario cache,
-// admission control, and live telemetry on /metrics. See the README's
+// evaluations plus sweep grids and fleet runs, with a scenario cache for
+// the costlier requests, admission control, and live telemetry on /metrics. See the README's
 // "Serving" section for the API and curl examples.
 //
 // Usage:

@@ -92,27 +92,21 @@ func TestResultGolden(t *testing.T) {
 }
 
 // TestCanonicalSpecsGolden pins the spec keys the serving cache is
-// keyed by: CanonicalSpecs renders the policy-independent part once,
-// and must give exactly the strings CanonicalSpec gives per policy.
+// keyed by: one policy alone, and all three policies in one rendering.
 func TestCanonicalSpecsGolden(t *testing.T) {
-	want := map[Policy]string{
-		RoundRobin:    "24bc12d4d5685bb3",
-		LeastLoaded:   "e85366087d56e7f9",
-		WeightedScore: "f9d4e44b658080ed",
-	}
 	spec := defaultSpec(RoundRobin)
-	all := CanonicalSpecs(spec, Policies())
-	for i, p := range Policies() {
-		sp := defaultSpec(p)
-		if got := Key(sp); got != want[p] {
-			t.Errorf("%s: Key = %s, want %s", p, got, want[p])
-		}
-		if one := CanonicalSpec(sp); all[i] != one {
-			t.Errorf("%s: CanonicalSpecs differs from CanonicalSpec:\n%s\n%s", p, all[i], one)
+	want := map[Policy]string{
+		RoundRobin:    "790db9bd54d47bcf",
+		LeastLoaded:   "865dbcd2ee46b197",
+		WeightedScore: "be5a28c95df90ae7",
+	}
+	for _, p := range Policies() {
+		if got := model.ScenarioKey("cluster", CanonicalSpec(spec, []Policy{p})); got != want[p] {
+			t.Errorf("%s: key = %s, want %s", p, got, want[p])
 		}
 	}
-	if got := model.ScenarioKey(append([]string{"cluster"}, all...)...); got != "3f6203e63884b297" {
-		t.Errorf("three-policy key = %s, want 3f6203e63884b297", got)
+	if got := model.ScenarioKey("cluster", CanonicalSpec(spec, Policies())); got != "30c51c25ee804ee1" {
+		t.Errorf("three-policy key = %s, want 30c51c25ee804ee1", got)
 	}
 }
 
@@ -237,10 +231,3 @@ h cxl-0 done=692 shed=0 util=0x1.f798aa25c8e04p-01 peakq=12
 h cxl-1 done=692 shed=0 util=0x1.f76deba59a3f7p-01 peakq=12
 `,
 }
-
-// CanonicalSpec serializes everything Simulate's outcome depends on for
-// s.Policy alone: the single-policy form CanonicalSpecs must agree with.
-func CanonicalSpec(s Spec) string { return CanonicalSpecs(s, []Policy{s.Policy})[0] }
-
-// Key folds the canonical spec into a compact cache key.
-func Key(s Spec) string { return model.ScenarioKey("cluster", CanonicalSpec(s)) }

@@ -9,17 +9,18 @@ import (
 
 // Canonical spec serialization, following the model/hash.go rules: the
 // serving layer caches fleet runs keyed by the mathematical content of
-// the Spec, so names are excluded, every float is rendered in exact
+// the Spec, so names are excluded (the serving layer keys the names its
+// reply echoes as a separate part), every float is rendered in exact
 // hexadecimal, and host topologies reuse model.CanonicalTopology. Host
 // and tenant order is significant — it is the routing and seeding
 // order.
 
-// CanonicalSpecs serializes everything Simulate's outcome depends on,
-// once for each of policies in place of s.Policy, rendering the
-// policy-independent rest once.
-func CanonicalSpecs(s Spec, policies []Policy) []string {
+// CanonicalSpec serializes everything the outcome of simulating s under
+// each of policies depends on (s.Policy is not read): the policy list,
+// then the policy-independent rest, rendered once.
+func CanonicalSpec(s Spec, policies []Policy) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, ",dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[",
+	fmt.Fprintf(&b, "cluster{policies=%v,dur=%s,warm=%s,seed=%d,maxev=%d,hosts=[", policies,
 		model.HexFloat(float64(s.Duration)), model.HexFloat(float64(s.Warmup)), s.Seed, s.MaxEvents)
 	for i, h := range s.Hosts {
 		if i > 0 {
@@ -37,10 +38,5 @@ func CanonicalSpecs(s Spec, policies []Policy) []string {
 			model.HexFloat(t.Rate), model.HexFloat(t.Work), model.CanonicalParams(t.Params))
 	}
 	b.WriteString("]}")
-	rest := b.String()
-	out := make([]string, len(policies))
-	for i, p := range policies {
-		out[i] = "cluster{policy=" + p.String() + rest
-	}
-	return out
+	return b.String()
 }

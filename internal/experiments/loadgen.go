@@ -66,7 +66,7 @@ func (s *Suite) LoadgenCalibration(ctx context.Context) (Artifact, error) {
 		scen.AddRow(sc.Name, fmt.Sprintf("%.3f", sc.Weight),
 			fmt.Sprintf("%.3f", sc.CPI), fmt.Sprintf("%v", sc.BandwidthBound), sc.Key[:16])
 	}
-	scen.AddNote("each scenario key is the daemon's canonical cache identity, so the generator, the daemon cache, and the prediction all agree on what a distinct scenario is")
+	scen.AddNote("each scenario key is the canonical identity of its solved problem (names excluded), which groups the calibration samples, so the generator and the prediction agree on what a distinct scenario is")
 
 	return Artifact{ID: "loadgen-calibration", Tables: []*report.Table{kpis, scen}}, nil
 }

@@ -9,15 +9,16 @@ import (
 	"repro/internal/queueing"
 )
 
-// Canonical scenario serialization. The serving layer caches solved
-// operating points keyed by the *mathematical* content of a request, so
-// two requests that describe the same fixed-point problem must produce
-// the same key no matter how they were spelled. The canonicalization
-// rules:
+// Canonical scenario serialization. The serving layer's cache and
+// workgen's calibration key scenarios by the *mathematical* content of
+// a request, so two requests that describe the same fixed-point problem
+// must produce the same key no matter how they were spelled. The
+// canonicalization rules:
 //
 //   - Names (Params.Name, platform names, tier names) are excluded: they
 //     label telemetry, not the solved problem. "bigdata" requested by
-//     class and the same six numbers entered by hand share a cache line.
+//     class and the same six numbers entered by hand canonicalize alike;
+//     a cache whose replies echo names adds them as a separate key part.
 //   - Every float is rendered with strconv's exact hexadecimal format,
 //     so distinct bit patterns never collide and equal values never
 //     diverge through decimal rounding.

@@ -2,7 +2,6 @@ package regress
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -112,23 +111,4 @@ func TestKMeansInertiaZeroForKEqualsN(t *testing.T) {
 	if c.Inertia != 0 {
 		t.Fatalf("inertia = %v, want 0 when every point is its own cluster", c.Inertia)
 	}
-}
-
-func TestSortedByDim(t *testing.T) {
-	pts := []Point{{3}, {1}, {2}}
-	got := SortedByDim(pts, 0)
-	if !reflect.DeepEqual(got, []int{1, 2, 0}) {
-		t.Fatalf("SortedByDim = %v", got)
-	}
-}
-
-// SortedByDim returns index order of points sorted ascending by dimension d,
-// used for stable, reproducible report output.
-func SortedByDim(points []Point, d int) []int {
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return points[idx[a]][d] < points[idx[b]][d] })
-	return idx
 }

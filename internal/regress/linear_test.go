@@ -110,38 +110,6 @@ func TestFitRecoveryProperty(t *testing.T) {
 	}
 }
 
-func TestFitThroughIntercept(t *testing.T) {
-	xs := []float64{1, 2, 4}
-	ys := []float64{1.2, 1.4, 1.8} // exactly 1 + 0.2x
-	l, err := FitThroughIntercept(xs, ys, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.Slope-0.2) > 1e-12 {
-		t.Fatalf("slope = %v, want 0.2", l.Slope)
-	}
-	if math.Abs(l.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %v, want 1", l.R2)
-	}
-}
-
-func TestFitThroughInterceptErrors(t *testing.T) {
-	if _, err := FitThroughIntercept(nil, nil, 1); err != ErrInsufficientData {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := FitThroughIntercept([]float64{0, 0}, []float64{1, 1}, 1); err != ErrInsufficientData {
-		t.Fatalf("zero-x err = %v", err)
-	}
-}
-
-func TestResiduals(t *testing.T) {
-	l := Line{Intercept: 1, Slope: 1}
-	rs := Residuals(l, []float64{0, 1}, []float64{1.5, 1.5})
-	if rs[0] != 0.5 || rs[1] != -0.5 {
-		t.Fatalf("residuals = %v", rs)
-	}
-}
-
 func TestStandardErrors(t *testing.T) {
 	// Exact data: zero residuals, zero standard errors.
 	xs := []float64{1, 2, 3, 4}
@@ -182,55 +150,4 @@ func TestStandardErrorsNeedThreePoints(t *testing.T) {
 	if l.SESlope != 0 || l.SEIntercept != 0 {
 		t.Fatal("n=2 has no residual degrees of freedom; SEs must be 0")
 	}
-}
-
-// Fit variants the paper describes but no fit path uses, kept with their
-// tests.
-
-// FitThroughIntercept performs least squares for y = c + s*x with the
-// intercept c held fixed, returning the slope and R². The paper's §V.A
-// alternative when CPI_cache is known from a separate core-bound run.
-func FitThroughIntercept(xs, ys []float64, intercept float64) (Line, error) {
-	if len(xs) != len(ys) || len(xs) < 1 {
-		return Line{}, ErrInsufficientData
-	}
-	var sxx, sxy float64
-	for i := range xs {
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * (ys[i] - intercept)
-	}
-	if sxx == 0 {
-		return Line{}, ErrInsufficientData
-	}
-	l := Line{Intercept: intercept, Slope: sxy / sxx, N: len(xs)}
-
-	var my float64
-	for _, y := range ys {
-		my += y
-	}
-	my /= float64(len(ys))
-	var ssRes, ssTot float64
-	for i := range xs {
-		r := ys[i] - l.Eval(xs[i])
-		ssRes += r * r
-		d := ys[i] - my
-		ssTot += d * d
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			l.R2 = 1
-		}
-		return l, nil
-	}
-	l.R2 = 1 - ssRes/ssTot
-	return l, nil
-}
-
-// Residuals returns ys[i] - line.Eval(xs[i]).
-func Residuals(l Line, xs, ys []float64) []float64 {
-	rs := make([]float64, len(xs))
-	for i := range xs {
-		rs[i] = ys[i] - l.Eval(xs[i])
-	}
-	return rs
 }

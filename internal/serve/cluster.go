@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/api"
 	"repro/internal/cluster"
@@ -147,9 +148,16 @@ func (s *Server) prepareCluster(dec *json.Decoder) (preparation, error) {
 	if err != nil {
 		return preparation{}, err
 	}
-	keyParts := append([]string{"cluster"}, cluster.CanonicalSpecs(spec, policies)...)
+	// The reply echoes host and tenant names; the canonical spec leaves them out.
+	names := append(make([]byte, 0, 256), "names="...)
+	for _, h := range spec.Hosts {
+		names = strconv.AppendQuote(names, h.Name)
+	}
+	for _, t := range spec.Tenants {
+		names = strconv.AppendQuote(names, t.Name)
+	}
 	return preparation{
-		key: model.ScenarioKey(keyParts...),
+		key: model.ScenarioKey("cluster", cluster.CanonicalSpec(spec, policies), string(names)),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
 			resp := api.ClusterResponse{

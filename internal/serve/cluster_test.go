@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -56,6 +57,27 @@ func TestClusterEndpointBasic(t *testing.T) {
 	}
 	if again.Policies[0].EventHash != pol.EventHash {
 		t.Errorf("event hash drifted: %s vs %s", again.Policies[0].EventHash, pol.EventHash)
+	}
+}
+
+// TestClusterEchoesOwnNames: two fleets that differ only in host and
+// tenant names each get their own names back.
+func TestClusterEchoesOwnNames(t *testing.T) {
+	h := New().Handler()
+	for _, name := range []string{"alpha", "beta"} {
+		body := fmt.Sprintf(`{"duration_s":0.5,"policies":["weighted"],"seed":7,
+			"hosts":[{"name":"h-%s","topology":{"tiers":[{"share":1,"compulsory_ns":75,"peak_gbps":42}]}}],
+			"tenants":[{"name":%q,"params":{"class":"bigdata"},"rate_rps":50}]}`, name, name)
+		status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/cluster/simulate", body)
+		var resp api.ClusterResponse
+		if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil || len(resp.Policies) != 1 {
+			t.Fatalf("%s: status %d (%v): %s", name, status, err, blob)
+		}
+		pol := resp.Policies[0]
+		if pol.Tenants[0].Name != name || pol.Hosts[0].Name != "h-"+name || resp.Cached {
+			t.Errorf("%s: reply echoes tenant %q, host %q, cached %v",
+				name, pol.Tenants[0].Name, pol.Hosts[0].Name, resp.Cached)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,15 +93,41 @@ func TestEvaluateMatchesDirectModelCall(t *testing.T) {
 	}
 }
 
+// TestEvaluateEchoesOwnNames: two evaluations of one scenario under
+// different names each get their own names back.
+func TestEvaluateEchoesOwnNames(t *testing.T) {
+	h := New().Handler()
+	var first api.EvaluateResponse
+	for i, name := range []string{"alpha", "beta"} {
+		body := fmt.Sprintf(`{"params":{"class":"bigdata","name":"w-%s"},"platform":{"name":%q}}`, name, name)
+		status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+		var resp api.EvaluateResponse
+		if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d (%v): %s", name, status, err, blob)
+		}
+		if resp.Platform != name || resp.Workload != "w-"+name || resp.Cached {
+			t.Errorf("%s: reply names (%q, %q), cached %v; want (%q, %q), false",
+				name, resp.Workload, resp.Platform, resp.Cached, "w-"+name, name)
+		}
+		if i == 0 {
+			first = resp
+		} else if resp.Point != first.Point {
+			t.Errorf("renamed scenario solved differently:\n%+v\n%+v", first.Point, resp.Point)
+		}
+	}
+}
+
+// sweepBody is a small latency sweep of one class: a cached endpoint.
+const sweepBody = `{"axis":"latency","steps":3,"step_ns":25,"platform":{"compulsory_ns":120},"classes":[{"class":"enterprise"}]}`
+
 func TestCacheHitOnRepeat(t *testing.T) {
 	s := New()
 	h := s.Handler()
-	body := `{"params":{"class":"enterprise"},"platform":{"compulsory_ns":120}}`
 
-	_, first, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
-	_, second, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+	_, first, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", sweepBody)
+	_, second, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", sweepBody)
 
-	var r1, r2 api.EvaluateResponse
+	var r1, r2 api.SweepResponse
 	if err := json.Unmarshal(first, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +137,8 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if r1.Cached || !r2.Cached {
 		t.Errorf("cached flags = (%v, %v), want (false, true)", r1.Cached, r2.Cached)
 	}
-	if r1.Point != r2.Point {
-		t.Errorf("cached point diverged:\n first %+v\nsecond %+v", r1.Point, r2.Point)
+	if !reflect.DeepEqual(r1.Points, r2.Points) {
+		t.Errorf("cached points diverged:\n first %+v\nsecond %+v", r1.Points, r2.Points)
 	}
 	if r2.Solver != r1.Solver {
 		t.Errorf("cached response should replay the original solve telemetry")
@@ -121,16 +148,39 @@ func TestCacheHitOnRepeat(t *testing.T) {
 		t.Errorf("cache stats = %+v, want 1 miss, 1 hit", st)
 	}
 
-	// Same scenario under a different spelling (explicit baseline values,
-	// different name) must hit the same canonical key.
-	renamed := `{"params":{"class":"enterprise","name":"other"},"platform":{"compulsory_ns":120,"name":"x"}}`
-	_, third, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", renamed)
-	var r3 api.EvaluateResponse
+	// The same scenario under another class name must echo that name.
+	renamed := strings.Replace(sweepBody, `"class":"enterprise"`, `"class":"enterprise","name":"other"`, 1)
+	_, third, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", renamed)
+	var r3 api.SweepResponse
 	if err := json.Unmarshal(third, &r3); err != nil {
 		t.Fatal(err)
 	}
-	if !r3.Cached {
-		t.Error("names must not shear the cache key: renamed request should hit")
+	for i, pt := range r3.Points {
+		if _, ok := pt.CPI["other"]; !ok || len(pt.CPI) != 1 {
+			t.Fatalf("renamed sweep point %d echoes %v, want only class \"other\"", i, pt.CPI)
+		}
+		if pt.CPI["other"] != r1.Points[i].CPI["Enterprise"] {
+			t.Errorf("renamed sweep point %d: CPI %v, want %v", i, pt.CPI["other"], r1.Points[i].CPI["Enterprise"])
+		}
+	}
+}
+
+// TestSweepEchoesOwnNames: bandwidth sweeps that differ only in class
+// names and variant labels each get their own names back.
+func TestSweepEchoesOwnNames(t *testing.T) {
+	h := New().Handler()
+	for _, name := range []string{"one", "two"} {
+		body := fmt.Sprintf(`{"axis":"bandwidth","platform":{},"classes":[{"class":"hpc","name":%q}],
+			"variants":[{"label":"v-%s","channels":2,"grade_mts":1600,"efficiency":0.7}]}`, name, name)
+		status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", body)
+		var resp api.SweepResponse
+		if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil || len(resp.Points) != 1 {
+			t.Fatalf("%s: status %d (%v): %s", name, status, err, blob)
+		}
+		pt := resp.Points[0]
+		if _, ok := pt.CPI[name]; !ok || pt.Platform != "v-"+name || resp.Cached {
+			t.Errorf("%s: reply echoes class %v, variant %q, cached %v", name, pt.CPI, pt.Platform, resp.Cached)
+		}
 	}
 }
 
@@ -176,7 +226,6 @@ func TestSingleflightCollapseOverHTTP(t *testing.T) {
 		<-gate
 	}
 	h := s.Handler()
-	body := `{"params":{"class":"bigdata"},"platform":{}}`
 
 	var wg sync.WaitGroup
 	var cached atomic.Int64
@@ -184,12 +233,12 @@ func TestSingleflightCollapseOverHTTP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+			status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", sweepBody)
 			if status != http.StatusOK {
 				t.Errorf("status = %d: %s", status, blob)
 				return
 			}
-			var resp api.EvaluateResponse
+			var resp api.SweepResponse
 			if err := json.Unmarshal(blob, &resp); err != nil {
 				t.Error(err)
 				return
@@ -357,10 +406,10 @@ func metricValue(t *testing.T, exposition, name string) float64 {
 	return 0
 }
 
-// TestConcurrentLoad is the acceptance check from the issue: 64
-// goroutines replay a repeated 8-scenario mix; every request succeeds,
-// the hit ratio clears 50% with singleflight preventing duplicate
-// solves, and /metrics stays consistent with the observed load.
+// TestConcurrentLoad: 64 goroutines replay a repeated 8-scenario sweep
+// mix; every request succeeds, the hit ratio clears 50% with
+// singleflight preventing duplicate solves, and /metrics stays
+// consistent with the observed load.
 func TestConcurrentLoad(t *testing.T) {
 	const (
 		goroutines = 64
@@ -373,28 +422,29 @@ func TestConcurrentLoad(t *testing.T) {
 
 	mix := make([]string, scenarios)
 	for i := range mix {
-		mix[i] = fmt.Sprintf(`{"params":{"class":"bigdata"},"platform":{"compulsory_ns":%d}}`, 75+10*i)
+		mix[i] = fmt.Sprintf(`{"axis":"latency","steps":2,"platform":{"compulsory_ns":%d},"classes":[{"class":"bigdata"}]}`, 75+10*i)
 	}
 
 	var wg sync.WaitGroup
-	var okCount, cachedCount atomic.Int64
+	var okCount, cachedCount, solvesPerSweep atomic.Int64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				body := mix[(g+i)%scenarios]
-				status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+				status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/sweep", body)
 				if status != http.StatusOK {
 					t.Errorf("goroutine %d request %d: status = %d: %s", g, i, status, blob)
 					continue
 				}
 				okCount.Add(1)
-				var resp api.EvaluateResponse
+				var resp api.SweepResponse
 				if err := json.Unmarshal(blob, &resp); err != nil {
 					t.Error(err)
 					continue
 				}
+				solvesPerSweep.Store(resp.Solver.Solves)
 				if resp.Cached {
 					cachedCount.Add(1)
 				}
@@ -427,13 +477,13 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 	exp := string(blob)
 	checks := map[string]float64{
-		`memmodeld_requests_total{endpoint="evaluate"}`:              total,
-		`memmodeld_responses_total{endpoint="evaluate",class="2xx"}`: total,
-		`memmodeld_cache_misses_total`:                               scenarios,
-		`memmodeld_admission_admitted_total`:                         total,
-		`memmodeld_admission_shed_total`:                             0,
-		`memmodeld_admission_inflight`:                               0,
-		`memmodeld_solver_solves_total`:                              scenarios,
+		`memmodeld_requests_total{endpoint="sweep"}`:              total,
+		`memmodeld_responses_total{endpoint="sweep",class="2xx"}`: total,
+		`memmodeld_cache_misses_total`:                            scenarios,
+		`memmodeld_admission_admitted_total`:                      total,
+		`memmodeld_admission_shed_total`:                          0,
+		`memmodeld_admission_inflight`:                            0,
+		`memmodeld_solver_solves_total`:                           float64(scenarios * solvesPerSweep.Load()),
 	}
 	for name, want := range checks {
 		if got := metricValue(t, exp, name); got != want {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -34,11 +35,12 @@ const (
 )
 
 // Server is the model-evaluation service: the JSON evaluation, sweep,
-// fleet and workload endpoints over the model's evaluator, fronted
-// by the scenario cache and the admission controller, plus /healthz
-// and /metrics. An
-// optional fault-injection middleware (WithFaults) manufactures
-// deterministic chaos on the /v1 endpoints.
+// fleet and workload endpoints over the model's evaluator, fronted by
+// the admission controller, plus /healthz and /metrics. The sweep,
+// fleet and workload endpoints also go through the scenario cache; a
+// single evaluation solves faster than its cache key renders, so it
+// solves on every request. An optional fault-injection middleware
+// (WithFaults) manufactures deterministic chaos on the /v1 endpoints.
 type Server struct {
 	cfg     config
 	cache   *Cache
@@ -49,8 +51,9 @@ type Server struct {
 
 	draining atomic.Bool
 
-	// testHookSolve, when set, runs at the start of every cold solve —
-	// the test seam for exercising singleflight, shedding, and drain.
+	// testHookSolve, when set, runs at the start of every solve (for a
+	// cached endpoint, every cache miss) — the test seam for exercising
+	// singleflight, shedding, and drain.
 	testHookSolve func()
 }
 
@@ -108,7 +111,8 @@ func (s *Server) StatsLine() string {
 }
 
 // preparation is a validated request ready to evaluate: the canonical
-// cache key and the cold-solve closure that produces the response body.
+// cache key and the solve closure that produces the response body. The
+// key is empty for the endpoints that solve without the cache.
 type preparation struct {
 	key string
 	run func(ctx context.Context) (any, error)
@@ -123,12 +127,6 @@ type prepareFunc func(dec *json.Decoder) (preparation, error)
 // than an interface; a new endpoint's response type must be added here.
 func markCached(v any) any {
 	switch r := v.(type) {
-	case api.EvaluateResponse:
-		r.Cached = true
-		return r
-	case api.TopologyResponse:
-		r.Cached = true
-		return r
 	case api.SweepResponse:
 		r.Cached = true
 		return r
@@ -144,9 +142,9 @@ func markCached(v any) any {
 }
 
 // post wraps one endpoint: fault injection (when armed), method check,
-// bounded decode, admission, per-request deadline, cached evaluation,
-// and error mapping, with the endpoint's latency and status recorded on
-// the way out.
+// bounded decode, admission, per-request deadline, evaluation (cached
+// when the preparation has a key), and error mapping, with the
+// endpoint's latency and status recorded on the way out.
 func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -208,20 +206,24 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 		defer cancel()
 
-		val, cached, err := s.cache.Do(ctx, prep.key, func() (any, error) {
+		solve := func() (any, error) {
 			if s.testHookSolve != nil {
 				s.testHookSolve()
 			}
 			return prep.run(ctx)
-		})
+		}
+		var val any
+		var cached bool
+		if prep.key == "" {
+			val, err = solve()
+		} else if val, cached, err = s.cache.Do(ctx, prep.key, solve); cached {
+			val = markCached(val)
+		}
 		if err != nil {
 			var code string
 			status, code = classify(err)
 			writeError(w, status, code, err.Error(), nil)
 			return
-		}
-		if cached {
-			val = markCached(val)
 		}
 		writeJSON(w, http.StatusOK, val)
 	}
@@ -249,7 +251,6 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 		return preparation{}, err
 	}
 	return preparation{
-		key: model.ScenarioKey("evaluate", model.CanonicalParams(p), model.CanonicalPlatform(pl)),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
 			op, err := model.Evaluate(ctx, p, pl)
@@ -280,7 +281,6 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 		return preparation{}, err
 	}
 	return preparation{
-		key: model.ScenarioKey("topology", model.CanonicalParams(p), model.CanonicalTopology(top)),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
 			pt, err := model.EvaluateTopology(ctx, p, top)
@@ -324,22 +324,25 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 	if len(specs) > maxSweepClasses {
 		return preparation{}, fmt.Errorf("%w: at most %d classes per sweep", model.ErrInvalidParams, maxSweepClasses)
 	}
+	pl, err := req.Platform.Platform()
+	if err != nil {
+		return preparation{}, err
+	}
+	keyParts := []string{"sweep", req.Axis, model.CanonicalPlatform(pl)}
 	classes := make([]model.Params, len(specs))
-	classKeys := make([]string, len(specs))
+	// names are what the reply echoes (class names, then bandwidth
+	// variant labels) and the canonical parts leave out.
+	names := append(make([]byte, 0, 256), "names="...)
 	for i, spec := range specs {
 		p, err := spec.Params()
 		if err != nil {
 			return preparation{}, err
 		}
-		classes[i] = p
-		classKeys[i] = model.CanonicalParams(p)
-	}
-	pl, err := req.Platform.Platform()
-	if err != nil {
-		return preparation{}, err
+		classes[i], names = p, strconv.AppendQuote(names, p.Name)
+		keyParts = append(keyParts, model.CanonicalParams(p))
 	}
 
-	keyParts := append([]string{"sweep", req.Axis, model.CanonicalPlatform(pl)}, classKeys...)
+	var sweep func(context.Context) (model.Sweep, error)
 	switch req.Axis {
 	case "latency":
 		steps, stepNS := req.Steps, req.StepNS
@@ -354,17 +357,9 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 				model.ErrInvalidPlatform, maxSweepSteps)
 		}
 		keyParts = append(keyParts, fmt.Sprintf("steps=%d,stepns=%g", steps, stepNS))
-		return preparation{
-			key: model.ScenarioKey(keyParts...),
-			run: func(ctx context.Context) (any, error) {
-				ctx, agg := s.record(ctx)
-				sw, err := model.LatencySweep(ctx, pl, classes, steps, stepNS)
-				if err != nil {
-					return nil, err
-				}
-				return sweepResponse("latency", sw, agg.Stats()), nil
-			},
-		}, nil
+		sweep = func(ctx context.Context) (model.Sweep, error) {
+			return model.LatencySweep(ctx, pl, classes, steps, stepNS)
+		}
 	case "bandwidth":
 		variants := model.PaperBandwidthVariants()
 		if len(req.Variants) > 0 {
@@ -388,22 +383,26 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 		}
 		for _, v := range variants {
 			keyParts = append(keyParts, fmt.Sprintf("ch=%d,mts=%d,eff=%g", v.Channels, v.ChannelMTs, v.Efficiency))
+			names = strconv.AppendQuote(names, v.Label)
 		}
-		return preparation{
-			key: model.ScenarioKey(keyParts...),
-			run: func(ctx context.Context) (any, error) {
-				ctx, agg := s.record(ctx)
-				sw, err := model.BandwidthSweep(ctx, pl, classes, variants)
-				if err != nil {
-					return nil, err
-				}
-				return sweepResponse("bandwidth", sw, agg.Stats()), nil
-			},
-		}, nil
+		sweep = func(ctx context.Context) (model.Sweep, error) {
+			return model.BandwidthSweep(ctx, pl, classes, variants)
+		}
 	default:
 		return preparation{}, fmt.Errorf("%w: sweep axis must be \"latency\" or \"bandwidth\", got %q",
 			model.ErrInvalidPlatform, req.Axis)
 	}
+	return preparation{
+		key: model.ScenarioKey(append(keyParts, string(names))...),
+		run: func(ctx context.Context) (any, error) {
+			ctx, agg := s.record(ctx)
+			sw, err := sweep(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return sweepResponse(req.Axis, sw, agg.Stats()), nil
+		},
+	}, nil
 }
 
 func sweepResponse(axis string, sw model.Sweep, st model.Stats) api.SweepResponse {
@@ -413,13 +412,10 @@ func sweepResponse(axis string, sw model.Sweep, st model.Stats) api.SweepRespons
 			Platform:    pt.Platform.Name,
 			Delta:       pt.DeltaPerCore,
 			CPI:         map[string]float64{},
-			CPIIncrease: map[string]float64{},
+			CPIIncrease: pt.CPIIncrease,
 		}
 		for name, op := range pt.Ops {
 			body.CPI[name] = op.CPI
-		}
-		for name, inc := range pt.CPIIncrease {
-			body.CPIIncrease[name] = inc
 		}
 		resp.Points = append(resp.Points, body)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -35,17 +36,33 @@ func TestTopologyEndpointBasic(t *testing.T) {
 		t.Error("first request must not be marked cached")
 	}
 
-	// Repeat hits the cache and is marked as such.
+	// A repeat solves again, to the same point.
 	_, blob2, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", topoBody)
 	var again api.TopologyResponse
 	if err := json.Unmarshal(blob2, &again); err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached {
-		t.Error("repeat request should be served from cache")
+	if again.Cached || again.CPI != resp.CPI {
+		t.Errorf("repeat: cached %v, CPI %v; want false, %v", again.Cached, again.CPI, resp.CPI)
 	}
-	if again.CPI != resp.CPI {
-		t.Errorf("cached CPI %v != cold CPI %v", again.CPI, resp.CPI)
+}
+
+// TestTopologyEchoesOwnNames: two topologies that differ only in the
+// topology and tier names each get their own names back.
+func TestTopologyEchoesOwnNames(t *testing.T) {
+	h := New().Handler()
+	for _, names := range [][2]string{{"t1", "near"}, {"t2", "far"}} {
+		body := fmt.Sprintf(`{"params":{"class":"bigdata"},"topology":{"name":%q,"tiers":[
+			{"name":%q,"share":1,"compulsory_ns":75,"peak_gbps":42}]}}`, names[0], names[1])
+		status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", body)
+		var resp api.TopologyResponse
+		if err := json.Unmarshal(blob, &resp); status != http.StatusOK || err != nil || len(resp.Tiers) != 1 {
+			t.Fatalf("%v: status %d (%v): %s", names, status, err, blob)
+		}
+		if resp.Platform != names[0] || resp.Tiers[0].Name != names[1] || resp.Cached {
+			t.Errorf("%v: reply echoes topology %q, tier %q, cached %v",
+				names, resp.Platform, resp.Tiers[0].Name, resp.Cached)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package serve is the transport-agnostic service layer over the
 // analytic model: HTTP handlers for the single-tier Eq. 1/4 evaluator,
 // the N-tier topology evaluator (tiered Eq. 5, NUMA, die-stacked and
-// far-memory tiers), and the Fig. 8–11 style sweeps, a
-// sharded scenario cache with singleflight collapsing, a semaphore
-// admission controller with load shedding, and live telemetry. The
-// cmd/memmodeld daemon is a thin HTTP shell around this package.
+// far-memory tiers), and the Fig. 8–11 style sweeps, a sharded scenario
+// cache with singleflight collapsing for the costlier requests, a
+// semaphore admission controller with load shedding, and live
+// telemetry. The cmd/memmodeld daemon is a thin HTTP shell around it.
 //
 // The JSON wire types and error codes live in the public repro/api
 // package, shared with the client SDK, and the service layer uses them

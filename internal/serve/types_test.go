@@ -155,22 +155,29 @@ var fuzzBodies = []string{
 
 // FuzzDecodeRequests feeds arbitrary bodies through the same decode +
 // validate + canonicalize path the daemon uses: whatever the bytes,
-// the pipeline must return an error or a usable preparation — never
+// the pipeline must return an error or a usable preparation (a cache
+// key on the cached endpoints, none on evaluate and topology) — never
 // panic. Solving itself is FuzzRunRequests' job.
 func FuzzDecodeRequests(f *testing.F) {
 	for _, b := range fuzzBodies {
 		f.Add([]byte(b))
 	}
 	s := New()
-	preps := []prepareFunc{s.prepareEvaluate, s.prepareTopology, s.prepareSweep, s.prepareCluster, s.prepareWorkload}
+	preps := []struct {
+		prepare prepareFunc
+		cached  bool
+	}{
+		{s.prepareEvaluate, false}, {s.prepareTopology, false},
+		{s.prepareSweep, true}, {s.prepareCluster, true}, {s.prepareWorkload, true},
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, prepare := range preps {
-			prep, err := prepare(jsonDecoder(body))
+		for _, p := range preps {
+			prep, err := p.prepare(jsonDecoder(body))
 			if err != nil {
 				continue
 			}
-			if prep.key == "" {
-				t.Error("accepted request produced an empty cache key")
+			if (prep.key != "") != p.cached {
+				t.Errorf("accepted request produced cache key %q; want one exactly on the cached endpoints", prep.key)
 			}
 			if prep.run == nil {
 				t.Error("accepted request produced a nil run closure")

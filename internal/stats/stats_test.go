@@ -22,41 +22,6 @@ func TestMeanErrEmpty(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 3}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1.5 {
-		t.Fatalf("WeightedMean = %v, want 1.5", got)
-	}
-}
-
-func TestWeightedMeanErrors(t *testing.T) {
-	if _, err := WeightedMean(nil, nil); err == nil {
-		t.Fatal("want error for empty input")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want error for mismatched lengths")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("want error for zero total weight")
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); got != 4 {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := math.Sqrt(Variance(xs)); got != 2 {
-		t.Fatalf("standard deviation = %v, want 2", got)
-	}
-	if got := Variance([]float64{5}); got != 0 {
-		t.Fatalf("Variance of single value = %v, want 0", got)
-	}
-}
-
 // The extremes of a sample are its 0th and 100th percentiles.
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
@@ -182,21 +147,6 @@ func TestRelError(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	// The paper validates its fixed-pathlength assumption with low
-	// run-to-run variation; the CoV of identical samples must be 0.
-	if got := CoefficientOfVariation([]float64{5, 5, 5}); got != 0 {
-		t.Fatalf("CoV of constant = %v, want 0", got)
-	}
-	if got := CoefficientOfVariation([]float64{0, 0}); got != 0 {
-		t.Fatalf("CoV with zero mean = %v, want 0", got)
-	}
-	got := CoefficientOfVariation([]float64{9, 11})
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("CoV = %v, want 0.1", got)
-	}
-}
-
 func TestPearson(t *testing.T) {
 	// Perfect positive and negative linear relationships.
 	if r, err := Pearson([]float64{1, 2, 3, 4}, []float64{2, 4, 6, 8}); err != nil || math.Abs(r-1) > 1e-12 {
@@ -236,48 +186,4 @@ func TestMAPE(t *testing.T) {
 	if _, err := MAPE(nil, nil); err == nil {
 		t.Fatal("MAPE of empty input should error")
 	}
-}
-
-// Statistics the paper names but no code path computes, kept with their
-// tests.
-
-// WeightedMean returns sum(w_i*x_i)/sum(w_i). The paper weights per-phase
-// model components by the number of instructions in each phase (§IV.D).
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 || len(xs) != len(ws) {
-		return 0, ErrEmpty
-	}
-	var sw, swx float64
-	for i, x := range xs {
-		sw += ws[i]
-		swx += ws[i] * x
-	}
-	if sw == 0 {
-		return 0, ErrEmpty
-	}
-	return swx / sw, nil
-}
-
-// CoefficientOfVariation returns StdDev/Mean, the run-to-run variation
-// measure the paper uses to validate the fixed-pathlength assumption.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return math.Sqrt(Variance(xs)) / m
-}
-
-// Variance returns the population variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
 }

@@ -28,9 +28,8 @@ type Observation struct {
 	Latency time.Duration
 	// OK marks a decoded 2xx; Shed marks a 429 overload rejection
 	// (a budget-exhausted retry chain ending in 429 counts).
-	OK     bool
-	Shed   bool
-	Cached bool
+	OK   bool
+	Shed bool
 	// Code is the wire error code of a failed request, "" on success.
 	Code string
 }
@@ -86,11 +85,10 @@ func Run(ctx context.Context, spec *Spec, tr *Trace, eval EvalFunc, opt RunOptio
 			for i := range work {
 				a := arrivals[i]
 				o := Observation{Index: i, Client: a.Client, Scenario: a.Scenario, At: a.At}
-				resp, err := eval(ctx, spec.Clients[a.Client].Scenarios[a.Scenario].Request)
+				_, err := eval(ctx, spec.Clients[a.Client].Scenarios[a.Scenario].Request)
 				o.Latency = time.Since(dispatched[i])
 				if err == nil {
 					o.OK = true
-					o.Cached = resp.Cached
 				} else {
 					o.Code, o.Shed = classifyEvalErr(err)
 				}

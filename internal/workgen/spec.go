@@ -27,8 +27,8 @@ type Scenario struct {
 	// Params/Topology are the materialized model inputs behind Request.
 	Params   model.Params
 	Topology model.Topology
-	// Key is the daemon's canonical scenario key for Request — the
-	// cache identity observed traffic and predictions share.
+	// Key is the canonical scenario key of Request (names excluded) —
+	// the identity observed traffic and predictions share.
 	Key string
 }
 
@@ -71,7 +71,7 @@ type Spec struct {
 // Table 6 workload class with skewed 4/2/1 rate shares and one arrival
 // process each (Poisson, smooth gamma, bursty weibull). Each client
 // mixes its class's baseline scenario with a memory-stressed variant,
-// so the trace exercises distinct daemon cache keys.
+// so the trace exercises distinct scenarios.
 func DefaultClients() []api.WorkloadClientSpec {
 	return []api.WorkloadClientSpec{
 		{

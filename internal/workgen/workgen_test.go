@@ -209,7 +209,7 @@ func stubEval(delay time.Duration, calls *atomic.Int64) EvalFunc {
 				return nil, ctx.Err()
 			}
 		}
-		return &api.EvaluateResponse{Cached: true}, nil
+		return &api.EvaluateResponse{}, nil
 	}
 }
 
@@ -225,8 +225,8 @@ func TestRunOpenLoop(t *testing.T) {
 		t.Fatalf("eval called %d times for %d arrivals", calls.Load(), len(tr.Arrivals))
 	}
 	for i, o := range res.Obs {
-		if !o.OK || !o.Cached {
-			t.Fatalf("observation %d not OK/cached: %+v", i, o)
+		if !o.OK {
+			t.Fatalf("observation %d not OK: %+v", i, o)
 		}
 		if o.Latency <= 0 {
 			t.Fatalf("observation %d has non-positive latency", i)
